@@ -18,7 +18,7 @@ index gather for the engine) and wall time, plus the batched
 ``match_many`` serving time for the whole panel.
 
 ``test_archive_query_engine_examines_fewer`` is the CI perf-smoke gate
-(``pytest benchmarks -k "refinement or pruning or archive"``): it fails
+(``pytest benchmarks -k archive``): it fails
 if the engine's candidate count ever reaches the exhaustive count on
 this archive, or if any mode disagrees with the exhaustive answers.
 ``test_archive_query_inverted_screens_fewer`` gates the inverted

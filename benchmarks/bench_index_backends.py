@@ -8,23 +8,11 @@ suite checks object-level equality; this bench re-checks it at workload
 scale while timing the search layer, the dominant insertion cost per
 Section 5.3). The candidate-set table reports how many candidate rows
 each backend hands to distance refinement per probe.
-
-The refinement section compares the scalar and vectorized
-distance-refinement kernels (``repro.geometry.coordstore``) per backend:
-cluster counts must stay identical, and the perf-smoke test
-(``test_vectorized_refinement_not_slower``, run by CI) fails when the
-vectorized path loses to scalar on the default grid backend. The
-pruning section gates the sphere-pruned, cached grid walk against the
-legacy unpruned full-table walk (``GridIndex(prune=False)``):
-``test_grid_pruning_candidates_and_speed`` (run by CI) fails if pruning
-gathers more candidates or runs slower on the Figure-7 4-D cases.
 """
 
 from __future__ import annotations
 
 import time
-
-import pytest
 
 from common import (
     SLIDES,
@@ -37,8 +25,7 @@ from common import (
 )
 from repro.core.csgs import CSGS
 from repro.eval.harness import Table, fmt_seconds
-from repro.geometry.coordstore import HAVE_NUMPY
-from repro.index import GridIndex, available_backends
+from repro.index import available_backends
 
 MEASURE_WINDOWS = 4
 
@@ -69,13 +56,11 @@ def _measure_csgs(csgs, slide: int):
     )
 
 
-def _run_backend(backend: str, case, slide: int, refinement: str = "auto"):
-    key = (backend, case, slide, refinement)
+def _run_backend(backend: str, case, slide: int):
+    key = (backend, case, slide)
     if key not in _cache:
         theta_range, theta_count = case
-        csgs = CSGS(
-            theta_range, theta_count, 4, backend=backend, refinement=refinement
-        )
+        csgs = CSGS(theta_range, theta_count, 4, backend=backend)
         _cache[key] = _measure_csgs(csgs, slide)
     return _cache[key]
 
@@ -162,271 +147,6 @@ def test_index_backends_candidate_sizes(benchmark):
     report(table.render())
     benchmark.pedantic(
         lambda: _run_backend("grid", STT_CASES[1], SLIDES[1]),
-        rounds=1,
-        iterations=1,
-    )
-
-
-# ----------------------------------------------------------------------
-# Sphere-pruned + cached gathering vs the legacy unpruned walk
-# ----------------------------------------------------------------------
-
-
-def _run_grid_variant(case, slide: int, prune: bool, reps: int = 2):
-    """Best-of-N two-phase run on an injected grid provider (fresh each
-    rep: providers are stateful and the cache must start cold).
-
-    Phase 1 is the windowed C-SGS run (the batched ``range_query_many``
-    plan: every base cell's walk is shared within a slide, so the cache
-    adds little there). Phase 2 probes every live object with a single
-    ``range_query`` — the object-at-a-time insertion path, incremental
-    DBSCAN, and post-hoc cluster analyses all issue exactly this shape,
-    and it is where the per-base-cell candidate cache pays: repeated
-    probes from one cell skip the 625-lookup walk entirely.
-    """
-    best = None
-    theta_range, theta_count = case
-    for _ in range(reps):
-        provider = GridIndex(theta_range, 4, prune=prune)
-        csgs = CSGS(theta_range, theta_count, 4, provider=provider)
-        t_windows, counts, _ = _measure_csgs(csgs, slide)
-        alive = csgs.tracker.alive_objects()
-        before = dict(provider.stats)
-        start = time.perf_counter()
-        for obj in alive:
-            provider.range_query(obj.coords, exclude_oid=obj.oid)
-        t_queries = time.perf_counter() - start
-        stats = provider.stats
-        per_probe = (stats["candidates"] - before["candidates"]) / max(
-            1, stats["queries"] - before["queries"]
-        )
-        result = (t_windows, t_queries, counts, per_probe)
-        if best is None or result[0] + result[1] < best[0] + best[1]:
-            best = result
-    return best
-
-
-def test_grid_pruning_candidates_and_speed(benchmark):
-    """Perf + candidate-count smoke (CI): over the Figure-7 4-D cases,
-    the sphere-pruned, cached grid walk must hand refinement no more
-    candidates per probe than the legacy unpruned walk — pruning only
-    ever skips unreachable buckets, so equality is the worst case — and
-    the two-phase run (C-SGS windows + per-object point queries) must
-    not be slower overall (small allowance for shared-runner noise;
-    locally the aggregate is ~2x in pruning's favor, carried by the
-    point-query phase where the candidate cache hits)."""
-    noise_allowance = 1.10
-    slide = SLIDES[1]
-    table = Table(
-        "Grid candidate gathering — sphere-pruned + cached walk vs "
-        "legacy unpruned walk (Figure-7 workload, STT-like 4-D; "
-        "windows = C-SGS slides, queries = per-object point probes)",
-        [
-            "case (thr,thc)",
-            "windows unpr/pruned",
-            "queries unpr/pruned",
-            "total speedup",
-            "cand/probe unpr",
-            "cand/probe pruned",
-            "reduction",
-        ],
-    )
-    total_pruned_time = 0.0
-    total_unpruned_time = 0.0
-    for case in STT_CASES:
-        tw_u, tq_u, counts_unpruned, cand_unpruned = _run_grid_variant(
-            case, slide, prune=False
-        )
-        tw_p, tq_p, counts_pruned, cand_pruned = _run_grid_variant(
-            case, slide, prune=True
-        )
-        assert counts_pruned == counts_unpruned, (
-            f"pruning changed cluster counts on {case}"
-        )
-        assert cand_pruned <= cand_unpruned, (
-            f"pruned walk gathered more candidates on {case}: "
-            f"{cand_pruned:.1f} > {cand_unpruned:.1f}"
-        )
-        table.add_row(
-            f"({case[0]}, {case[1]})",
-            f"{fmt_seconds(tw_u)}/{fmt_seconds(tw_p)}",
-            f"{fmt_seconds(tq_u)}/{fmt_seconds(tq_p)}",
-            f"{(tw_u + tq_u) / (tw_p + tq_p):.2f}x",
-            f"{cand_unpruned:.1f}",
-            f"{cand_pruned:.1f}",
-            f"{1 - cand_pruned / cand_unpruned:.1%}",
-        )
-        total_pruned_time += tw_p + tq_p
-        total_unpruned_time += tw_u + tq_u
-    report(table.render())
-    assert total_pruned_time <= total_unpruned_time * noise_allowance, (
-        f"pruned walk slower than unpruned: "
-        f"{total_pruned_time:.3f}s > {total_unpruned_time:.3f}s"
-    )
-    benchmark.pedantic(
-        lambda: _run_grid_variant(STT_CASES[1], slide, prune=True, reps=1),
-        rounds=1,
-        iterations=1,
-    )
-
-
-def _run_batched_variant(case, slide: int, octant: bool):
-    """One windowed C-SGS run (the batched ``range_query_many`` plan)
-    on an injected grid provider with octant sub-grouping on or off;
-    returns (time, cluster counts, candidates handed to refinement)."""
-    theta_range, theta_count = case
-    provider = GridIndex(theta_range, 4, octant_batching=octant)
-    csgs = CSGS(theta_range, theta_count, 4, provider=provider)
-    elapsed, counts, _ = _measure_csgs(csgs, slide)
-    return elapsed, counts, provider.stats["candidates"]
-
-
-def test_octant_subgroup_pruning_batched_gather(benchmark):
-    """Candidate-count smoke (CI): per-octant probe sub-boxes must hand
-    refinement no more candidates than the legacy whole-cell box on the
-    batched C-SGS path — a sub-box is contained in the cell box, so a
-    bucket skipped by the cell box is skipped by every sub-box — and on
-    the Figure-7 4-D workload (where the whole-cell box defeats the
-    per-bucket screen entirely in low dimensions) the reduction must be
-    real, not zero. Output stays byte-identical either way: grouping
-    only partitions exact refinement."""
-    slide = SLIDES[1]
-    table = Table(
-        "Batched gather — per-octant probe sub-boxes vs whole-cell box "
-        "(Figure-7 workload, C-SGS slides)",
-        ["case (thr,thc)", "cand whole-cell", "cand octant", "reduction",
-         "time whole/octant"],
-    )
-    total_whole = 0
-    total_octant = 0
-    for case in STT_CASES:
-        t_whole, counts_whole, cand_whole = _run_batched_variant(
-            case, slide, octant=False
-        )
-        t_octant, counts_octant, cand_octant = _run_batched_variant(
-            case, slide, octant=True
-        )
-        assert counts_octant == counts_whole, (
-            f"octant sub-grouping changed cluster counts on {case}"
-        )
-        assert cand_octant <= cand_whole, (
-            f"octant sub-boxes gathered more candidates on {case}: "
-            f"{cand_octant} > {cand_whole}"
-        )
-        table.add_row(
-            f"({case[0]}, {case[1]})",
-            cand_whole,
-            cand_octant,
-            f"{1 - cand_octant / max(1, cand_whole):.1%}",
-            f"{fmt_seconds(t_whole)}/{fmt_seconds(t_octant)}",
-        )
-        total_whole += cand_whole
-        total_octant += cand_octant
-    report(table.render())
-    assert total_octant < total_whole, (
-        "octant sub-grouping pruned nothing across the Figure-7 cases"
-    )
-    benchmark.pedantic(
-        lambda: _run_batched_variant(STT_CASES[1], slide, octant=True),
-        rounds=1,
-        iterations=1,
-    )
-
-
-# ----------------------------------------------------------------------
-# Refinement ablation: scalar vs vectorized kernels
-# ----------------------------------------------------------------------
-
-
-def _best_refinement_time(
-    backend: str, case, slide: int, refinement: str, reps: int = 2
-) -> float:
-    """Best-of-N average window time (fresh run each rep, cache bypassed)."""
-    best = None
-    for rep in range(reps):
-        _cache.pop((backend, case, slide, refinement), None)
-        avg = _run_backend(backend, case, slide, refinement=refinement)[0]
-        best = avg if best is None else min(best, avg)
-    return best
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector refinement needs NumPy")
-def test_refinement_speedup_report(benchmark):
-    """Print scalar-vs-vector per backend over the Figure-7 cases."""
-    table = Table(
-        "Refinement kernels — C-SGS avg response time per window "
-        "(Figure-7 workload, STT-like 4-D)",
-        ["backend", "case (thr,thc)", "scalar", "vector", "speedup"],
-    )
-    slide = SLIDES[1]
-    for backend in available_backends():
-        for case in STT_CASES:
-            t_scalar = _best_refinement_time(backend, case, slide, "scalar")
-            t_vector = _best_refinement_time(backend, case, slide, "vector")
-            table.add_row(
-                backend,
-                f"({case[0]}, {case[1]})",
-                fmt_seconds(t_scalar),
-                fmt_seconds(t_vector),
-                f"{t_scalar / t_vector:.2f}x",
-            )
-    report(table.render())
-    benchmark.pedantic(
-        lambda: _run_backend("grid", STT_CASES[1], SLIDES[1]),
-        rounds=1,
-        iterations=1,
-    )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector refinement needs NumPy")
-def test_refinement_modes_agree(benchmark):
-    """Scalar and vector refinement produce identical cluster counts on
-    every backend (the golden fixture pins full object-level equality)."""
-    case, slide = STT_CASES[1], SLIDES[1]
-    for backend in available_backends():
-        scalar_counts = _run_backend(backend, case, slide, "scalar")[1]
-        vector_counts = _run_backend(backend, case, slide, "vector")[1]
-        assert scalar_counts == vector_counts, (
-            f"{backend}: refinement modes diverge: "
-            f"{scalar_counts} != {vector_counts}"
-        )
-    benchmark.pedantic(
-        lambda: _run_backend("grid", case, slide, "scalar"),
-        rounds=1,
-        iterations=1,
-    )
-
-
-@pytest.mark.skipif(not HAVE_NUMPY, reason="vector refinement needs NumPy")
-def test_vectorized_refinement_not_slower(benchmark):
-    """Perf smoke (CI): on the default grid backend, summed over the
-    Figure-7 cases, the vectorized path must not lose to scalar.
-
-    A small wall-clock allowance absorbs shared-runner scheduling noise
-    (locally the aggregate speedup is ~1.2x, well clear of the gate);
-    a genuine regression — vector meaningfully slower — still fails.
-    """
-    noise_allowance = 1.05
-    slide = SLIDES[1]
-    t_scalar = sum(
-        _best_refinement_time("grid", case, slide, "scalar")
-        for case in STT_CASES
-    )
-    t_vector = sum(
-        _best_refinement_time("grid", case, slide, "vector")
-        for case in STT_CASES
-    )
-    report(
-        "Perf smoke (grid, Figure-7 aggregate): "
-        f"scalar {fmt_seconds(t_scalar)} vs vector {fmt_seconds(t_vector)} "
-        f"({t_scalar / t_vector:.2f}x)"
-    )
-    assert t_vector <= t_scalar * noise_allowance, (
-        f"vectorized refinement slower than scalar: "
-        f"{t_vector:.3f}s > {t_scalar:.3f}s"
-    )
-    benchmark.pedantic(
-        lambda: _run_backend("grid", STT_CASES[1], slide, "vector"),
         rounds=1,
         iterations=1,
     )

@@ -1,13 +1,11 @@
-"""Deployment-mode ablation: serial vs thread vs process shard serving.
+"""Deployment-mode ablation: serial vs process shard serving.
 
 Serves the Figure-7 benchmark archive (the same 300-pattern STT-like
 history ``bench_archive_query`` builds) partitioned into 4 shards, and
-runs one ``match_many`` batch through every deployment mode of the
+runs one ``match_many`` batch through both deployment modes of the
 :mod:`repro.serving` seam:
 
 * **serial** — shard engines in the calling thread (the baseline);
-* **thread** — the persistent pool (GIL-bound: pure-Python shard work
-  mostly serializes, so this measures pool overhead, not speedup);
 * **process** — one worker per shard, hydrated once from format-v3
   shard dumps (true parallelism; hydration is a one-time cost the
   always-on service amortizes over its lifetime).
@@ -133,13 +131,12 @@ def test_serving_modes_agree_and_process_scales(benchmark):
     report(table.render())
 
     serial_answers = runs["serial"][3]
-    for mode in ("thread", "process"):
-        assert runs[mode][3] == serial_answers, (
-            f"{mode} mode diverged from the serial merged answers"
-        )
-        assert runs[mode][2] == runs["serial"][2], (
-            f"{mode} mode examined a different candidate count"
-        )
+    assert runs["process"][3] == serial_answers, (
+        "process mode diverged from the serial merged answers"
+    )
+    assert runs["process"][2] == runs["serial"][2], (
+        "process mode examined a different candidate count"
+    )
 
     if cpus >= 2:
         assert runs["process"][1] < t_serial, (

@@ -1,8 +1,8 @@
 """Shared machinery for the benchmark suite.
 
-Each bench file regenerates one paper artifact (see DESIGN.md's
-per-experiment index). Workloads are scaled down from the paper's sizes
-so the whole suite runs in minutes of pure Python; the *shapes* —
+Each bench file regenerates one paper artifact (its module docstring
+names the figure or table). Workloads are scaled down from the paper's
+sizes so the whole suite runs in minutes of pure Python; the *shapes* —
 method orderings, growth trends, crossovers — are what we reproduce.
 Tables are printed through ``report()`` (bypassing pytest capture) so
 ``pytest benchmarks/ --benchmark-only | tee bench_output.txt`` records
@@ -55,24 +55,43 @@ def report(text: str) -> None:
 #: Repository root — where the machine-readable trajectory files live.
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-_COMMIT_CACHE: List[str] = []
+_COMMIT_CACHE: List[Tuple[str, Optional[bool]]] = []
 
 
-def _current_commit() -> str:
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        timeout=10,
+        check=True,
+    ).stdout.strip()
+
+
+def _current_commit() -> Tuple[str, Optional[bool]]:
+    """``(short hash, dirty)`` of the checkout being measured.
+
+    ``dirty`` is whether anything but the trajectory files themselves
+    differs from that commit: a PR benches its working tree before it
+    commits, so without the flag its records read as clean measurements
+    of the *parent* hash.
+    """
     if not _COMMIT_CACHE:
         try:
             _COMMIT_CACHE.append(
-                subprocess.run(
-                    ["git", "rev-parse", "--short", "HEAD"],
-                    cwd=REPO_ROOT,
-                    capture_output=True,
-                    text=True,
-                    timeout=10,
-                    check=True,
-                ).stdout.strip()
+                (
+                    _git("rev-parse", "--short", "HEAD"),
+                    bool(
+                        _git(
+                            "status", "--porcelain", "--", ".",
+                            ":(exclude)BENCH_*.json",
+                        )
+                    ),
+                )
             )
         except Exception:
-            _COMMIT_CACHE.append("unknown")
+            _COMMIT_CACHE.append(("unknown", None))
     return _COMMIT_CACHE[0]
 
 
@@ -82,12 +101,15 @@ def emit_bench_record(stem: str, workload: str, **fields) -> dict:
     line, so successive runs — and successive commits — accumulate a
     perf trajectory that plots straight from the file).
 
-    Every record carries the current commit, a UTC timestamp, and the
-    workload name; callers add the measurements (wall time, candidates
-    examined, mode, ...). The record is returned for reuse.
+    Every record carries the current commit and whether the tree was
+    dirty against it, a UTC timestamp, and the workload name; callers
+    add the measurements (wall time, candidates examined, mode, ...).
+    The record is returned for reuse.
     """
+    commit, dirty = _current_commit()
     record = {
-        "commit": _current_commit(),
+        "commit": commit,
+        "dirty": dirty,
         "timestamp": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),

@@ -9,15 +9,13 @@ Subcommands:
   (one DETECT template per line) several queries multiplex over one
   stream pass, sharing a multi-resolution substrate;
 * ``multiplex`` — run a queries file multiplexed and report the sharing
-  structure: θr rung placement, cohorts, one-pass substrate counters,
-  and (``--ab``) an output-parity + timing comparison against
-  forced-dedicated execution;
+  structure: θr rung placement, cohorts, one-pass substrate counters;
 * ``match`` — load a persisted Pattern Base and run a Cluster Matching
   Query for a pattern id or an SGS JSON file;
 * ``serve`` — keep a persisted Pattern Base resident behind a JSON-over-
   HTTP service (``/ingest``, ``/match``, ``/match_many``, ``/stats``,
-  ``/healthz``), with the deployment mode — in-process serial, thread
-  pool, or process-per-shard workers — selected by ``--mode``;
+  ``/healthz``), with the deployment mode — in-process serial or
+  process-per-shard workers — selected by ``--mode``;
 * ``show`` — render an archived pattern as ASCII art (2-D only).
 
 Examples::
@@ -26,8 +24,7 @@ Examples::
     python -m repro.cli run --input stream.csv --theta-range 2.5 \
         --theta-count 8 --win 2000 --slide 500 --archive history.sgsa
     python -m repro.cli run --input stream.csv --queries queries.txt
-    python -m repro.cli multiplex --input stream.csv \
-        --queries queries.txt --ab
+    python -m repro.cli multiplex --input stream.csv --queries queries.txt
     python -m repro.cli match --archive history.sgsa --pattern 12 \
         --threshold 0.25 --top 5
     python -m repro.cli serve --archive history.sgsa --shards 4 \
@@ -55,7 +52,6 @@ from repro.core.serialize import sgs_from_json, sgs_to_json
 from repro.data.gmti import GMTIStream
 from repro.data.stt import STTStream
 from repro.data.synthetic import DriftingBlobStream
-from repro.geometry.coordstore import REFINEMENT_MODES
 from repro.index.provider import available_backends
 from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval import (
@@ -181,7 +177,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.theta_range, args.theta_count, dimensions, window,
         archive_level=args.level,
         index_backend=args.index_backend,
-        refinement=args.refine,
         match_inverted_levels=(
             _parse_inverted_levels(args.inverted_levels) or None
         ),
@@ -224,7 +219,6 @@ def _run_multiplexed(
     system = MultiplexedMiningSystem(
         dimensions,
         archive_level=args.level,
-        refinement=args.refine,
         match_inverted_levels=(
             _parse_inverted_levels(args.inverted_levels) or None
         ),
@@ -261,10 +255,7 @@ def _run_multiplexed(
 
 
 def _cmd_multiplex(args: argparse.Namespace) -> int:
-    """Run a queries file multiplexed and report the sharing structure
-    (optionally A/B against forced-dedicated execution)."""
-    import time
-
+    """Run a queries file multiplexed and report the sharing structure."""
     from repro.multiplex import SlideScheduler
 
     objects = list(_read_csv_objects(args.input, args.timestamp_column))
@@ -274,31 +265,10 @@ def _cmd_multiplex(args: argparse.Namespace) -> int:
     dimensions = objects[0].dimensions
     queries = _load_queries(args.queries, dimensions)
 
-    def execute(shared: bool):
-        scheduler = SlideScheduler(
-            dimensions,
-            factor=args.factor,
-            shared=shared,
-            refinement=args.refine,
-        )
-        captured = {}
-
-        def sink(handle, output):
-            captured.setdefault(handle.id, []).append(
-                (
-                    output.window_index,
-                    frozenset(c.member_oids() for c in output.clusters),
-                )
-            )
-
-        for query in queries:
-            scheduler.register(query, sink=sink)
-        started = time.perf_counter()
-        scheduler.run(objects)
-        elapsed = time.perf_counter() - started
-        return scheduler, captured, elapsed
-
-    scheduler, shared_results, shared_time = execute(shared=True)
+    scheduler = SlideScheduler(dimensions, factor=args.factor)
+    for query in queries:
+        scheduler.register(query)
+    scheduler.run(objects)
     stats = scheduler.stats()
     print(f"{len(queries)} queries over {len(objects)} objects")
     for entry in stats["queries"]:
@@ -344,17 +314,6 @@ def _cmd_multiplex(args: argparse.Namespace) -> int:
             f"  dedicated fallback: "
             f"{stats['dedicated_range_queries']} range queries"
         )
-    if args.ab:
-        _, dedicated_results, dedicated_time = execute(shared=False)
-        parity = shared_results == dedicated_results
-        print(
-            f"A/B: shared {shared_time:.3f}s vs dedicated "
-            f"{dedicated_time:.3f}s "
-            f"(x{dedicated_time / max(shared_time, 1e-9):.2f}), "
-            f"outputs {'identical' if parity else 'DIVERGED'}"
-        )
-        if not parity:
-            return 1
     return 0
 
 
@@ -592,13 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         "grid vs kdtree from dimensionality and observed cell "
         "occupancy, switching adaptively)",
     )
-    run.add_argument(
-        "--refine",
-        choices=REFINEMENT_MODES,
-        default="auto",
-        help="distance-refinement kernel path (auto: vectorized via "
-        "NumPy when available; scalar: pure-Python escape hatch)",
-    )
     run.add_argument("--level", type=int, default=0, help="archive resolution")
     run.add_argument("--max-windows", type=int, default=None)
     run.add_argument("--archive", default=None, help="persist pattern base")
@@ -631,17 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="geometric step of the theta_range rung ladder (>= 2)",
     )
     multiplex.add_argument(
-        "--refine", choices=REFINEMENT_MODES, default=None,
-        help="distance-refinement kernel path of the shared substrate",
-    )
-    multiplex.add_argument(
         "--timestamp-column", type=int, default=None,
         help="CSV column holding event time (time-based windows)",
-    )
-    multiplex.add_argument(
-        "--ab", action="store_true",
-        help="also run with sharing disabled (every query dedicated) "
-        "and report timing plus output parity",
     )
     multiplex.set_defaults(func=_cmd_multiplex)
 
@@ -685,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--mode", choices=MODES, default=None,
         help="deployment mode of the sharded execution (serial / "
-        "thread / process); default: thread when --shards > 1",
+        "process); default: serial, or process with --replicas > 1",
     )
     match.add_argument(
         "--replicas", type=int, default=1,
@@ -720,10 +663,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--mode", choices=MODES, default=None,
-        help="deployment mode: serial (in-process), thread (persistent "
-        "pool), process (one worker per shard, hydrated from shard "
-        "dumps, restart-on-crash); default: serial/thread by shard "
-        "count",
+        help="deployment mode: serial (in-process), process (one "
+        "worker per shard, hydrated from shard dumps, "
+        "restart-on-crash); default: serial, or process with "
+        "--replicas > 1",
     )
     serve.add_argument(
         "--replicas", type=int, default=1,

@@ -71,7 +71,6 @@ class ExtraN:
         dimensions: int,
         provider=None,
         backend=None,
-        refinement=None,
     ):
         self.theta_range = float(theta_range)
         self.theta_count = int(theta_count)
@@ -84,7 +83,6 @@ class ExtraN:
             on_extension=self._handle_extension,
             provider=provider,
             backend=backend,
-            refinement=refinement,
             # Extra-N never reads per-cell contents; skip the substrate
             # bookkeeping on non-cell-backed backends.
             maintain_cells=False,

@@ -49,13 +49,12 @@ class IncrementalDBSCAN:
         dimensions: int,
         provider: Optional[NeighborProvider] = None,
         backend: Optional[str] = None,
-        refinement: Optional[str] = None,
     ):
         self.theta_range = float(theta_range)
         self.theta_count = int(theta_count)
         self.dimensions = int(dimensions)
         self.grid = resolve_provider(
-            provider, backend, theta_range, dimensions, refinement=refinement
+            provider, backend, theta_range, dimensions
         )
         self._objects: Dict[int, StreamObject] = {}
         self._neighbor_count: Dict[int, int] = {}

@@ -58,7 +58,6 @@ class SharedCSGS:
         dimensions: int,
         provider: Optional[NeighborProvider] = None,
         backend: Optional[str] = None,
-        refinement: Optional[str] = None,
         cells: Optional[CellMap] = None,
         manage_provider: bool = True,
     ):
@@ -88,7 +87,7 @@ class SharedCSGS:
                 "members know their radius source"
             )
         provider = resolve_provider(
-            provider, backend, theta_range, dimensions, refinement=refinement
+            provider, backend, theta_range, dimensions
         )
         self.provider = provider
         # Backward-compatible alias: the provider used to always be a grid.

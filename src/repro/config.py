@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.archive.store import validate_store_spec
-from repro.geometry.coordstore import validate_refinement
 from repro.index.provider import validate_backend
 from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval.shards import validate_partition_key
@@ -36,10 +35,7 @@ class ContinuousClusteringQuery:
     ``index_backend`` selects the neighbor-search backend the query
     executes against (``grid`` / ``kdtree`` / ``rtree`` / ``auto``; see
     :mod:`repro.index.provider` — ``auto`` picks grid vs k-d tree from
-    the dimensionality and the observed cell occupancy). ``refinement``
-    selects the distance-refinement kernel path (``auto`` / ``scalar`` /
-    ``vector``; see :mod:`repro.geometry.coordstore` — ``auto``
-    vectorizes when NumPy is available).
+    the dimensionality and the observed cell occupancy).
 
     The serving-side knobs shape the archive the query accumulates:
     ``match_shards`` > 1 partitions the Pattern Base (by
@@ -56,7 +52,6 @@ class ContinuousClusteringQuery:
     dimensions: int
     window: WindowSpec
     index_backend: str = "grid"
-    refinement: str = "auto"
     #: Matching-engine configuration threaded to the system's
     #: :class:`~repro.retrieval.engine.MatchEngine` (coarse entry level
     #: of the multi-resolution refiner; alignment-search budget).
@@ -67,9 +62,9 @@ class ContinuousClusteringQuery:
     match_shards: int = 1
     match_shard_key: str = "window"
     #: Deployment mode of the sharded execution (``serial`` /
-    #: ``thread`` / ``process``; ``None`` = serial/thread by shard
-    #: count — see :mod:`repro.serving`). Only meaningful with
-    #: ``match_shards`` > 1.
+    #: ``process``; ``None`` = serial, or process when
+    #: ``match_replicas`` > 1 — see :mod:`repro.serving`). Only
+    #: meaningful with ``match_shards`` > 1.
     match_mode: Optional[str] = None
     #: Process-worker replicas per shard (> 1 implies
     #: ``match_mode="process"``): reads route round-robin across live
@@ -104,9 +99,7 @@ class ContinuousClusteringQuery:
             validate_mode(self.match_mode)
         if self.match_replicas < 1:
             raise ValueError("match_replicas must be positive")
-        if self.match_replicas > 1 and self.match_mode in (
-            "serial", "thread",
-        ):
+        if self.match_replicas > 1 and self.match_mode == "serial":
             raise ValueError(
                 "match_replicas > 1 needs match_mode 'process' (or "
                 "unset, which then implies it)"
@@ -118,7 +111,6 @@ class ContinuousClusteringQuery:
             raise ValueError("match_inverted_levels must all be >= 1")
         validate_store_spec(self.store)
         validate_backend(self.index_backend)
-        validate_refinement(self.refinement)
 
     @classmethod
     def count_based(
@@ -129,7 +121,6 @@ class ContinuousClusteringQuery:
         win: int,
         slide: int,
         index_backend: str = "grid",
-        refinement: str = "auto",
     ) -> "ContinuousClusteringQuery":
         return cls(
             theta_range,
@@ -137,7 +128,6 @@ class ContinuousClusteringQuery:
             dimensions,
             CountBasedWindowSpec(win, slide),
             index_backend=index_backend,
-            refinement=refinement,
         )
 
     @classmethod
@@ -150,7 +140,6 @@ class ContinuousClusteringQuery:
         slide: float,
         origin: float = 0.0,
         index_backend: str = "grid",
-        refinement: str = "auto",
     ) -> "ContinuousClusteringQuery":
         return cls(
             theta_range,
@@ -158,7 +147,6 @@ class ContinuousClusteringQuery:
             dimensions,
             TimeBasedWindowSpec(win, slide, origin),
             index_backend=index_backend,
-            refinement=refinement,
         )
 
 

@@ -7,7 +7,7 @@ connections as a frozen set of neighbor cell coordinates instead of a
 fixed boolean vector over "adjacent" cells: with cell diagonal = θr,
 directly connected core cells can be up to ``ceil(sqrt(d))`` grid steps
 apart, so a ±1-step boolean vector cannot express all legal connections
-in d >= 2 (see DESIGN.md). The byte-accounting model in
+in d >= 2. The byte-accounting model in
 ``repro.eval.memory`` still charges the paper's fixed per-cell cost so
 storage comparisons stay commensurate.
 """

@@ -76,7 +76,6 @@ class CSGS:
         provider=None,
         backend=None,
         cells=None,
-        refinement=None,
     ):
         self.theta_range = float(theta_range)
         self.theta_count = int(theta_count)
@@ -92,7 +91,6 @@ class CSGS:
             provider=provider,
             backend=backend,
             cells=cells,
-            refinement=refinement,
         )
         self._cell_core_until: Dict[Coord, int] = {}
         self._core_connections: Dict[PairKey, int] = {}

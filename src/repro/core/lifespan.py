@@ -173,7 +173,6 @@ class NeighborhoodTracker:
         backend: Optional[str] = None,
         cells: Optional[CellMap] = None,
         maintain_cells: bool = True,
-        refinement: Optional[str] = None,
     ):
         if theta_count < 1:
             raise ValueError("theta_count must be at least 1")
@@ -190,7 +189,6 @@ class NeighborhoodTracker:
             backend,
             theta_range,
             dimensions,
-            refinement=refinement,
         )
         self.provider = provider
         # Backward-compatible alias: the provider used to always be a grid.

@@ -13,7 +13,8 @@ The binary connection block stores each connection as a signed byte per
 dimension of the neighbor-cell *offset* (connections only ever reach
 ``ceil(sqrt(d))`` cells, so offsets fit easily), preceded by a one-byte
 count — close to the paper's fixed 2-byte bitmap while remaining exact
-for d >= 2 (see DESIGN.md on why a ±1 bitmap is insufficient).
+for d >= 2 (a ±1 bitmap is insufficient there: with cell diagonal = θr,
+connected core cells lie up to ``ceil(sqrt(d))`` steps apart).
 """
 
 from __future__ import annotations

@@ -2,14 +2,9 @@
 
 from repro.geometry.coordstore import (
     HAVE_NUMPY,
-    REFINEMENT_MODES,
     CandidateBatch,
     CoordStore,
     canonical_sq_dist,
-    get_default_refinement,
-    resolve_refinement,
-    set_default_refinement,
-    validate_refinement,
     within_sq_range,
 )
 from repro.geometry.distance import (
@@ -22,16 +17,11 @@ from repro.geometry.mbr import MBR
 __all__ = [
     "HAVE_NUMPY",
     "MBR",
-    "REFINEMENT_MODES",
     "CandidateBatch",
     "CoordStore",
     "canonical_sq_dist",
     "chebyshev_distance",
     "euclidean_distance",
-    "get_default_refinement",
-    "resolve_refinement",
-    "set_default_refinement",
     "squared_euclidean_distance",
-    "validate_refinement",
     "within_sq_range",
 ]

@@ -10,11 +10,13 @@ and this module is its single implementation.
 :class:`CoordStore` keeps live coordinates in column-major arrays — one
 growable float64 column per dimension — owning the oid→row mapping and
 tombstoned removal, so a refinement pass over k candidates is k fused
-array operations instead of k·d interpreted Python steps. Two kernel
-implementations are selected per store (``auto`` picks at import time):
+array operations instead of k·d interpreted Python steps. This module
+alone decides which kernel runs, from what it can observe:
 
-* ``vector`` — NumPy columns; batch kernels run as array expressions;
-* ``scalar`` — pure-Python ``array('d')`` columns with loop kernels.
+* NumPy imported — the store keeps NumPy columns and each call takes the
+  array kernel when it carries at least ``_VECTOR_MIN_WORK`` of work;
+* otherwise (no NumPy, or a small call) — the loop kernels below, which
+  read ``obj.coords`` directly and need no columns.
 
 Canonical summation order
 -------------------------
@@ -44,66 +46,16 @@ scans), so consumers observe byte-identical output from either path.
 
 from __future__ import annotations
 
-from array import array
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.streams.objects import StreamObject
 
-try:  # NumPy is optional; the scalar path is selected when it is absent.
+try:  # NumPy is optional; the scalar kernels run when it is absent.
     import numpy as _np
-except ImportError:  # pragma: no cover - exercised via refinement='scalar'
+except ImportError:  # pragma: no cover - exercised by the no-NumPy CI job
     _np = None
 
 HAVE_NUMPY = _np is not None
-
-#: Modes accepted everywhere a refinement choice is exposed (config,
-#: CLI ``--refine``, provider constructors).
-REFINEMENT_MODES: Tuple[str, ...] = ("auto", "scalar", "vector")
-
-_default_refinement = "auto"
-
-
-def validate_refinement(mode: str) -> str:
-    """Return ``mode`` if it is a known refinement mode, else raise."""
-    if mode not in REFINEMENT_MODES:
-        raise ValueError(
-            f"unknown refinement mode {mode!r}; "
-            f"choose one of {', '.join(REFINEMENT_MODES)}"
-        )
-    return mode
-
-
-def set_default_refinement(mode: str) -> str:
-    """Set the process-wide default mode; returns the previous one."""
-    global _default_refinement
-    previous = _default_refinement
-    _default_refinement = validate_refinement(mode)
-    return previous
-
-
-def get_default_refinement() -> str:
-    return _default_refinement
-
-
-def resolve_refinement(mode: Optional[str] = None) -> str:
-    """Resolve a mode request to the concrete kernel path.
-
-    ``None`` means the process-wide default (``auto`` unless changed);
-    ``auto`` selects ``vector`` exactly when NumPy imported at module
-    load. Requesting ``vector`` without NumPy is an error rather than a
-    silent downgrade.
-    """
-    resolved = validate_refinement(
-        _default_refinement if mode is None else mode
-    )
-    if resolved == "auto":
-        return "vector" if HAVE_NUMPY else "scalar"
-    if resolved == "vector" and not HAVE_NUMPY:
-        raise RuntimeError(
-            "refinement mode 'vector' requires NumPy, which is not "
-            "installed; use 'scalar' or 'auto'"
-        )
-    return resolved
 
 
 # ----------------------------------------------------------------------
@@ -183,17 +135,11 @@ class CoordStore:
     #: 4-D workload sits around 40 candidates per probe.
     _VECTOR_MIN_WORK = 48
 
-    def __init__(
-        self,
-        dimensions: int,
-        refinement: Optional[str] = None,
-        track_oids: bool = True,
-    ):
+    def __init__(self, dimensions: int, track_oids: bool = True):
         if dimensions < 1:
             raise ValueError("dimensions must be positive")
         self.dimensions = int(dimensions)
-        self.refinement = resolve_refinement(refinement)
-        self._vector = self.refinement == "vector"
+        self._vector = _np is not None
         self._track_oids = track_oids
         self._row_of: Dict[int, int] = {}
         self._objs: List[Optional[StreamObject]] = []
@@ -204,8 +150,6 @@ class CoordStore:
                 _np.empty(self._cap, dtype=_np.float64)
                 for _ in range(self.dimensions)
             ]
-        else:
-            self._cols = [array("d") for _ in range(self.dimensions)]
 
     # ------------------------------------------------------------------
     # Row bookkeeping
@@ -246,9 +190,6 @@ class CoordStore:
                 self._grow()
             for j, col in enumerate(self._cols):
                 col[row] = coords[j]
-        else:
-            for j, col in enumerate(self._cols):
-                col.append(coords[j])
         self._objs.append(obj)
         if self._track_oids:
             self._row_of[obj.oid] = row
@@ -291,8 +232,6 @@ class CoordStore:
                 _np.empty(self._cap, dtype=_np.float64)
                 for _ in range(self.dimensions)
             ]
-        else:
-            self._cols = [array("d") for _ in range(self.dimensions)]
         for obj in live:
             self.add(obj)
 
@@ -345,6 +284,19 @@ class CoordStore:
         return [
             canonical_sq_dist(self._objs[row].coords, probe) for row in rows
         ]
+
+    def nearest_first(
+        self, probe: Sequence[float], objs: Sequence[StreamObject]
+    ) -> Tuple[List[StreamObject], List[float]]:
+        """``objs`` and their canonical squared distances to ``probe``,
+        both ascending by distance (sorted by index, stably: distance
+        ties keep the given order and never compare StreamObjects)."""
+        sq_dists = self.sq_dists_to(probe, [obj.oid for obj in objs])
+        if self._vector and len(sq_dists) > 16:
+            order = _np.argsort(_np.asarray(sq_dists), kind="stable").tolist()
+        else:
+            order = sorted(range(len(sq_dists)), key=sq_dists.__getitem__)
+        return [objs[i] for i in order], [sq_dists[i] for i in order]
 
     def batch(self, objs: Sequence[StreamObject]) -> CandidateBatch:
         """Pre-gather a candidate set for repeated refinement.

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from repro.geometry.coordstore import CoordStore
 from repro.streams.objects import StreamObject
@@ -233,37 +233,19 @@ class GridIndex(CellMap):
     occupied reachable buckets of each base cell are cached across
     queries (invalidated by bucket creation and bucket-emptying purges),
     and per query the cached buckets are screened against the probe (or
-    probe-box) θr-ball before refinement. ``prune=False`` restores the
-    uncached full-table walk for A/B measurement.
+    probe-box) θr-ball before refinement.
     """
 
-    def __init__(
-        self,
-        theta_range: float,
-        dimensions: int,
-        refinement: Optional[str] = None,
-        prune: bool = True,
-        octant_batching: bool = True,
-    ):
+    def __init__(self, theta_range: float, dimensions: int):
         super().__init__(theta_range, dimensions)
         # Neighbors of a point can lie at most ceil(sqrt(d)) cells away
         # in each dimension because theta_range == side * sqrt(d).
         self.reach = int(math.ceil(math.sqrt(self.dimensions)))
         self._sq_range = self.theta_range * self.theta_range
-        self.prune = bool(prune)
-        if self.prune:
-            self._offsets = sphere_pruned_offsets(
-                self.dimensions, self.reach, self.side / self.theta_range
-            )
-        else:
-            self._offsets = full_offset_table(self.dimensions, self.reach)
-        self._store = CoordStore(dimensions, refinement=refinement)
-        self.refinement = self._store.refinement
-        #: Batched queries sub-group a cell's probes per octant so each
-        #: sub-group prunes against its own tighter bounding box (the
-        #: whole-cell box often spans every reachable bucket and prunes
-        #: nothing). ``False`` keeps the single whole-cell box for A/B.
-        self.octant_batching = bool(octant_batching)
+        self._offsets = sphere_pruned_offsets(
+            self.dimensions, self.reach, self.side / self.theta_range
+        )
+        self._store = CoordStore(dimensions)
         # Per-base-cell cache of the reachable *buckets* as (offset,
         # bucket list) pairs — offsets alias the shared table tuples.
         # Buckets are aliased, not copied: in-place bucket mutations
@@ -402,11 +384,9 @@ class GridIndex(CellMap):
         (``d * (2*reach+1)`` values), so screening a bucket costs d
         table lookups. Skipping never changes results: every true
         neighbor lies in a bucket that passes, and survivors keep their
-        walk order, so the refined output is byte-identical to the
-        unpruned walk.
+        walk order, so the refined output is byte-identical to a walk
+        that screens nothing.
         """
-        if not self.prune:
-            return self._gather_unpruned(base)
         entry = self._reachable_buckets(base)
         if not entry:
             return []
@@ -453,20 +433,6 @@ class GridIndex(CellMap):
                 candidates.extend(bucket)
         return candidates
 
-    def _gather_unpruned(self, base: Coord) -> List[StreamObject]:
-        """Legacy gather: fresh full-table walk, no cache, no pruning.
-
-        Kept as the ``prune=False`` escape hatch and the baseline the
-        candidate-count/perf smoke benchmarks compare against.
-        """
-        candidates: List[StreamObject] = []
-        cells = self._cells
-        for offset in self._offsets:
-            bucket = cells.get(tuple(map(add, base, offset)))
-            if bucket:
-                candidates.extend(bucket)
-        return candidates
-
     def range_query(
         self, coords: Sequence[float], exclude_oid: int = -1
     ) -> List[StreamObject]:
@@ -476,7 +442,7 @@ class GridIndex(CellMap):
         been inserted. The whole candidate set is refined in one store
         kernel call (boundary-inclusive <= θr², canonical summation
         order — see :mod:`repro.geometry.coordstore`; the parity suite
-        pins the agreement across backends and refinement modes).
+        pins the agreement across backends and kernel arms).
         """
         base = self.cell_coord(coords)
         candidates = self._gather_candidates(base, coords, coords)
@@ -508,8 +474,7 @@ class GridIndex(CellMap):
         while still amortizing the gather over the co-located probes
         (the reachable-bucket walk is cached per base cell either way).
         Sub-grouping is pure partitioning of exact refinement — results
-        are byte-identical to the whole-cell box
-        (``octant_batching=False`` keeps the legacy path for A/B).
+        are byte-identical to the whole-cell box.
         """
         if not queries:
             return []
@@ -523,7 +488,7 @@ class GridIndex(CellMap):
         side = self.side
         for base, indices in query_indices_by_base.items():
             self.stats["queries"] += len(indices)
-            if self.octant_batching and len(indices) > 1:
+            if len(indices) > 1:
                 center = tuple(
                     (base[axis] + 0.5) * side for axis in dims
                 )

@@ -22,7 +22,11 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Union
 
-from repro.geometry.coordstore import CoordStore, canonical_sq_dist
+from repro.geometry.coordstore import (
+    HAVE_NUMPY,
+    CoordStore,
+    canonical_sq_dist,
+)
 from repro.streams.objects import StreamObject
 
 
@@ -59,7 +63,6 @@ class KDTree:
         objects: Sequence[StreamObject],
         dimensions: int,
         leaf_size: Optional[int] = None,
-        refinement: Optional[str] = None,
     ):
         if dimensions < 1:
             raise ValueError("dimensions must be positive")
@@ -68,14 +71,11 @@ class KDTree:
         self.dimensions = dimensions
         self._size = len(objects)
         # Leaf spans index rows positionally; oids may repeat.
-        self._store = CoordStore(
-            dimensions, refinement=refinement, track_oids=False
-        )
-        self.refinement = self._store.refinement
+        self._store = CoordStore(dimensions, track_oids=False)
         if leaf_size is None:
             # Vectorized leaves want enough points per span to amortize
             # the kernel call; scalar leaves favour tighter pruning.
-            leaf_size = 64 if self.refinement == "vector" else 16
+            leaf_size = 64 if HAVE_NUMPY else 16
         self.leaf_size = leaf_size
         #: Cumulative leaf rows handed to range-query refinement — the
         #: tree's share of the backend candidate-set telemetry.

@@ -43,11 +43,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.geometry.coordstore import (
-    CoordStore,
-    resolve_refinement,
-    within_sq_range,
-)
+from repro.geometry.coordstore import CoordStore, within_sq_range
 from repro.geometry.mbr import MBR
 from repro.index.grid_index import (
     CellMap,
@@ -134,7 +130,6 @@ class KDTreeProvider(_FallbackBatchMixin):
         dimensions: int,
         rebuild_fraction: float = 0.25,
         min_buffer: int = 64,
-        refinement: Optional[str] = None,
     ):
         if theta_range <= 0:
             raise ValueError("theta_range must be positive")
@@ -142,7 +137,6 @@ class KDTreeProvider(_FallbackBatchMixin):
             raise ValueError("dimensions must be positive")
         self.theta_range = float(theta_range)
         self.dimensions = int(dimensions)
-        self.refinement = resolve_refinement(refinement)
         self._rebuild_fraction = float(rebuild_fraction)
         self._min_buffer = int(min_buffer)
         self._objects: Dict[int, StreamObject] = {}
@@ -150,7 +144,7 @@ class KDTreeProvider(_FallbackBatchMixin):
         self._pending: Dict[int, StreamObject] = {}
         # Insertion-buffer coordinates, scanned with one store kernel
         # call per query instead of a per-point Python loop.
-        self._buffer = CoordStore(self.dimensions, refinement=self.refinement)
+        self._buffer = CoordStore(self.dimensions)
         self._stale = 0  # removed objects still present in _tree
         self.rebuilds = 0
         #: Gathering telemetry (candidate-set bench): probes answered
@@ -202,15 +196,11 @@ class KDTreeProvider(_FallbackBatchMixin):
     def _rebuild(self) -> None:
         self.rebuilds += 1
         if self._objects:
-            self._tree = KDTree(
-                list(self._objects.values()),
-                self.dimensions,
-                refinement=self.refinement,
-            )
+            self._tree = KDTree(list(self._objects.values()), self.dimensions)
         else:
             self._tree = None
         self._pending = {}
-        self._buffer = CoordStore(self.dimensions, refinement=self.refinement)
+        self._buffer = CoordStore(self.dimensions)
         self._stale = 0
 
     def range_query(
@@ -273,7 +263,6 @@ class RTreeProvider(_FallbackBatchMixin):
         theta_range: float,
         dimensions: int,
         max_entries: int = 8,
-        refinement: Optional[str] = None,
     ):
         if theta_range <= 0:
             raise ValueError("theta_range must be positive")
@@ -285,8 +274,7 @@ class RTreeProvider(_FallbackBatchMixin):
         self._entries: Dict[int, Tuple[MBR, StreamObject]] = {}
         # Leaf-entry refinement: the tree's candidate list is refined in
         # one store kernel call per query.
-        self._store = CoordStore(self.dimensions, refinement=refinement)
-        self.refinement = self._store.refinement
+        self._store = CoordStore(self.dimensions)
         #: Gathering telemetry (candidate-set bench): probes answered
         #: and leaf entries the ball-box search handed to refinement.
         self.stats = {"queries": 0, "candidates": 0}
@@ -379,7 +367,6 @@ class AutoProvider:
         self,
         theta_range: float,
         dimensions: int,
-        refinement: Optional[str] = None,
         walk_budget: int = 200,
         check_interval: int = 256,
         sparse_occupancy: float = 2.0,
@@ -405,7 +392,6 @@ class AutoProvider:
             raise ValueError("rtree_churn must be in (0, 1]")
         self.theta_range = float(theta_range)
         self.dimensions = int(dimensions)
-        self.refinement = resolve_refinement(refinement)
         #: Occupancy observer and SGS cell substrate (maintained here).
         self.cells = CellMap(theta_range, dimensions)
         reach = int(math.ceil(math.sqrt(self.dimensions)))
@@ -430,17 +416,7 @@ class AutoProvider:
         self._carried_stats: Dict[str, int] = {}
 
     def _make(self, name: str):
-        if name == "grid":
-            return GridIndex(
-                self.theta_range, self.dimensions, refinement=self.refinement
-            )
-        if name == "rtree":
-            return RTreeProvider(
-                self.theta_range, self.dimensions, refinement=self.refinement
-            )
-        return KDTreeProvider(
-            self.theta_range, self.dimensions, refinement=self.refinement
-        )
+        return BACKENDS[name](self.theta_range, self.dimensions)
 
     def _switch(self, name: str) -> None:
         old = self._inner
@@ -580,21 +556,10 @@ def validate_backend(backend: str) -> str:
 
 
 def make_provider(
-    backend: str,
-    theta_range: float,
-    dimensions: int,
-    refinement: Optional[str] = None,
+    backend: str, theta_range: float, dimensions: int
 ) -> NeighborProvider:
-    """Construct the named neighbor-search backend.
-
-    ``refinement`` selects the distance-refinement kernel path
-    (``auto`` / ``scalar`` / ``vector``; see
-    :mod:`repro.geometry.coordstore`). ``None`` means the process-wide
-    default (``auto``: vectorized when NumPy is available).
-    """
-    return BACKENDS[validate_backend(backend)](
-        theta_range, dimensions, refinement=refinement
-    )
+    """Construct the named neighbor-search backend."""
+    return BACKENDS[validate_backend(backend)](theta_range, dimensions)
 
 
 def resolve_provider(
@@ -602,24 +567,14 @@ def resolve_provider(
     backend: Optional[str],
     theta_range: float,
     dimensions: int,
-    refinement: Optional[str] = None,
 ) -> NeighborProvider:
     """Resolve the provider/backend constructor convention every
     consumer shares: an instance and a name are mutually exclusive, and
-    neither means the default grid backend. A ready instance already
-    fixed its refinement path, so combining one with ``refinement`` is
-    rejected."""
+    neither means the default grid backend."""
     if provider is not None and backend is not None:
         raise ValueError("pass either a provider instance or a backend name")
     if provider is None:
-        return make_provider(
-            backend or "grid", theta_range, dimensions, refinement=refinement
-        )
-    if refinement is not None:
-        raise ValueError(
-            "refinement is fixed by the provider instance; "
-            "pass a backend name to choose one"
-        )
+        return make_provider(backend or "grid", theta_range, dimensions)
     return provider
 
 

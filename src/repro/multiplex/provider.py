@@ -39,11 +39,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-try:  # pragma: no cover - exercised via either branch below
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
 from repro.core.multires import parent_coord
 from repro.geometry.coordstore import CoordStore
 from repro.index.grid_index import GridIndex
@@ -68,7 +63,6 @@ class MultiResolutionProvider:
         anchor_theta: float,
         dimensions: int,
         factor: float = 2.0,
-        refinement: Optional[str] = None,
     ):
         if anchor_theta <= 0:
             raise ValueError("anchor_theta must be positive")
@@ -80,9 +74,8 @@ class MultiResolutionProvider:
         self.anchor_theta = float(anchor_theta)
         self.dimensions = int(dimensions)
         self.factor = float(factor)
-        self.refinement = refinement
         #: Master coordinate rows: every live object, canonical kernels.
-        self.store = CoordStore(self.dimensions, refinement=refinement)
+        self.store = CoordStore(self.dimensions)
         self._objects: Dict[int, StreamObject] = {}
         self._rung_refs: Dict[int, int] = {}
         self._gather: Optional[GridIndex] = None
@@ -152,9 +145,7 @@ class MultiResolutionProvider:
             self._gather = None
             self._gather_level = None
             return
-        gather = GridIndex(
-            self.theta_at(top), self.dimensions, refinement=self.refinement
-        )
+        gather = GridIndex(self.theta_at(top), self.dimensions)
         for obj in self._objects.values():
             gather.insert(obj)
         self._gather = gather
@@ -220,27 +211,10 @@ class MultiResolutionProvider:
             if not neighbors:
                 out.append(([], []))
                 continue
-            sq_dists = self.store.sq_dists_to(
-                obj.coords, [nb.oid for nb in neighbors]
-            )
             # Sort once here so every rung's radius cut is a bisect
             # over the prefix instead of a scan of the full top-rung
-            # candidate list (sort by index: distance ties must not
-            # fall through to comparing StreamObjects).
-            if _np is not None and len(sq_dists) > 16:
-                order = _np.argsort(
-                    _np.asarray(sq_dists), kind="stable"
-                ).tolist()
-            else:
-                order = sorted(
-                    range(len(sq_dists)), key=sq_dists.__getitem__
-                )
-            out.append(
-                (
-                    [neighbors[i] for i in order],
-                    [sq_dists[i] for i in order],
-                )
-            )
+            # candidate list.
+            out.append(self.store.nearest_first(obj.coords, neighbors))
         return out
 
     def range_query_at(

@@ -17,8 +17,7 @@ activation window)``. A cohort is exactly the degenerate same-θr case
 :class:`~repro.clustering.shared.SharedCSGS` implements, so each cohort
 *is* a ``SharedCSGS`` — coordinator-fed for snapped rungs (neighbor
 lists injected from the shared pass), owner-mode for the dedicated
-fallback (a θr the ladder can't represent, or sharing disabled via the
-A/B escape hatch). Each cohort owns a genuine
+fallback (a θr the ladder can't represent). Each cohort owns a genuine
 :class:`~repro.index.grid_index.CellMap` at its exact θr and per-cohort
 window-stamped object clones, which is what makes the multiplexed
 output **byte-identical** to independent per-query runs: cell
@@ -103,21 +102,13 @@ class _Cohort:
 
 
 class SlideScheduler:
-    """Align slides across registered queries; one shared pass per batch.
-
-    ``shared=False`` is the A/B escape hatch: every query runs on a
-    dedicated provider (grouped only with exact-θr peers), bypassing the
-    multi-resolution substrate entirely — same answers, independent
-    cost, which is what makes the sharing ablation honest.
-    """
+    """Align slides across registered queries; one shared pass per batch."""
 
     def __init__(
         self,
         dimensions: int,
         registry: Optional[QueryRegistry] = None,
         factor: float = 2.0,
-        shared: bool = True,
-        refinement: Optional[str] = None,
     ):
         if dimensions < 1:
             raise ValueError("dimensions must be positive")
@@ -125,8 +116,6 @@ class SlideScheduler:
             raise ValueError("ladder factor must be at least 2")
         self.dimensions = int(dimensions)
         self.factor = float(factor)
-        self.sharing_enabled = bool(shared)
-        self.refinement = refinement
         if registry is None:
             registry = QueryRegistry(validator=self._validate_query)
         self.registry = registry
@@ -228,15 +217,10 @@ class SlideScheduler:
                 self._attached[handle.id] = key
 
     def _snap(self, query: ContinuousClusteringQuery) -> Optional[int]:
-        if not self.sharing_enabled:
-            return None
         if self.provider is None:
             # The first activated query anchors the ladder at its θr.
             self.provider = MultiResolutionProvider(
-                query.theta_range,
-                self.dimensions,
-                factor=self.factor,
-                refinement=self.refinement,
+                query.theta_range, self.dimensions, factor=self.factor
             )
         return self.provider.snap_level(query.theta_range)
 
@@ -249,16 +233,15 @@ class SlideScheduler:
         lifespan = query.window.windows_per_object
         if level is not None:
             return ("rung", level, lifespan, index)
-        # Dedicated pipelines honor the query's declared backend and
-        # refinement (the shared substrate has its own), so those are
-        # part of what makes two fallback queries co-executable.
+        # Dedicated pipelines honor the query's declared backend (the
+        # shared substrate has its own), so it is part of what makes
+        # two fallback queries co-executable.
         return (
             "dedicated",
             query.theta_range,
             lifespan,
             index,
             query.index_backend,
-            query.refinement,
         )
 
     def _make_cohort(
@@ -287,7 +270,6 @@ class SlideScheduler:
                 counts,
                 self.dimensions,
                 backend=query.index_backend,
-                refinement=query.refinement,
             )
         self._cohort_seq += 1
         return _Cohort(
@@ -561,7 +543,6 @@ class SlideScheduler:
             cohorts.append(entry)
         return {
             "dimensions": self.dimensions,
-            "sharing": self.sharing_enabled,
             "factor": self.factor,
             "windows_processed": self.windows_processed,
             "queries": self.registry.describe(),

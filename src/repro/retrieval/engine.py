@@ -297,7 +297,7 @@ class MatchEngine:
     def close(self) -> None:
         """Release owned resources — nothing for the in-process engine;
         present so a single-shard engine and the sharded facade (whose
-        executors hold thread pools or worker processes) share one
+        executor may hold worker processes) share one
         lifecycle surface."""
 
     def __enter__(self) -> "MatchEngine":

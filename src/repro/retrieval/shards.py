@@ -20,9 +20,9 @@ runs** lives behind the deployment seam in :mod:`repro.serving`:
   is planned *per shard* — a shard with selective local ranges probes
   its feature grid while a sibling scans), one owned
   :class:`~repro.serving.executors.ShardExecutor` deciding where the
-  per-shard work runs (``serial`` in-process, ``thread`` on a
-  persistent lifecycle-managed pool, ``process`` on multiprocessing
-  workers hydrated from format-v3 shard dumps), and the deterministic
+  per-shard work runs (``serial`` in-process, ``process`` on
+  multiprocessing workers hydrated from format-v3 shard dumps), and
+  the deterministic
   merge of :mod:`repro.serving.merge`: concatenate, sort by
   ``(distance, pattern_id)`` (the same stable tie-break the single
   engine uses), cut to ``top_k`` after the merge. Distances are
@@ -32,9 +32,8 @@ runs** lives behind the deployment seam in :mod:`repro.serving`:
   the executor-parity suite, and the sharded golden fixture pin byte
   for byte.
 
-The facade owns its executor: construct with ``mode=`` (or let
-``max_workers`` pick the historical serial/thread default), ``close()``
-it — or use the engine as a context manager — when done. Per-query
+The facade owns its executor: construct with ``mode=``, ``close()`` it
+— or use the engine as a context manager — when done. Per-query
 stats aggregate provider-style: the plan reports ``entry="sharded"``
 with the shard count and each shard's own entry choice, and the phase
 counters are sums over shards.
@@ -464,12 +463,8 @@ class ShardedMatchEngine:
     :class:`~repro.serving.executors.ShardExecutor` for the facade's
     lifetime:
 
-    * ``mode`` picks the deployment mode explicitly (``"serial"`` /
-      ``"thread"`` / ``"process"``);
-    * without ``mode``, ``max_workers`` keeps the historical default —
-      the persistent thread pool for a multi-shard archive, the serial
-      path for one shard or ``max_workers <= 1`` (useful under
-      contention or for deterministic profiling);
+    * ``mode`` picks the deployment mode (``"serial"`` /
+      ``"process"``); without it the shards run serially in process;
     * ``replicas`` spawns that many process workers per shard (implies
       ``mode="process"`` when no mode is given): reads route
       round-robin across live replicas, and a worker dying mid-task
@@ -479,7 +474,7 @@ class ShardedMatchEngine:
 
     Whatever runs the shards, the merged answers are identical. Call
     :meth:`close` (or use the engine as a context manager) to release
-    the owned executor — its thread pool or worker processes.
+    the owned executor's worker processes.
     """
 
     def __init__(
@@ -492,7 +487,6 @@ class ShardedMatchEngine:
         ladder_factor: int = DEFAULT_LADDER_FACTOR,
         min_coarse_cells: int = MIN_COARSE_CELLS,
         use_inverted: bool = True,
-        max_workers: Optional[int] = None,
         mode: Optional[str] = None,
         replicas: int = 1,
         executor=None,
@@ -523,9 +517,6 @@ class ShardedMatchEngine:
         self.max_alignment_expansions = (
             self.engines[0].max_alignment_expansions
         )
-        if max_workers is None:
-            max_workers = len(self.engines)
-        self.max_workers = max(0, int(max_workers))
         self.replicas = max(1, int(replicas))
         if executor is not None:
             self._executor = executor
@@ -535,7 +526,6 @@ class ShardedMatchEngine:
                 mode,
                 self.engines,
                 base=base,
-                max_workers=self.max_workers,
                 replicas=self.replicas,
                 worker_config={
                     "metric": {
@@ -570,7 +560,7 @@ class ShardedMatchEngine:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release the owned executor (thread pool or shard workers);
+        """Release the owned executor (its shard workers, if any);
         idempotent. An injected executor is the injector's to close."""
         if self._owns_executor:
             self._executor.close()

@@ -9,12 +9,11 @@ long-lived deployment fronts it:
   shared by every execution mode so answers never depend on placement
   or parallelism;
 * :mod:`repro.serving.executors` — the :class:`ShardExecutor` seam
-  with three interchangeable implementations: ``serial`` (in-process
-  loop), ``thread`` (one persistent, lifecycle-managed pool), and
-  ``process`` (multiprocessing workers that hydrate their shard once
-  from a persisted format-v3 dump and restart on crash; ``replicas=N``
-  runs N workers per shard with round-robin reads and mid-task
-  failover to a live sibling);
+  with two interchangeable implementations: ``serial`` (in-process
+  loop) and ``process`` (multiprocessing workers that hydrate their
+  shard once from a persisted format-v3 dump and restart on crash;
+  ``replicas=N`` runs N workers per shard with round-robin reads and
+  mid-task failover to a live sibling);
 * :mod:`repro.serving.wire` — the picklable/JSON-able wire forms of
   queries, results, and stats that cross the process and HTTP
   boundaries;
@@ -26,7 +25,7 @@ long-lived deployment fronts it:
 :class:`~repro.retrieval.shards.ShardedMatchEngine` is a thin facade
 over this seam: it owns one executor for its lifetime and merges
 through :func:`~repro.serving.merge.merge_shard_results`, so
-``{serial, thread, process}`` are interchangeable via its ``mode``
+``{serial, process}`` are interchangeable via its ``mode``
 argument (or ``repro serve --mode``) with identical answers.
 """
 
@@ -35,7 +34,6 @@ from repro.serving.executors import (
     ProcessExecutor,
     SerialExecutor,
     ShardExecutor,
-    ThreadExecutor,
     build_executor,
     validate_mode,
 )
@@ -48,7 +46,6 @@ __all__ = [
     "ProcessExecutor",
     "SerialExecutor",
     "ShardExecutor",
-    "ThreadExecutor",
     "build_executor",
     "merge_shard_results",
     "validate_mode",

@@ -5,15 +5,11 @@ shard of a partitioned archive and returns the per-shard
 ``(results, stats)`` pairs in shard order — the caller (the
 :class:`~repro.retrieval.shards.ShardedMatchEngine` facade or the
 always-on service) merges them through
-:func:`repro.serving.merge.merge_shard_results`. Three implementations
+:func:`repro.serving.merge.merge_shard_results`. Two implementations
 are interchangeable with identical answers:
 
 * :class:`SerialExecutor` — an in-process loop over the shard engines;
   the deterministic-profiling and single-shard baseline.
-* :class:`ThreadExecutor` — the shard engines on **one persistent
-  thread pool**, created at construction and shut down by ``close()``
-  (the facade used to build a ``ThreadPoolExecutor`` per call; the
-  pool is now owned for the executor's lifetime).
 * :class:`ProcessExecutor` — ``replicas`` OS processes per shard
   (one by default). Each worker **hydrates its shard once from a
   persisted format-v3 dump** (written at construction through
@@ -44,7 +40,6 @@ import queue as queue_module
 import signal
 import tempfile
 import time
-from concurrent.futures import CancelledError, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
@@ -61,7 +56,7 @@ from repro.serving.wire import (
 )
 
 #: The supported deployment modes, in escalation order.
-MODES = ("serial", "thread", "process")
+MODES = ("serial", "process")
 
 #: How many consecutive crash-restarts one task may trigger before the
 #: executor gives up and raises.
@@ -156,69 +151,6 @@ class SerialExecutor(ShardExecutor):
     def match_many(self, queries):
         self._check_open()
         return [engine.match_many(queries) for engine in self.engines]
-
-
-class ThreadExecutor(ShardExecutor):
-    """Shard fan-out on one persistent, lifecycle-managed thread pool.
-
-    The pool is constructed once and reused for every call —
-    ``close()`` (or the context manager) shuts it down. Threads are
-    spawned lazily by the pool, so an executor that never runs a query
-    costs nothing beyond the object itself.
-    """
-
-    mode = "thread"
-
-    def __init__(self, engines: Sequence, max_workers: Optional[int] = None):
-        super().__init__()
-        self.engines = list(engines)
-        if max_workers is None:
-            max_workers = len(self.engines)
-        self.max_workers = max(1, min(int(max_workers), len(self.engines)))
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.max_workers,
-            thread_name_prefix="repro-shard",
-        )
-
-    @property
-    def parallel(self) -> bool:
-        return len(self.engines) > 1 and self.max_workers > 1
-
-    def _fan_out(self, work: Callable):
-        self._check_open()
-        futures = [
-            self._pool.submit(work, engine) for engine in self.engines
-        ]
-        # Collect every future before propagating the first failure —
-        # abandoning in-flight siblings would leave them mutating
-        # shared engine state (ladder caches, stats) with the caller
-        # already unwinding.
-        results = []
-        first_error: Optional[BaseException] = None
-        for future in futures:
-            if first_error is not None:
-                future.cancel()
-            try:
-                results.append(future.result())
-            except CancelledError:
-                pass
-            except BaseException as error:
-                if first_error is None:
-                    first_error = error
-        if first_error is not None:
-            raise first_error
-        return results
-
-    def match(self, query):
-        return self._fan_out(lambda engine: engine.match(query))
-
-    def match_many(self, queries):
-        return self._fan_out(lambda engine: engine.match_many(queries))
-
-    def close(self) -> None:
-        if not self._closed:
-            self._pool.shutdown(wait=True)
-        super().close()
 
 
 # ----------------------------------------------------------------------
@@ -368,7 +300,6 @@ class ProcessExecutor(ShardExecutor):
         engine_config: Dict[str, object],
         resolve: Callable[[int], Optional[ArchivedPattern]],
         restart_limit: int = DEFAULT_RESTART_LIMIT,
-        mp_start: str = "spawn",
         replicas: int = 1,
     ):
         super().__init__()
@@ -382,9 +313,8 @@ class ProcessExecutor(ShardExecutor):
         self._resolve = resolve
         self.restart_limit = int(restart_limit)
         self.replica_count = int(replicas)
-        self._context = multiprocessing.get_context(mp_start)
-        if mp_start != "fork":
-            _child_import_path()
+        self._context = multiprocessing.get_context("spawn")
+        _child_import_path()
         self._tempdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
         self._dump_paths = []
         for index, shard in enumerate(shards):
@@ -739,17 +669,14 @@ def build_executor(
     mode: Optional[str],
     engines: Sequence,
     base=None,
-    max_workers: Optional[int] = None,
     worker_config: Optional[Dict[str, object]] = None,
     replicas: int = 1,
 ) -> ShardExecutor:
     """Construct the executor for a deployment mode.
 
-    ``mode=None`` keeps the facade's historical default: serial for a
-    single shard (or ``max_workers <= 1``), the thread pool otherwise —
-    unless ``replicas > 1``, which implies process workers (replication
-    only exists as worker processes). An explicit in-process mode with
-    ``replicas > 1`` is a contradiction and raises. ``process``
+    ``mode=None`` means serial — unless ``replicas > 1``, which implies
+    process workers (replication only exists as worker processes).
+    Serial with ``replicas > 1`` is a contradiction and raises. ``process``
     additionally needs ``base`` (the partitioned archive, for shard
     dumps and result resolution) and ``worker_config`` (the picklable
     engine construction arguments).
@@ -758,23 +685,15 @@ def build_executor(
     if replicas < 1:
         raise ValueError("replicas must be positive")
     if mode is None:
-        if replicas > 1:
-            mode = "process"
-        else:
-            workers = (
-                len(engines) if max_workers is None else int(max_workers)
-            )
-            mode = "thread" if len(engines) > 1 and workers > 1 else "serial"
+        mode = "process" if replicas > 1 else "serial"
     validate_mode(mode)
-    if mode in ("serial", "thread") and replicas > 1:
-        raise ValueError(
-            f"replicas={replicas} needs process mode; {mode!r} serves "
-            f"from the caller's one live archive"
-        )
     if mode == "serial":
+        if replicas > 1:
+            raise ValueError(
+                f"replicas={replicas} needs process mode; 'serial' serves "
+                f"from the caller's one live archive"
+            )
         return SerialExecutor(engines)
-    if mode == "thread":
-        return ThreadExecutor(engines, max_workers=max_workers)
     if base is None or worker_config is None:
         raise ValueError(
             "process mode needs the partitioned base and a worker config"

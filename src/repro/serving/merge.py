@@ -1,7 +1,7 @@
 """Deterministic cross-shard merge of per-shard match answers.
 
-Every deployment mode — in-process serial, thread pool, process pool —
-funnels its per-shard ``(results, stats)`` pairs through
+Every deployment mode — in-process serial, process pool — funnels
+its per-shard ``(results, stats)`` pairs through
 :func:`merge_shard_results`: concatenate, sort by
 ``(distance, pattern_id)`` (the same stable tie-break the single
 engine uses), cut to ``top_k`` *after* the merge. Distances are

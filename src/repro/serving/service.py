@@ -4,7 +4,7 @@
 (and behind any embedding that wants a long-lived matching front end):
 it owns a partitioned archive plus one
 :class:`~repro.retrieval.shards.ShardedMatchEngine` whose executor is
-picked by ``mode`` — so ``{serial, thread, process}`` are
+picked by ``mode`` — so ``{serial, process}`` are
 interchangeable at the service boundary with identical answers — and
 exposes the five operations of the HTTP surface as plain-dict
 request/response methods:

@@ -13,7 +13,7 @@ pattern records themselves stay wherever an archive copy lives, and
 resolver (typically ``base.get``). Distances are produced by the same
 code on either side of the boundary, so a round trip is bit-exact —
 the executor-parity suite pins merged answers byte for byte across
-serial, thread, and process modes.
+serial and process modes.
 """
 
 from __future__ import annotations

@@ -22,9 +22,7 @@ class PatternExtractor:
     ``index_backend`` selects the neighbor-search backend by name
     (``grid`` / ``kdtree`` / ``rtree``); alternatively a ready
     :class:`~repro.index.provider.NeighborProvider` instance can be
-    injected via ``provider``. ``refinement`` picks the
-    distance-refinement kernel path (``auto`` / ``scalar`` / ``vector``;
-    see :mod:`repro.geometry.coordstore`).
+    injected via ``provider``.
     """
 
     def __init__(
@@ -35,7 +33,6 @@ class PatternExtractor:
         window_spec: WindowSpec,
         index_backend: Optional[str] = None,
         provider: Optional[NeighborProvider] = None,
-        refinement: Optional[str] = None,
     ):
         self.theta_range = float(theta_range)
         self.theta_count = int(theta_count)
@@ -49,7 +46,6 @@ class PatternExtractor:
             dimensions,
             provider=provider,
             backend=index_backend,
-            refinement=refinement,
         )
 
     @property

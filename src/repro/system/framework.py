@@ -63,7 +63,6 @@ class StreamPatternMiningSystem:
         archive_level: int = 0,
         archive_byte_budget: Optional[int] = None,
         index_backend: Optional[str] = None,
-        refinement: Optional[str] = None,
         match_coarse_level: Optional[int] = None,
         match_max_expansions: Optional[int] = None,
         match_shards: Optional[int] = None,
@@ -79,7 +78,6 @@ class StreamPatternMiningSystem:
             dimensions,
             window_spec,
             index_backend=index_backend,
-            refinement=refinement,
         )
         shards = 1 if match_shards is None else int(match_shards)
         shard_key = "window" if match_shard_key is None else match_shard_key
@@ -166,7 +164,7 @@ class StreamPatternMiningSystem:
         """Build a system from a declarative query (Figure 2 template).
 
         Consumes every field of the query — θr, θc, dimensions, window
-        spec, ``index_backend``, ``refinement``, and the matching-engine
+        spec, ``index_backend``, and the matching-engine
         configuration (``match_coarse_level`` /
         ``match_max_expansions``) — so both the extraction pipeline and
         the retrieval engine run exactly what the query declares.
@@ -176,7 +174,6 @@ class StreamPatternMiningSystem:
         """
         for name in (
             "index_backend",
-            "refinement",
             "match_coarse_level",
             "match_max_expansions",
             "match_shards",
@@ -258,8 +255,8 @@ class StreamPatternMiningSystem:
         return len(self.pattern_base)
 
     def close(self) -> None:
-        """Release the match engine's executor (thread pool or shard
-        worker processes) and the archive's backing store; idempotent,
+        """Release the match engine's executor (shard worker
+        processes, if any) and the archive's backing store; idempotent,
         and a no-op for the plain in-process, in-memory setup."""
         close = getattr(self.engine, "close", None)
         if close is not None:
@@ -298,16 +295,12 @@ class MultiplexedMiningSystem:
         archive_level: int = 0,
         archive_byte_budget: Optional[int] = None,
         factor: float = 2.0,
-        shared: bool = True,
-        refinement: Optional[str] = None,
         match_coarse_level: Optional[int] = None,
         match_max_expansions: Optional[int] = None,
         match_inverted_levels: Optional[Sequence[int]] = None,
         store: Optional[str] = None,
     ):
-        self.scheduler = SlideScheduler(
-            dimensions, factor=factor, shared=shared, refinement=refinement
-        )
+        self.scheduler = SlideScheduler(dimensions, factor=factor)
         self.registry = self.scheduler.registry
         inverted_levels = (
             tuple(match_inverted_levels) if match_inverted_levels else None

@@ -8,9 +8,8 @@ Usage (from the repo root)::
 Only rerun this after an *intentional* change to C-SGS output; the
 diffs of the fixture files are part of the review surface for any such
 change. Each case regenerates through its canonical backend (the
-``stt_auto`` case runs the adaptive ``auto`` provider) with scalar
-refinement; the test suite then requires every backend × refinement
-mode to reproduce the bytes.
+``stt_auto`` case runs the adaptive ``auto`` provider); the test suite
+then requires every backend × kernel arm to reproduce the bytes.
 """
 
 import sys
@@ -23,9 +22,7 @@ from tests.golden import workload  # noqa: E402
 
 def main() -> int:
     for case in workload.CASES.values():
-        trace = workload.run_trace(
-            case.canonical_backend, "scalar", case=case
-        )
+        trace = workload.run_trace(case.canonical_backend, case=case)
         text = workload.render(trace)
         case.path.write_text(text)
         clusters = sum(len(entry["clusters"]) for entry in trace)

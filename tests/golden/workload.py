@@ -3,8 +3,9 @@
 Each golden fixture pins the *complete* window-by-window C-SGS output —
 cluster memberships and SGS summaries — for a small seeded STT-like 4-D
 stream (the paper's Figure-7 configurations, scaled down). Every
-neighbor-search backend × refinement mode must reproduce each serialized
-file byte-for-byte; any change to the refinement kernels, the provider
+neighbor-search backend × kernel arm (the ``kernel_arm`` fixture) must
+reproduce each serialized file byte-for-byte; any change to the
+refinement kernels, the provider
 seam, candidate gathering, or the C-SGS pipeline that alters output in
 any way trips it.
 
@@ -19,8 +20,8 @@ Regenerating (only after an *intentional* output change)::
 
     PYTHONPATH=src python tests/golden/regen_golden.py
 
-which rewrites the fixture files from each case's canonical run (scalar
-refinement) and prints digests to eyeball in review.
+which rewrites the fixture files from each case's canonical run and
+prints digests to eyeball in review.
 """
 
 from __future__ import annotations
@@ -102,16 +103,13 @@ def workload_points(case: GoldenCase = _SMALL) -> List[tuple]:
     return list(STTStream(total_records=count, seed=case.seed).points(count))
 
 
-def run_trace(
-    backend: str, refinement: str, case: GoldenCase = _SMALL
-) -> List[dict]:
+def run_trace(backend: str, case: GoldenCase = _SMALL) -> List[dict]:
     """Window-by-window C-SGS output in canonical (sorted) form."""
     csgs = CSGS(
         case.theta_range,
         case.theta_count,
         DIMENSIONS,
         backend=backend,
-        refinement=refinement,
     )
     spec = CountBasedWindowSpec(win=case.win, slide=case.slide)
     trace = []

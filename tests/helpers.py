@@ -17,6 +17,10 @@ from repro.streams.objects import StreamObject
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
 
+#: The two arms of ``CoordStore``'s kernel dispatch, as the
+#: ``kernel_arm`` fixture (``tests/conftest.py``) names them.
+KERNEL_ARMS = ("scalar", "vector")
+
 
 def make_objects(
     points: Sequence[Tuple[float, ...]],

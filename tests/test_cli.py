@@ -349,3 +349,26 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "has no effect without" in captured.err
     assert "matches" in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        [
+            "run", "--input", "s.csv", "--theta-range", "0.3",
+            "--theta-count", "5", "--win", "400", "--slide", "200",
+            "--refine", "scalar",
+        ],
+        ["multiplex", "--input", "s.csv", "--queries", "q.txt", "--ab"],
+        ["serve", "--archive", "h.sgsa", "--mode", "thread"],
+    ),
+    ids=("run--refine", "multiplex--ab", "serve--mode-thread"),
+)
+def test_retired_path_switches_are_usage_errors(argv, capsys):
+    """The kernel arm, forced-dedicated multiplexing and the thread mode
+    are no longer user-set: argparse rejects them before any file is
+    opened."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "usage:" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Golden-output regression: every backend × refinement mode must
+"""Golden-output regression: every backend × kernel arm must
 reproduce the serialized C-SGS runs byte-for-byte.
 
 Each fixture under ``tests/golden/`` holds the complete window-by-window
@@ -15,11 +15,10 @@ import json
 
 import pytest
 
-from repro.geometry.coordstore import HAVE_NUMPY
 from repro.index import available_backends
 from tests.golden import workload
+from tests.helpers import KERNEL_ARMS
 
-REFINEMENTS = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
 CASE_NAMES = tuple(workload.CASES)
 
 
@@ -35,16 +34,17 @@ def golden_texts():
     return texts
 
 
-@pytest.mark.parametrize("refinement", REFINEMENTS)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("case_name", CASE_NAMES)
 def test_csgs_reproduces_golden_output(
-    case_name, backend, refinement, golden_texts
+    case_name, backend, arm, golden_texts, kernel_arm
 ):
     case = workload.CASES[case_name]
-    got = workload.render(workload.run_trace(backend, refinement, case=case))
+    with kernel_arm(arm):
+        got = workload.render(workload.run_trace(backend, case=case))
     assert got == golden_texts[case_name], (
-        f"{backend}/{refinement} diverged from the golden C-SGS output "
+        f"{backend}/{arm} diverged from the golden C-SGS output "
         f"of {case_name}"
     )
 

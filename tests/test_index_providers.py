@@ -10,11 +10,15 @@ import random
 
 import pytest
 
-from tests.helpers import clustered_points, make_objects, stream_batches
+from tests.helpers import (
+    KERNEL_ARMS,
+    clustered_points,
+    make_objects,
+    stream_batches,
+)
 from repro.clustering.shared import SharedCSGS
 from repro.config import ContinuousClusteringQuery
 from repro.core.csgs import CSGS
-from repro.geometry.coordstore import HAVE_NUMPY
 from repro.geometry.distance import euclidean_distance
 from repro.index import (
     BACKENDS,
@@ -176,87 +180,91 @@ def test_backends_pairwise_identical_after_churn():
 
 # ----------------------------------------------------------------------
 # range_query_many edge cases (empty batches, absent probe oids,
-# queries issued mid-purge) — per backend × refinement mode
+# queries issued mid-purge) — per backend × kernel arm
 # ----------------------------------------------------------------------
 
-REFINEMENTS = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
 
-
-@pytest.mark.parametrize("refinement", REFINEMENTS)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_range_query_many_empty_batch(backend, refinement):
-    provider = make_provider(backend, THETA, 2, refinement=refinement)
-    assert provider.range_query_many([]) == []
-    for obj in make_objects(random_points(30, 2, seed=2)):
-        provider.insert(obj)
-    assert provider.range_query_many([]) == []
+def test_range_query_many_empty_batch(backend, arm, kernel_arm):
+    with kernel_arm(arm):
+        provider = make_provider(backend, THETA, 2)
+        assert provider.range_query_many([]) == []
+        for obj in make_objects(random_points(30, 2, seed=2)):
+            provider.insert(obj)
+        assert provider.range_query_many([]) == []
 
 
-@pytest.mark.parametrize("refinement", REFINEMENTS)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_range_query_many_absent_probe_oid(backend, refinement):
+def test_range_query_many_absent_probe_oid(backend, arm, kernel_arm):
     """A probe whose exclude_oid is not in the index excludes nothing:
     the full neighbor set comes back (the shared-execution coordinator
     issues such queries for objects routed to a different shard)."""
-    objects = make_objects(random_points(120, 2, seed=17))
-    provider = make_provider(backend, THETA, 2, refinement=refinement)
-    for obj in objects:
-        provider.insert(obj)
-    probes = [(obj.coords, 10_000 + obj.oid) for obj in objects[:25]]
-    batched = provider.range_query_many(probes)
-    for (coords, _), got in zip(probes, batched):
-        want = brute_force(objects, coords, THETA)
-        assert {obj.oid for obj in got} == want
-
-
-@pytest.mark.parametrize("refinement", REFINEMENTS)
-@pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_range_query_many_mid_purge(backend, refinement):
-    """Queries issued between purges see exactly the live population —
-    tombstoned rows must not leak into batched answers."""
-    rng = random.Random(3)
-    objects = make_objects(random_points(200, 2, seed=29))
-    for obj in objects:
-        obj.last_window = rng.randint(1, 6)
-    provider = make_provider(backend, THETA, 2, refinement=refinement)
-    for obj in objects:
-        provider.insert(obj)
-    for window in range(1, 8):
-        purged = provider.purge_expired(window)
-        alive = [obj for obj in objects if obj.last_window >= window]
-        assert len(provider) == len(alive)
-        if window > 1:
-            assert purged == sum(
-                1 for obj in objects if obj.last_window == window - 1
-            )
-        queries = [(obj.coords, obj.oid) for obj in alive[:20]]
-        batched = provider.range_query_many(queries)
-        assert len(batched) == len(queries)
-        for (coords, exclude), got in zip(queries, batched):
-            want = brute_force(alive, coords, THETA, exclude)
+    with kernel_arm(arm):
+        objects = make_objects(random_points(120, 2, seed=17))
+        provider = make_provider(backend, THETA, 2)
+        for obj in objects:
+            provider.insert(obj)
+        probes = [(obj.coords, 10_000 + obj.oid) for obj in objects[:25]]
+        batched = provider.range_query_many(probes)
+        for (coords, _), got in zip(probes, batched):
+            want = brute_force(objects, coords, THETA)
             assert {obj.oid for obj in got} == want
 
 
-@pytest.mark.parametrize("refinement", REFINEMENTS)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
-def test_range_query_many_after_remove_matches_single(backend, refinement):
-    rng = random.Random(11)
-    objects = make_objects(random_points(150, 2, seed=41, bound=2.0))
-    provider = make_provider(backend, THETA, 2, refinement=refinement)
-    for obj in objects:
-        provider.insert(obj)
-    removed = rng.sample(objects, 40)
-    for obj in removed:
-        provider.remove(obj)
-    alive = [obj for obj in objects if obj not in removed]
-    queries = [(obj.coords, obj.oid) for obj in alive[::5]]
-    batched = provider.range_query_many(queries)
-    for (coords, exclude), got in zip(queries, batched):
-        single = provider.range_query(coords, exclude_oid=exclude)
-        assert [o.oid for o in got] == [o.oid for o in single]
-        assert {o.oid for o in got} == brute_force(
-            alive, coords, THETA, exclude
-        )
+def test_range_query_many_mid_purge(backend, arm, kernel_arm):
+    """Queries issued between purges see exactly the live population —
+    tombstoned rows must not leak into batched answers."""
+    with kernel_arm(arm):
+        rng = random.Random(3)
+        objects = make_objects(random_points(200, 2, seed=29))
+        for obj in objects:
+            obj.last_window = rng.randint(1, 6)
+        provider = make_provider(backend, THETA, 2)
+        for obj in objects:
+            provider.insert(obj)
+        for window in range(1, 8):
+            purged = provider.purge_expired(window)
+            alive = [obj for obj in objects if obj.last_window >= window]
+            assert len(provider) == len(alive)
+            if window > 1:
+                assert purged == sum(
+                    1 for obj in objects if obj.last_window == window - 1
+                )
+            queries = [(obj.coords, obj.oid) for obj in alive[:20]]
+            batched = provider.range_query_many(queries)
+            assert len(batched) == len(queries)
+            for (coords, exclude), got in zip(queries, batched):
+                want = brute_force(alive, coords, THETA, exclude)
+                assert {obj.oid for obj in got} == want
+
+
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_range_query_many_after_remove_matches_single(
+    backend, arm, kernel_arm
+):
+    with kernel_arm(arm):
+        rng = random.Random(11)
+        objects = make_objects(random_points(150, 2, seed=41, bound=2.0))
+        provider = make_provider(backend, THETA, 2)
+        for obj in objects:
+            provider.insert(obj)
+        removed = rng.sample(objects, 40)
+        for obj in removed:
+            provider.remove(obj)
+        alive = [obj for obj in objects if obj not in removed]
+        queries = [(obj.coords, obj.oid) for obj in alive[::5]]
+        batched = provider.range_query_many(queries)
+        for (coords, exclude), got in zip(queries, batched):
+            single = provider.range_query(coords, exclude_oid=exclude)
+            assert [o.oid for o in got] == [o.oid for o in single]
+            assert {o.oid for o in got} == brute_force(
+                alive, coords, THETA, exclude
+            )
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)

@@ -96,7 +96,6 @@ def independent_run(query, start=0, stop=N_SLIDES, backend=None):
         [query.theta_count],
         query.dimensions,
         backend=backend or query.index_backend,
-        refinement=query.refinement,
     )
     outputs = {}
     for index in range(start, stop):
@@ -201,33 +200,6 @@ def test_multiplexed_equals_independent_runs(backend):
     stats = scheduler.provider.stats
     assert stats["range_query_batches"] == N_SLIDES
     assert stats["range_queries"] == SLIDE * N_SLIDES
-
-
-def test_ab_escape_hatch_matches_shared_execution():
-    """shared=False forces dedicated pipelines for every query — the
-    ablation baseline — and must answer identically."""
-    runs = {}
-    for mode in (True, False):
-        captured = {}
-        scheduler = SlideScheduler(dimensions=2, shared=mode)
-        handles = [
-            scheduler.register(make_query(2.5, 4, win=120), capture_sink(captured)),
-            scheduler.register(make_query(5.0, 3, win=120), capture_sink(captured)),
-            scheduler.register(make_query(1.25, 5, win=80), capture_sink(captured)),
-        ]
-        for index in range(4):
-            scheduler.feed(slide_objects(index))
-        scheduler.flush()
-        runs[mode] = {
-            h.id: run_signatures(captured[h.id]) for h in handles
-        }
-        if mode:
-            assert scheduler.provider is not None
-            assert not any(h.dedicated for h in handles)
-        else:
-            assert scheduler.provider is None
-            assert all(h.dedicated for h in handles)
-    assert runs[True] == runs[False]
 
 
 def test_one_shared_pass_even_for_many_rungs():
@@ -441,7 +413,6 @@ def test_scheduler_stats_shape():
     scheduler.flush()
     stats = scheduler.stats()
     assert stats["windows_processed"] == 2
-    assert stats["sharing"] is True
     assert len(stats["queries"]) == 3
     assert {r["level"] for r in stats["rungs"]} == {0, 1}
     assert any(r["top"] for r in stats["rungs"])

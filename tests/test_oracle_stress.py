@@ -3,7 +3,7 @@
 Randomized, seeded insert/remove/purge/query sequences are replayed
 simultaneously against every backend and a naive linear-scan oracle
 (the only data structure simple enough to be obviously correct), across
-1–5 dimensions and both refinement kernel paths. Any divergence —
+1–5 dimensions and both refinement kernel arms. Any divergence —
 membership, duplicate reporting, purge counts, batched-vs-single
 answers — fails with the offending seed in the test id, so a failure is
 reproducible with one pytest ``-k`` expression.
@@ -22,16 +22,15 @@ import random
 
 import pytest
 
-from tests.helpers import make_objects
-from repro.geometry.coordstore import HAVE_NUMPY, within_sq_range
+from tests.helpers import KERNEL_ARMS, make_objects
+from repro.geometry.coordstore import within_sq_range
 from repro.index import BACKENDS, GridIndex, make_provider
 from repro.streams.objects import StreamObject
 
 BACKEND_NAMES = tuple(sorted(BACKENDS))
-REFINEMENTS = ("scalar", "vector") if HAVE_NUMPY else ("scalar",)
 DIMS = (1, 2, 3, 4, 5)
 SEEDS = (0, 1, 2, 3, 4)
-#: Sequences exercised per pytest run: backends x refinements x dims x
+#: Sequences exercised per pytest run: backends x kernel arms x dims x
 #: seeds — 200 with NumPy installed (4 * 2 * 5 * 5), 100 without.
 OPS_PER_SEQUENCE = 70
 
@@ -96,11 +95,13 @@ def _check_query(provider, oracle, coords, exclude_oid, context):
     )
 
 
-def run_sequence(backend, refinement, dims, seed, ops=OPS_PER_SEQUENCE):
-    rng = random.Random(f"{backend}/{refinement}/{dims}/{seed}")
+def run_sequence(backend, arm, dims, seed, ops=OPS_PER_SEQUENCE):
+    """``arm`` only labels the sequence (seed and failure context); the
+    caller forces it through the ``kernel_arm`` fixture."""
+    rng = random.Random(f"{backend}/{arm}/{dims}/{seed}")
     theta = rng.uniform(0.3, 0.7)
     span = 3.0
-    provider = make_provider(backend, theta, dims, refinement=refinement)
+    provider = make_provider(backend, theta, dims)
     if backend == "auto":
         # Tighten the re-evaluation interval so the adaptive switch
         # machinery actually runs inside a short sequence.
@@ -116,7 +117,7 @@ def run_sequence(backend, refinement, dims, seed, ops=OPS_PER_SEQUENCE):
 
     for step in range(ops):
         context = (
-            f"{backend}/{refinement}/{dims}d seed={seed} step={step}"
+            f"{backend}/{arm}/{dims}d seed={seed} step={step}"
         )
         roll = rng.random()
         if roll < 0.5 or not oracle.objects:
@@ -167,7 +168,7 @@ def run_sequence(backend, refinement, dims, seed, ops=OPS_PER_SEQUENCE):
     for (coords, exclude), got in zip(queries, batched):
         single = provider.range_query(coords, exclude_oid=exclude)
         assert [o.oid for o in got] == [o.oid for o in single], (
-            f"{backend}/{refinement}/{dims}d seed={seed}: batched order "
+            f"{backend}/{arm}/{dims}d seed={seed}: batched order "
             "diverged from single queries"
         )
         want = {o.oid for o in oracle.range_query(coords, exclude)}
@@ -177,12 +178,13 @@ def run_sequence(backend, refinement, dims, seed, ops=OPS_PER_SEQUENCE):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("dims", DIMS)
-@pytest.mark.parametrize("refinement", REFINEMENTS)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_randomized_sequences_match_linear_oracle(
-    backend, refinement, dims, seed
+    backend, arm, dims, seed, kernel_arm
 ):
-    inserted = run_sequence(backend, refinement, dims, seed)
+    with kernel_arm(arm):
+        inserted = run_sequence(backend, arm, dims, seed)
     assert inserted > 0  # the sequence actually exercised the provider
 
 

@@ -7,7 +7,13 @@ accumulation of squared differences in IEEE doubles, boundary-inclusive
 
 * the scalar early-exit predicate (:func:`within_sq_range`),
 * the scalar full sum (:func:`canonical_sq_dist`),
-* the vectorized column kernels of a ``refinement='vector'`` store.
+* the vectorized column kernels of a NumPy-backed store.
+
+The parity tests hold one store per kernel arm side by side, forced
+through the ``kernel_arm`` fixture (``tests/conftest.py``): the scalar
+store is built with NumPy hidden (and stays scalar), everything else
+runs with the small-batch scalar dispatch disabled so hypothesis-sized
+inputs reach the array kernels.
 
 These tests assert the agreement — including exact-boundary points,
 duplicate coordinates, tombstoned (removed) oids, and 1-D through 5-D
@@ -22,12 +28,10 @@ from repro.geometry.coordstore import (
     HAVE_NUMPY,
     CoordStore,
     canonical_sq_dist,
-    get_default_refinement,
-    resolve_refinement,
-    set_default_refinement,
     within_sq_range,
 )
 from repro.streams.objects import StreamObject
+from tests.helpers import KERNEL_ARMS
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="vector kernels require NumPy"
@@ -35,10 +39,17 @@ pytestmark = pytest.mark.skipif(
 
 
 @pytest.fixture(autouse=True)
-def _always_vectorize(monkeypatch):
+def _always_vectorize(kernel_arm):
     """Drop the small-batch scalar fallback so the vector kernels are
     genuinely exercised at hypothesis-sized inputs."""
-    monkeypatch.setattr(CoordStore, "_VECTOR_MIN_WORK", 1)
+    with kernel_arm("vector"):
+        yield
+
+
+def store_on(kernel_arm, arm, dims):
+    """A store whose kernel arm is fixed for its lifetime."""
+    with kernel_arm(arm):
+        return CoordStore(dims)
 
 
 coordinate = st.floats(
@@ -69,12 +80,13 @@ def store_cases(draw, min_points=1, max_points=40):
     return dims, points, tuple(probe)
 
 
-def build_stores(dims, points):
+def build_stores(kernel_arm, dims, points):
     objects = [
         StreamObject(i, tuple(point)) for i, point in enumerate(points)
     ]
-    scalar = CoordStore(dims, refinement="scalar")
-    vector = CoordStore(dims, refinement="vector")
+    scalar = store_on(kernel_arm, "scalar", dims)
+    vector = store_on(kernel_arm, "vector", dims)
+    assert vector._vector and not scalar._vector  # the arms are real
     for obj in objects:
         scalar.add(obj)
         vector.add(obj)
@@ -110,11 +122,11 @@ def test_early_exit_matches_canonical_at_exact_boundary(case):
 
 @given(store_cases())
 @settings(max_examples=200)
-def test_vector_sums_bit_equal_scalar_sums(case):
+def test_vector_sums_bit_equal_scalar_sums(kernel_arm, case):
     """The vectorized kernel's totals are bit-identical to the scalar
     canonical sums (same IEEE operation sequence per element)."""
     dims, points, probe = case
-    objects, scalar, vector = build_stores(dims, points)
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
     want = [canonical_sq_dist(obj.coords, probe) for obj in objects]
     assert scalar.sq_dists_to(probe) == want
     assert vector.sq_dists_to(probe) == want  # bitwise: == on floats
@@ -131,9 +143,11 @@ def test_vector_sums_bit_equal_scalar_sums(case):
     st.data(),
 )
 @settings(max_examples=150)
-def test_within_radius_parity_with_tombstones(case, sq_range, data):
+def test_within_radius_parity_with_tombstones(
+    kernel_arm, case, sq_range, data
+):
     dims, points, probe = case
-    objects, scalar, vector = build_stores(dims, points)
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
     removed = data.draw(
         st.lists(
             st.sampled_from(objects), unique_by=id, max_size=len(objects)
@@ -167,9 +181,9 @@ def test_within_radius_parity_with_tombstones(case, sq_range, data):
     st.integers(min_value=-1, max_value=45),
 )
 @settings(max_examples=150)
-def test_refine_parity(case, sq_range, exclude_oid):
+def test_refine_parity(kernel_arm, case, sq_range, exclude_oid):
     dims, points, probe = case
-    objects, scalar, vector = build_stores(dims, points)
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
     got_scalar = scalar.refine(objects, probe, sq_range, exclude_oid)
     got_vector = vector.refine(objects, probe, sq_range, exclude_oid)
     assert [o.oid for o in got_scalar] == [o.oid for o in got_vector]
@@ -178,9 +192,9 @@ def test_refine_parity(case, sq_range, exclude_oid):
 
 @given(store_cases(), st.data())
 @settings(max_examples=100)
-def test_refine_many_parity(case, data):
+def test_refine_many_parity(kernel_arm, case, data):
     dims, points, _ = case
-    objects, scalar, vector = build_stores(dims, points)
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
     probes = data.draw(
         st.lists(
             st.tuples(*[coordinate] * dims), min_size=0, max_size=6
@@ -210,9 +224,9 @@ def test_refine_many_parity(case, data):
 
 @given(store_cases(), st.floats(min_value=0, max_value=1e13))
 @settings(max_examples=100)
-def test_pairwise_within_parity(case, sq_range):
+def test_pairwise_within_parity(kernel_arm, case, sq_range):
     dims, points, _ = case
-    objects, scalar, vector = build_stores(dims, points)
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
     oids = [obj.oid for obj in objects]
     assert scalar.pairwise_within(oids, sq_range) == vector.pairwise_within(
         oids, sq_range
@@ -226,14 +240,29 @@ def test_pairwise_within_parity(case, sq_range):
             assert ((a.oid, b.oid) in got) == expected
 
 
+@given(store_cases())
+@settings(max_examples=100)
+def test_nearest_first_parity_and_tie_order(kernel_arm, case):
+    """Both arms sort by canonical distance and keep the given order
+    among equidistant (here: duplicate) candidates."""
+    dims, points, probe = case
+    objects, scalar, vector = build_stores(kernel_arm, dims, points)
+    dists = [canonical_sq_dist(obj.coords, probe) for obj in objects]
+    order = sorted(range(len(objects)), key=lambda i: (dists[i], i))
+    want = ([objects[i].oid for i in order], [dists[i] for i in order])
+    for store in (scalar, vector):
+        got_objs, got_dists = store.nearest_first(probe, objects)
+        assert ([obj.oid for obj in got_objs], got_dists) == want
+
+
 # ----------------------------------------------------------------------
 # Tombstone bookkeeping
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("refinement", ("scalar", "vector"))
-def test_removed_oid_raises_everywhere(refinement):
-    store = CoordStore(2, refinement=refinement)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+def test_removed_oid_raises_everywhere(arm, kernel_arm):
+    store = store_on(kernel_arm, arm, 2)
     objs = [StreamObject(i, (float(i), 0.0)) for i in range(3)]
     for obj in objs:
         store.add(obj)
@@ -251,28 +280,9 @@ def test_removed_oid_raises_everywhere(refinement):
     assert [o.oid for o in store.within_radius((1.0, 0.0), 0.0)] == [1]
 
 
-def test_default_refinement_mode_round_trip():
-    """The process-wide default drives resolve_refinement(None) and new
-    stores; setting it returns the previous value for restoration."""
-    assert get_default_refinement() == "auto"
-    assert resolve_refinement(None) == ("vector" if HAVE_NUMPY else "scalar")
-    previous = set_default_refinement("scalar")
-    try:
-        assert previous == "auto"
-        assert resolve_refinement(None) == "scalar"
-        assert CoordStore(2).refinement == "scalar"
-    finally:
-        set_default_refinement(previous)
-    assert get_default_refinement() == "auto"
-    with pytest.raises(ValueError, match="unknown refinement mode"):
-        set_default_refinement("simd")
-    with pytest.raises(ValueError, match="unknown refinement mode"):
-        resolve_refinement("simd")
-
-
-@pytest.mark.parametrize("refinement", ("scalar", "vector"))
-def test_refine_rejects_mismatched_probe(refinement):
-    store = CoordStore(3, refinement=refinement)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+def test_refine_rejects_mismatched_probe(arm, kernel_arm):
+    store = store_on(kernel_arm, arm, 3)
     objs = [StreamObject(i, (float(i), 0.0, 0.0)) for i in range(4)]
     for obj in objs:
         store.add(obj)
@@ -284,9 +294,9 @@ def test_refine_rejects_mismatched_probe(refinement):
         store.within_radius((0.0, 0.0, 0.0, 0.0), 1.0)
 
 
-@pytest.mark.parametrize("refinement", ("scalar", "vector"))
-def test_compaction_preserves_row_order_and_answers(refinement):
-    store = CoordStore(2, refinement=refinement)
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+def test_compaction_preserves_row_order_and_answers(arm, kernel_arm):
+    store = store_on(kernel_arm, arm, 2)
     objs = [StreamObject(i, (float(i), 0.0)) for i in range(200)]
     for obj in objs:
         store.add(obj)

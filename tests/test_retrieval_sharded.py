@@ -178,15 +178,15 @@ def test_sharded_match_many_equals_sequential(key):
     assert engine.match_many([]) == []
 
 
-def test_serial_fallback_identical_to_parallel():
+def test_serial_default_identical_to_process_workers():
     base, last = _populated_base(seed=3)
     sharded = _sharded(base, 3, "window")
-    parallel = ShardedMatchEngine(sharded)
-    serial = ShardedMatchEngine(sharded, max_workers=1)
-    assert parallel.parallel and not serial.parallel
     query = MatchQuery(sgs=last.summaries[0], threshold=0.5, coarse_level=1)
-    par_results, par_stats = parallel.match(query)
-    ser_results, ser_stats = serial.match(query)
+    with ShardedMatchEngine(sharded, mode="process") as parallel:
+        with ShardedMatchEngine(sharded) as serial:
+            assert parallel.parallel and not serial.parallel
+            par_results, par_stats = parallel.match(query)
+            ser_results, ser_stats = serial.match(query)
     assert _as_pairs(par_results) == _as_pairs(ser_results)
     assert par_stats.plan["parallel"] is True
     assert ser_stats.plan["parallel"] is False

@@ -3,18 +3,17 @@
 Three suites over the Figure-7 ``stt_small`` archive (the same
 persisted format-v3 workload the golden fixtures pin):
 
-* **Executor parity** — ``process`` ≡ ``thread`` ≡ ``serial`` ≡ the
-  exhaustive scan, byte for byte (same pattern ids, same float
+* **Executor parity** — ``process`` ≡ ``serial`` ≡ the exhaustive
+  scan, byte for byte (same pattern ids, same float
   distances, same alignments, same merged stats), across a
   threshold/top-k × shard-key × coarse-level panel.
 * **Fault tolerance** — a shard worker SIGKILLed with a batch in
   flight is respawned from its hydration dump, post-dump ingests are
   replayed from the journal, and the merged answers are *still*
   identical to the serial path's.
-* **Lifecycle** — one persistent thread pool per executor (the
-  regression pin for the old pool-per-call construction), idempotent
-  ``close()``, context managers, closed-executor errors, and
-  ``build_executor`` validation.
+* **Lifecycle** — the serial default (no thread is started),
+  idempotent ``close()``, context managers, closed-executor errors,
+  and ``build_executor`` validation.
 """
 
 import os
@@ -35,11 +34,9 @@ from repro.retrieval import (
 from repro.serving import (
     MODES,
     SerialExecutor,
-    ThreadExecutor,
     build_executor,
     validate_mode,
 )
-import repro.serving.executors as executors_module
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +78,7 @@ def _exact(results):
 
 
 # ----------------------------------------------------------------------
-# Executor parity: process ≡ thread ≡ serial ≡ exhaustive
+# Executor parity: process ≡ serial ≡ exhaustive
 # ----------------------------------------------------------------------
 
 
@@ -99,20 +96,17 @@ def test_modes_agree_bytewise_and_match_exhaustive(flat_base, key):
             assert _exact(solo_results) == _exact(batched[0][0])
             assert solo_stats.plan["entry"] == "sharded"
             answers[mode] = batched
-    for mode in ("thread", "process"):
-        for qi, query in enumerate(panel):
-            serial_results, serial_stats = answers["serial"][qi]
-            mode_results, mode_stats = answers[mode][qi]
-            assert _exact(mode_results) == _exact(serial_results), (
-                f"{mode} diverged from serial on query {qi} ({key})"
-            )
-            assert mode_stats.archive_size == serial_stats.archive_size
-            assert mode_stats.gathered == serial_stats.gathered
-            assert mode_stats.refined == serial_stats.refined
-            assert mode_stats.matches == serial_stats.matches
-            assert (
-                mode_stats.plan["entries"] == serial_stats.plan["entries"]
-            )
+    for qi, query in enumerate(panel):
+        serial_results, serial_stats = answers["serial"][qi]
+        mode_results, mode_stats = answers["process"][qi]
+        assert _exact(mode_results) == _exact(serial_results), (
+            f"process diverged from serial on query {qi} ({key})"
+        )
+        assert mode_stats.archive_size == serial_stats.archive_size
+        assert mode_stats.gathered == serial_stats.gathered
+        assert mode_stats.refined == serial_stats.refined
+        assert mode_stats.matches == serial_stats.matches
+        assert mode_stats.plan["entries"] == serial_stats.plan["entries"]
     for qi, query in enumerate(panel):
         if query.top_k is None:
             assert (
@@ -124,11 +118,7 @@ def test_modes_agree_bytewise_and_match_exhaustive(flat_base, key):
 def test_parallel_flag_reflects_mode(flat_base):
     sharded = ShardedPatternBase.from_base(flat_base, 3, "window")
     query = _query_panel(flat_base)[0]
-    for mode, parallel in (
-        ("serial", False),
-        ("thread", True),
-        ("process", True),
-    ):
+    for mode, parallel in (("serial", False), ("process", True)):
         with ShardedMatchEngine(sharded, mode=mode) as engine:
             assert engine.parallel is parallel
             _, stats = engine.match(query)
@@ -331,8 +321,6 @@ def test_build_executor_replicas_validation(flat_base):
     with ShardedMatchEngine(sharded, mode="serial") as donor:
         engines = donor.engines
         with pytest.raises(ValueError):
-            build_executor("thread", engines, replicas=2)
-        with pytest.raises(ValueError):
             build_executor("serial", engines, replicas=2)
         with pytest.raises(ValueError):
             build_executor(None, engines, replicas=0)
@@ -344,74 +332,31 @@ def test_build_executor_replicas_validation(flat_base):
 
 
 # ----------------------------------------------------------------------
-# Lifecycle: one pool per executor, close semantics, validation
+# Lifecycle: the serial default, close semantics, validation
 # ----------------------------------------------------------------------
 
 
-def test_thread_fan_out_collects_outstanding_futures_before_raising():
-    """Regression pin: a shard failure used to propagate immediately,
-    abandoning the sibling futures mid-run — they kept mutating shared
-    engine state while the caller was already unwinding."""
-
-    started = threading.Event()
-
-    class _Boom:
-        def match(self, query):
-            # Fail only once the sibling is genuinely in flight, so
-            # the error cannot cancel it while it is still queued.
-            assert started.wait(5.0)
-            raise ValueError("boom")
-
-    class _Slow:
-        def __init__(self):
-            self.done = threading.Event()
-
-        def match(self, query):
-            started.set()
-            time.sleep(0.2)
-            self.done.set()
-            return ([], None)
-
-    slow = _Slow()
-    with ThreadExecutor([_Boom(), slow], max_workers=2) as executor:
-        with pytest.raises(ValueError, match="boom"):
-            executor.match(None)
-        assert slow.done.is_set(), (
-            "the error propagated before the in-flight sibling finished"
+def test_default_mode_is_serial_and_starts_no_thread(flat_base):
+    """Without ``mode`` a multi-shard engine runs its shards serially in
+    the calling thread (the default used to be a thread pool that ran at
+    0.98x of serial under the GIL)."""
+    sharded = ShardedPatternBase.from_base(flat_base, 4, "window")
+    panel = _query_panel(flat_base)[:2]
+    with ShardedMatchEngine(sharded) as engine:
+        assert engine.mode == "serial"
+        assert engine.parallel is False
+        threads_before = threading.active_count()
+        batched = engine.match_many(panel)
+        assert threading.active_count() == threads_before
+        assert all(
+            stats.plan["parallel"] is False for _, stats in batched
         )
-
-
-def test_thread_executor_builds_exactly_one_pool(flat_base, monkeypatch):
-    """Regression pin: the facade used to construct (and tear down) a
-    ThreadPoolExecutor on *every* match/match_many call."""
-    constructed = []
-    real_pool = executors_module.ThreadPoolExecutor
-
-    class CountingPool(real_pool):
-        def __init__(self, *args, **kwargs):
-            constructed.append(1)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(
-        executors_module, "ThreadPoolExecutor", CountingPool
-    )
-    sharded = ShardedPatternBase.from_base(flat_base, 3, "window")
-    panel = _query_panel(flat_base)[:4]
-    with ShardedMatchEngine(sharded) as engine:  # default: thread mode
-        assert engine.mode == "thread"
-        for query in panel:
-            engine.match(query)
-        engine.match_many(panel)
-        engine.match_many(panel)
-    assert len(constructed) == 1, (
-        f"expected one persistent pool, saw {len(constructed)} constructions"
-    )
 
 
 def test_closed_executor_refuses_work(flat_base):
     sharded = ShardedPatternBase.from_base(flat_base, 2, "window")
     query = _query_panel(flat_base)[0]
-    engine = ShardedMatchEngine(sharded, mode="thread")
+    engine = ShardedMatchEngine(sharded, mode="serial")
     engine.match(query)
     engine.close()
     engine.close()  # idempotent
@@ -446,12 +391,7 @@ def test_build_executor_validation(flat_base):
         build_executor("process", engines=[])  # no base / worker config
     sharded = ShardedPatternBase.from_base(flat_base, 2, "window")
     engines = ShardedMatchEngine(sharded, mode="serial").engines
-    # The historical default: thread for many shards, serial for one
-    # worker or one shard.
-    assert build_executor(None, engines).mode == "thread"
-    assert build_executor(None, engines, max_workers=1).mode == "serial"
+    assert build_executor(None, engines).mode == "serial"
     assert build_executor(None, engines[:1]).mode == "serial"
-    pool = build_executor("thread", engines, max_workers=64)
-    assert isinstance(pool, ThreadExecutor)
-    assert pool.max_workers == len(engines)  # clamped to shard count
-    pool.close()
+    with pytest.raises(ValueError, match="unknown serving mode"):
+        build_executor("thread", engines)

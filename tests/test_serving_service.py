@@ -123,7 +123,7 @@ def test_stats_expose_replica_liveness(archive_path):
 
 
 @pytest.mark.parametrize(
-    "served", ("serial", "thread", "process"), indirect=True
+    "served", ("serial", "process"), indirect=True
 )
 def test_http_answers_equal_direct_engine(served, flat_base):
     """Every deployment mode answers over HTTP exactly what a direct
@@ -381,7 +381,7 @@ def test_cli_serve_end_to_end(archive_path, flat_base):
         [
             sys.executable, "-m", "repro.cli", "serve",
             "--archive", archive_path,
-            "--shards", "2", "--mode", "thread", "--port", "0",
+            "--shards", "2", "--mode", "serial", "--port", "0",
         ],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,

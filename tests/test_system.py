@@ -144,7 +144,7 @@ def test_query_spec_constructors():
     with pytest.raises(ValueError):
         ContinuousClusteringQuery.count_based(0.3, 0, 2, 500, 100)
     # Replication knobs: positive, and incompatible with the
-    # single-copy serial/thread modes.
+    # single-copy serial mode.
     with pytest.raises(ValueError):
         ContinuousClusteringQuery(
             0.3, 5, 2, CountBasedWindowSpec(500, 100), match_replicas=0
@@ -152,7 +152,11 @@ def test_query_spec_constructors():
     with pytest.raises(ValueError):
         ContinuousClusteringQuery(
             0.3, 5, 2, CountBasedWindowSpec(500, 100),
-            match_mode="thread", match_replicas=2,
+            match_mode="serial", match_replicas=2,
+        )
+    with pytest.raises(ValueError, match="unknown serving mode"):
+        ContinuousClusteringQuery(
+            0.3, 5, 2, CountBasedWindowSpec(500, 100), match_mode="thread"
         )
     replicated = ContinuousClusteringQuery(
         0.3, 5, 2, CountBasedWindowSpec(500, 100), match_replicas=2
