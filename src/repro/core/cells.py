@@ -15,12 +15,41 @@ storage comparisons stay commensurate.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
-from typing import FrozenSet, Tuple
+from operator import add, sub
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.index.grid_index import min_cell_gap_sq
 
 Coord = Tuple[int, ...]
+
+@functools.lru_cache(maxsize=None)
+def _box(dims: int) -> Tuple[Tuple[Coord, ...], Dict[Coord, int]]:
+    """Connection *offsets* (neighbor minus owning cell) with every
+    component in ``[-2, 2]`` — all that the extractor or the coarsener
+    produces for d <= 4 — own one bit each of a cell's offset mask, in
+    lexicographic order: the offsets by bit, and each one's ``1 << bit``.
+    Any other offset (hand-made summaries, d > 5) stays verbatim in the
+    cell's ``extras``: the pair is exact for every input, and no mask
+    outgrows ``5 ** 5`` bits whatever a client sends."""
+    offsets = tuple(itertools.product(range(-2, 3), repeat=dims))
+    return offsets, {offset: 1 << bit for bit, offset in enumerate(offsets)}
+
+
+def pack_offsets(offsets: Iterable[Coord], dims: int) -> Tuple[int, FrozenSet[Coord]]:
+    """``(mask, extras)`` of a cell's connection offsets."""
+    bits = _box(dims)[1] if dims <= 5 else {}  # no mask beyond 5 ** 5 bits
+    mask = 0
+    extras: List[Coord] = []
+    for offset in offsets:
+        bit = bits.get(offset)
+        if bit is None:
+            extras.append(offset)
+        else:
+            mask |= bit
+    return mask, frozenset(extras)
 
 
 class CellStatus(enum.Enum):
@@ -47,9 +76,18 @@ class SkeletalGridCell:
       Definition 4.4 only core cells carry connections (to directly
       connected core cells and to attached edge cells); for edge cells the
       set is empty.
+
+    The connection vector is stored in one of two forms, the other
+    derived on request: the absolute neighbor coordinates (built by the
+    extractor, returned by ``connections``) or the translation-invariant
+    ``(mask, extras)`` of neighbor *offsets* (see :func:`_box`; held by the
+    stored blob, read by the match kernel). A cell decoded from a blob
+    holds only the latter: one int in place of a set of tuples.
     """
 
-    __slots__ = ("location", "side_length", "population", "status", "connections")
+    __slots__ = (
+        "location", "side_length", "population", "status", "_connections", "_packed",
+    )
 
     def __init__(
         self,
@@ -58,6 +96,7 @@ class SkeletalGridCell:
         population: int,
         status: CellStatus,
         connections: FrozenSet[Coord] = frozenset(),
+        packed: Optional[Tuple[int, FrozenSet[Coord]]] = None,
     ):
         if population < 0:
             raise ValueError("population must be non-negative")
@@ -67,7 +106,47 @@ class SkeletalGridCell:
         self.side_length = float(side_length)
         self.population = int(population)
         self.status = status
-        self.connections = frozenset(connections)
+        # ``packed``, the offset form, stands in for ``connections``.
+        self._connections = None if packed is not None else frozenset(connections)
+        self._packed = packed
+
+    @property
+    def connections(self) -> FrozenSet[Coord]:
+        stored = self._connections
+        return stored if stored is not None else frozenset(self.neighbors())
+
+    def neighbors(self) -> List[Coord]:
+        """The connected cells' coordinates in lexicographic order."""
+        if self._connections is not None:
+            return sorted(self._connections)
+        here = self.location
+        return [tuple(map(add, here, off)) for off in self.connection_offsets()]
+
+    def connection_offsets(self) -> List[Coord]:
+        """Neighbor offsets (neighbor minus this cell's location) in
+        lexicographic order — the order the blob stores them in."""
+        if self._packed is None:
+            here = self.location
+            return [tuple(map(sub, other, here)) for other in self.neighbors()]
+        mask, extras = self._packed
+        offsets = list(extras)
+        by_bit = _box(len(self.location))[0] if mask else ()
+        while mask:
+            low = mask & -mask
+            offsets.append(by_bit[low.bit_length() - 1])
+            mask ^= low
+        return sorted(offsets)  # bits already ascend in this order
+
+    def packed_offsets(self) -> Tuple[int, FrozenSet[Coord]]:
+        """The ``(mask, extras)`` form of the connection vector."""
+        if self._packed is not None:
+            return self._packed
+        return pack_offsets(self.connection_offsets(), len(self.location))
+
+    def connection_count(self) -> int:
+        if self._connections is not None:
+            return len(self._connections)
+        return self._packed[0].bit_count() + len(self._packed[1])
 
     @property
     def dimensions(self) -> int:
@@ -134,5 +213,5 @@ class SkeletalGridCell:
     def __repr__(self) -> str:
         return (
             f"SkeletalGridCell(loc={self.location}, status={self.status.value}, "
-            f"pop={self.population}, conn={len(self.connections)})"
+            f"pop={self.population}, conn={self.connection_count()})"
         )

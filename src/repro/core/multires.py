@@ -49,8 +49,9 @@ def coarsen_sgs(sgs: SGS, factor: int = 3) -> SGS:
     statuses: Dict[Coord, CellStatus] = {}
     connections: Dict[Coord, Set[Coord]] = {}
 
+    parents = {coord: _parent_coord(coord, factor) for coord in sgs.cells}
     for cell in sgs.cells.values():
-        parent = _parent_coord(cell.location, factor)
+        parent = parents[cell.location]
         populations[parent] = populations.get(parent, 0) + cell.population
         if cell.is_core:
             statuses[parent] = CellStatus.CORE
@@ -60,16 +61,13 @@ def coarsen_sgs(sgs: SGS, factor: int = 3) -> SGS:
     # Cross-boundary fine connections induce coarse connections. Fine
     # connection vectors live on core cells only (Definition 4.4), and
     # cover both core-core connections and edge attachments, so scanning
-    # them reproduces both relations at the coarse level.
+    # them reproduces both relations at the coarse level. A neighbor
+    # outside the summary induces nothing, so its parent is never needed.
     for cell in sgs.cells.values():
-        if not cell.connections:
-            continue
-        parent = _parent_coord(cell.location, factor)
+        parent = parents[cell.location]
         for other in cell.connections:
-            other_parent = _parent_coord(other, factor)
-            if other_parent == parent:
-                continue
-            if other not in sgs.cells:
+            other_parent = parents.get(other)
+            if other_parent is None or other_parent == parent:
                 continue
             connections.setdefault(parent, set()).add(other_parent)
             connections.setdefault(other_parent, set()).add(parent)

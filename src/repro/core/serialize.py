@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import json
 import struct
+from operator import sub
 from typing import Dict, List
 
-from repro.core.cells import CellStatus, SkeletalGridCell
+from repro.core.cells import CellStatus, SkeletalGridCell, pack_offsets
 from repro.core.sgs import SGS
 
 _MAGIC = b"SGS1"
@@ -41,25 +42,35 @@ def sgs_to_dict(sgs: SGS) -> Dict:
                 "location": list(cell.location),
                 "population": cell.population,
                 "status": cell.status.value,
-                "connections": sorted(list(c) for c in cell.connections),
+                "connections": [list(other) for other in cell.neighbors()],
             }
             for cell in sgs.cells.values()
         ],
     }
 
 
+def _cell_from_dict(entry: Dict, side_length: float) -> SkeletalGridCell:
+    """One interchange cell. Summaries from outside the program arrive
+    here, so what the binary layout cannot hold is refused here, once."""
+    location, connections = tuple(entry["location"]), entry["connections"]
+    dims = len(location)
+    if len(connections) > 255 or any(len(other) != dims for other in connections):
+        raise ValueError("a cell holds up to 255 connections of its dimensionality")
+    packed = pack_offsets(
+        (tuple(map(sub, other, location)) for other in connections), dims
+    )
+    # In-box offsets are in range by construction; only extras can stray.
+    if any(not -128 <= off <= 127 for offset in packed[1] for off in offset):
+        raise ValueError(f"connection offset out of byte range: {sorted(packed[1])}")
+    return SkeletalGridCell(
+        location, side_length, entry["population"], CellStatus(entry["status"]),
+        packed=packed,
+    )
+
+
 def sgs_from_dict(data: Dict) -> SGS:
     """Inverse of :func:`sgs_to_dict`."""
-    cells = [
-        SkeletalGridCell(
-            tuple(entry["location"]),
-            data["side_length"],
-            entry["population"],
-            CellStatus(entry["status"]),
-            frozenset(tuple(c) for c in entry["connections"]),
-        )
-        for entry in data["cells"]
-    ]
+    cells = [_cell_from_dict(entry, data["side_length"]) for entry in data["cells"]]
     return SGS(
         cells,
         data["side_length"],
@@ -93,22 +104,19 @@ def sgs_to_bytes(sgs: SGS) -> bytes:
         ),
     ]
     for cell in sgs.cells.values():
+        offsets = cell.connection_offsets()
         out.append(struct.pack(f"<{dims}i", *cell.location))
         out.append(
             struct.pack(
-                "<BIB",
-                1 if cell.is_core else 0,
-                cell.population,
-                len(cell.connections),
+                "<BIB", 1 if cell.is_core else 0, cell.population, len(offsets)
             )
         )
-        for other in sorted(cell.connections):
-            offsets = [o - c for o, c in zip(other, cell.location)]
-            if any(not -128 <= off <= 127 for off in offsets):
+        for offset in offsets:
+            if any(not -128 <= off <= 127 for off in offset):
                 raise ValueError(
-                    f"connection offset out of byte range: {offsets}"
+                    f"connection offset out of byte range: {list(offset)}"
                 )
-            out.append(struct.pack(f"<{dims}b", *offsets))
+            out.append(struct.pack(f"<{dims}b", *offset))
     return b"".join(out)
 
 
@@ -121,26 +129,28 @@ def sgs_from_bytes(blob: bytes) -> SGS:
         "<BdiiiI", blob, offset
     )
     offset += struct.calcsize("<BdiiiI")
+    connection = struct.Struct(f"<{dims}b")
     cells = []
     for _ in range(n_cells):
         location = struct.unpack_from(f"<{dims}i", blob, offset)
         offset += 4 * dims
         is_core, population, n_conn = struct.unpack_from("<BIB", blob, offset)
         offset += struct.calcsize("<BIB")
-        connections = []
-        for _ in range(n_conn):
-            deltas = struct.unpack_from(f"<{dims}b", blob, offset)
-            offset += dims
-            connections.append(
-                tuple(c + d for c, d in zip(location, deltas))
-            )
+        # Offset bytes go straight into the offset form: no absolute tuples.
+        end = offset + n_conn * dims
+        if end > len(blob):
+            raise struct.error("truncated connection block")
+        packed = pack_offsets(
+            connection.iter_unpack(blob[offset:end]) if n_conn else (), dims
+        )
+        offset = end
         cells.append(
             SkeletalGridCell(
                 location,
                 side,
                 population,
                 CellStatus.CORE if is_core else CellStatus.EDGE,
-                frozenset(connections),
+                packed=packed,
             )
         )
     return SGS(

@@ -14,16 +14,21 @@ assert (Lemmas 4.3–4.5).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.cells import Coord, SkeletalGridCell
 from repro.geometry.mbr import MBR
+
+#: A packed-table row: core flag, float population, offset mask, extras.
+CellRow = Tuple[bool, float, int, FrozenSet[Coord]]
 
 
 class SGS:
     """Skeletal Grid Summarization of a single density-based cluster."""
 
-    __slots__ = ("cells", "side_length", "level", "cluster_id", "window_index")
+    __slots__ = (
+        "cells", "side_length", "level", "cluster_id", "window_index", "_table",
+    )
 
     def __init__(
         self,
@@ -46,6 +51,7 @@ class SGS:
         self.level = int(level)
         self.cluster_id = cluster_id
         self.window_index = window_index
+        self._table: Optional[Dict[Coord, CellRow]] = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -70,6 +76,20 @@ class SGS:
         """Total number of summarized cluster member objects."""
         return sum(cell.population for cell in self.cells.values())
 
+    def cell_table(self) -> Dict[Coord, CellRow]:
+        """The packed cell table the match kernel reads: location → row,
+        in cell order. A row is translation invariant; only its key says
+        where the cluster sits. Built on first use (never on the stream
+        path) and kept: cells are not mutated after construction."""
+        if self._table is None:
+            self._table = {
+                location: (
+                    cell.is_core, float(cell.population), *cell.packed_offsets()
+                )
+                for location, cell in self.cells.items()
+            }
+        return self._table
+
     def core_cells(self) -> List[SkeletalGridCell]:
         return [cell for cell in self.cells.values() if cell.is_core]
 
@@ -86,7 +106,7 @@ class SGS:
         cores = self.core_cells()
         if not cores:
             return 0.0
-        return sum(len(cell.connections) for cell in cores) / len(cores)
+        return sum(cell.connection_count() for cell in cores) / len(cores)
 
     def mbr(self) -> MBR:
         """Bounding rectangle of the covered data space (Lemma 4.3)."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Tuple
 
 from repro.core.sgs import SGS
-from repro.matching.cell_match import cell_level_distance
+from repro.matching.cell_match import aligned_distances, cell_level_distance
 from repro.matching.metric import DistanceMetricSpec
 
 Shift = Tuple[int, ...]
@@ -74,8 +74,9 @@ def anytime_alignment_search(
         return AlignmentResult(
             cell_level_distance(sgs_a, sgs_b, spec, zero), zero, 1
         )
+    distance_at = aligned_distances(sgs_a, sgs_b, spec)
     start = _centroid_shift(sgs_a, sgs_b)
-    start_distance = cell_level_distance(sgs_a, sgs_b, spec, start)
+    start_distance = distance_at(start)
     best = AlignmentResult(start_distance, start, 1)
     visited = {start}
     heap = [(start_distance, start)]
@@ -88,9 +89,7 @@ def anytime_alignment_search(
             if neighbor in visited:
                 continue
             visited.add(neighbor)
-            neighbor_distance = cell_level_distance(
-                sgs_a, sgs_b, spec, neighbor
-            )
+            neighbor_distance = distance_at(neighbor)
             evaluated += 1
             if neighbor_distance < best.distance:
                 best = AlignmentResult(neighbor_distance, neighbor, evaluated)
@@ -109,6 +108,7 @@ def exhaustive_alignment_search(
     Used offline and by the E8 ablation to quantify how close the anytime
     search gets. ``margin`` extends the overlap box by a few cells.
     """
+    distance_at = aligned_distances(sgs_a, sgs_b, spec)
     dims = sgs_a.dimensions
     mins_a = [min(c[i] for c in sgs_a.cells) for i in range(dims)]
     maxs_a = [max(c[i] for c in sgs_a.cells) for i in range(dims)]
@@ -123,7 +123,7 @@ def exhaustive_alignment_search(
     best_shift: Shift = (0,) * dims
     evaluated = 0
     for shift in itertools.product(*ranges):
-        distance = cell_level_distance(sgs_a, sgs_b, spec, shift)
+        distance = distance_at(shift)
         evaluated += 1
         if distance < best_distance:
             best_distance = distance

@@ -97,22 +97,14 @@ def canonical_origin(sgs: SGS) -> SGS:
     mins = [min(coord[i] for coord in sgs.cells) for i in range(dims)]
     if not any(mins):
         return sgs
-    cells = []
-    for cell in sgs.cells.values():
-        location = tuple(c - m for c, m in zip(cell.location, mins))
-        connections = frozenset(
-            tuple(c - m for c, m in zip(conn, mins))
-            for conn in cell.connections
+    # A cell's connection offsets move with it: only the key changes.
+    cells = [
+        type(cell)(
+            tuple(c - m for c, m in zip(cell.location, mins)), cell.side_length,
+            cell.population, cell.status, packed=cell.packed_offsets(),
         )
-        cells.append(
-            type(cell)(
-                location,
-                cell.side_length,
-                cell.population,
-                cell.status,
-                connections,
-            )
-        )
+        for cell in sgs.cells.values()
+    ]
     return SGS(
         cells,
         sgs.side_length,

@@ -1,9 +1,21 @@
 """Unit tests for SGS serialization (binary and JSON round-trips)."""
 
-import pytest
+import multiprocessing
+import pickle
 
-from tests.helpers import clustered_points, stream_batches
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests.helpers import (
+    clustered_points,
+    metric_specs,
+    stream_batches,
+    summaries,
+)
 from repro.core.csgs import CSGS
+from repro.core.multires import coarsen_sgs
+from repro.core.regenerate import regenerate_points
 from repro.core.serialize import (
     sgs_from_bytes,
     sgs_from_dict,
@@ -13,6 +25,8 @@ from repro.core.serialize import (
     sgs_to_json,
 )
 from repro.eval.memory import sgs_bytes
+from repro.matching.cell_match import cell_level_distance
+from repro.retrieval.inverted import canonical_origin
 
 
 def _summaries(seed=1, dims=2):
@@ -105,3 +119,88 @@ def test_multires_roundtrip():
     sgs = max(_summaries(seed=7), key=len)
     coarse = coarsen_sgs(sgs, 3)
     assert _equal(coarse, sgs_from_bytes(sgs_to_bytes(coarse)))
+
+
+# ----------------------------------------------------------------------
+# The two forms of a connection vector (absolute / packed offsets)
+# ----------------------------------------------------------------------
+
+
+def _holds_only_offsets(sgs):
+    return all(
+        cell._connections is None and cell._packed is not None
+        for cell in sgs.cells.values()
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(summaries))
+def test_blob_roundtrip_never_builds_absolute_connections(sgs):
+    blob = sgs_to_bytes(sgs)
+    hydrated = sgs_from_bytes(blob)
+    assert sgs_to_bytes(hydrated) == blob
+    assert _holds_only_offsets(hydrated)
+    # Asking does not change what the cell stores.
+    assert _equal(sgs, hydrated) and _holds_only_offsets(hydrated)
+    parsed = sgs_from_dict(sgs_to_dict(hydrated))
+    assert sgs_to_bytes(parsed) == blob and _holds_only_offsets(parsed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(summaries), metric_specs())
+def test_hydrated_summary_behaves_as_the_original(sgs, spec):
+    """Everything downstream of a stored summary — interchange dict,
+    coarsening, canonical origin, regeneration, the match kernel and the
+    cluster features — cannot tell a blob-decoded summary from the one
+    built from absolute connections."""
+    hydrated = sgs_from_bytes(sgs_to_bytes(sgs))
+    assert sgs_to_dict(hydrated) == sgs_to_dict(sgs)
+    assert sgs_to_dict(coarsen_sgs(hydrated, 3)) == sgs_to_dict(coarsen_sgs(sgs, 3))
+    assert sgs_to_dict(canonical_origin(hydrated)) == sgs_to_dict(
+        canonical_origin(sgs)
+    )
+    assert regenerate_points(hydrated, seed=5) == regenerate_points(sgs, seed=5)
+    assert hydrated.average_connectivity() == sgs.average_connectivity()
+    assert hydrated.is_connected() == sgs.is_connected()
+    assert hydrated.cell_table() == sgs.cell_table()
+    assert cell_level_distance(sgs, hydrated, spec) == 0.0
+    assert cell_level_distance(hydrated, sgs, spec) == 0.0
+
+
+def _pickle_in_spawned_process(sgs):
+    context = multiprocessing.get_context("spawn")
+    with context.Pool(1) as pool:
+        return pool.apply(pickle.dumps, (sgs,))
+
+
+def test_pickle_roundtrip_with_and_without_a_built_table():
+    """Summaries cross the process executor's ``spawn`` boundary by
+    pickle, in either connection form, before or after a match built
+    the packed table."""
+    original = _summaries()[0]
+    hydrated = sgs_from_bytes(sgs_to_bytes(original))
+    for sgs in (original, hydrated):
+        bare = pickle.loads(pickle.dumps(sgs))
+        assert bare._table is None and _equal(sgs, bare)
+        table = sgs.cell_table()
+        built = pickle.loads(_pickle_in_spawned_process(sgs))
+        assert built.cell_table() == table and _equal(sgs, built)
+        assert sgs_to_bytes(built) == sgs_to_bytes(original)
+
+
+def test_unstorable_connection_offsets_are_refused_at_parse():
+    data = sgs_to_dict(_summaries()[0])
+    cell = data["cells"][0]
+    for offset in (-128, 127):
+        ok = dict(data, cells=[dict(cell, connections=[
+            [cell["location"][0] + offset, cell["location"][1]]
+        ])])
+        assert sgs_from_bytes(sgs_to_bytes(sgs_from_dict(ok))).cells
+    for bad in (
+        [[cell["location"][0] + 128, cell["location"][1]]],
+        [[cell["location"][0], cell["location"][1] - 129]],
+        [[cell["location"][0]]],  # wrong dimensionality
+        [[cell["location"][0] + i, cell["location"][1]] for i in range(-128, 128)],
+    ):
+        with pytest.raises(ValueError):
+            sgs_from_dict(dict(data, cells=[dict(cell, connections=bad)]))

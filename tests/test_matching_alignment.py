@@ -1,7 +1,18 @@
 """Unit tests for the anytime alignment search."""
 
-import pytest
+import math
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from tests.helpers import (
+    metric_specs,
+    overlap_box,
+    reference_anytime_search,
+    reference_exhaustive_search,
+    summary_pairs,
+)
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.sgs import SGS
 from repro.matching.alignment import (
@@ -79,3 +90,31 @@ def test_exhaustive_explores_overlap_box():
     exact = exhaustive_alignment_search(a, b, spec, margin=0)
     assert exact.distance == pytest.approx(0.0)
     assert exact.alignment == (3, 3)
+
+
+def _triple(result):
+    return result.distance, result.alignment, result.evaluated
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary_pairs(), metric_specs(), st.sampled_from([1, 4, 16, 64]))
+def test_anytime_search_equals_reference_driven_search(pair, spec, budget):
+    """Same floats in, same search out: distance, alignment and the
+    number of shifts evaluated equal those of the identical best-first
+    search scored by the reference distance."""
+    a, b = pair
+    if a.dimensions > 2:
+        budget = min(budget, 4)  # 3^d - 1 reference scans per expansion
+    assert _triple(
+        anytime_alignment_search(a, b, spec, max_expansions=budget)
+    ) == reference_anytime_search(a, b, spec, max_expansions=budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(summary_pairs(), metric_specs(position_sensitive=False), st.integers(0, 1))
+def test_exhaustive_search_equals_reference_driven_search(pair, spec, margin):
+    a, b = pair
+    assume(math.prod(len(r) for r in overlap_box(a, b, margin)) <= 1500)
+    assert _triple(
+        exhaustive_alignment_search(a, b, spec, margin=margin)
+    ) == reference_exhaustive_search(a, b, spec, margin=margin)

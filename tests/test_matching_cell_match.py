@@ -1,8 +1,19 @@
 """Unit tests for the grid-cell-level cluster match."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tests.helpers import (
+    metric_specs,
+    overlap_box,
+    reference_cell_level_distance,
+    summary_pairs,
+)
 from repro.core.cells import CellStatus, SkeletalGridCell
+from repro.core.serialize import sgs_from_bytes, sgs_to_bytes
 from repro.core.sgs import SGS
 from repro.matching.cell_match import cell_level_distance
 from repro.matching.metric import DistanceMetricSpec
@@ -104,3 +115,40 @@ def test_dimension_mismatch_rejected():
     spec = DistanceMetricSpec()
     with pytest.raises(ValueError):
         cell_level_distance(a, b, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(summary_pairs(), metric_specs(), st.booleans())
+def test_kernel_equals_reference_bit_for_bit(pair, spec, stored):
+    """The packed-table kernel returns the very float the dict walk it
+    replaced returns (``==``, no tolerance) at every shift of the
+    overlap box and one cell beyond it — whether the summaries hold
+    absolute connections or were decoded from their blobs."""
+    a, b = pair
+    zero = (0,) * a.dimensions
+    shifts = [None, zero]
+    if not spec.position_sensitive:
+        shifts += itertools.product(*overlap_box(a, b, margin=1))
+    kernel_a, kernel_b = (
+        (sgs_from_bytes(sgs_to_bytes(a)), sgs_from_bytes(sgs_to_bytes(b)))
+        if stored
+        else (a, b)
+    )
+    for shift in shifts:
+        assert cell_level_distance(
+            kernel_a, kernel_b, spec, shift
+        ) == reference_cell_level_distance(a, b, spec, shift), shift
+
+
+def test_unmatched_cells_are_summed_one_by_one():
+    """``k`` sequential ``+ 1.0`` is not always ``+ float(k)`` in
+    binary64; the kernel keeps the reference's order of additions."""
+    a = _sgs([(0, 0), (5, 0), (6, 0)], populations=[1, 1, 1])
+    b = _sgs([(0, 0)], populations=[2])
+    spec = DistanceMetricSpec()
+    matched = 1.0 / 3  # equal status, no connections, density term 1.0
+    assert (matched + 1.0) + 1.0 != matched + 2.0
+    assert cell_level_distance(a, b, spec) == ((matched + 1.0) + 1.0) / 3
+    assert cell_level_distance(a, b, spec) == reference_cell_level_distance(
+        a, b, spec
+    )

@@ -360,6 +360,61 @@ def test_malformed_content_length_is_a_400_not_a_500(small_body_server):
     assert b"connection: close" in response.lower()
 
 
+def _post(conn, path, payload):
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    conn.request(
+        "POST", path, body=body, headers={"Content-Type": "application/json"}
+    )
+    resp = conn.getresponse()
+    return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_unstorable_connection_offset_is_a_400(
+    archive_path, tmp_path, backend
+):
+    """Regression pin: a connection more than 127 cells from its cell
+    parsed fine, then ``sgs_to_bytes`` raised inside ``engine.ingest``
+    (500 on the SQLite store; the memory store accepted it and failed
+    at dump time). The blob's signed-byte offset range is checked where
+    wire summaries are parsed: a typed 400 on every endpoint that takes
+    one, the archive untouched, the keep-alive socket still usable."""
+    store = f"sqlite:{tmp_path / 'archive.db'}" if backend == "sqlite" else None
+    service = MatchService.from_archive(archive_path, shards=2, store=store)
+    server, host, port = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        good = sgs_to_dict(_query_sgs(service.base))
+        bad = json.loads(json.dumps(good))
+        cell = bad["cells"][0]
+        cell["connections"].append([cell["location"][0] + 128, *cell["location"][1:]])
+        before = len(service.base)
+        status, _, body = _post(conn, "/ingest", {"sgs": bad, "full_size": 9})
+        assert status == 400 and "bad ingest payload" in body["error"]
+        assert "out of byte range" in body["error"]
+        query = {"sgs": bad, "threshold": 0.5}
+        status, _, body = _post(conn, "/match", query)
+        assert status == 400 and "bad query" in body["error"]
+        status, _, body = _post(conn, "/match_many", {"queries": [query]})
+        assert status == 400 and "bad query" in body["error"]
+        assert len(service.base) == before
+        # -128 is the last storable offset; same socket, next ingest.
+        cell["connections"][-1][0] = cell["location"][0] - 128
+        cell["connections"].sort()
+        status, _, body = _post(conn, "/ingest", {"sgs": bad, "full_size": 9})
+        assert status == 200 and body["archive_size"] == before + 1
+        stored = service.base.get(body["pattern_id"]).sgs
+        assert sgs_to_dict(stored)["cells"] == bad["cells"]
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
 def test_service_rejects_malformed_payloads_directly(archive_path):
     with MatchService.from_archive(archive_path) as service:
         with pytest.raises(ServiceError):
