@@ -187,18 +187,8 @@ class ExtraN:
 
     def state_sizes(self) -> Dict[str, int]:
         """Entry counts of the maintained meta-data (for memory models)."""
-        hist_entries = sum(
-            len(state.neighbor_hist) for state in self.tracker.states.values()
-        )
-        noncore_entries = sum(
-            len(state.noncore_neighbors)
-            for state in self.tracker.states.values()
-        )
-        view_entries = sum(len(view) for view in self._views.values())
         return {
-            "objects": len(self.tracker.states),
-            "hist_entries": hist_entries,
-            "noncore_entries": noncore_entries,
+            **self.tracker.state_sizes(),
             "views": len(self._views),
-            "view_entries": view_entries,
+            "view_entries": sum(len(view) for view in self._views.values()),
         }

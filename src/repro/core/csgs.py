@@ -51,6 +51,12 @@ def _pair_key(a: Coord, b: Coord) -> PairKey:
     return (a, b) if a <= b else (b, a)
 
 
+def _extend(lifespans: Dict, key, until: int) -> None:
+    """Lifespans only grow: keep the later end."""
+    if until > lifespans.get(key, -1):
+        lifespans[key] = until
+
+
 @dataclass
 class WindowOutput:
     """Result of one window: clusters in both representations.
@@ -103,14 +109,43 @@ class CSGS:
     def _handle_insert(
         self, state: ObjectState, neighbors: List[ObjectState]
     ) -> None:
+        """Record the lifespans a new object implies, once per foreign
+        neighbor cell: each is a ``min`` against the new object's own
+        careers, and ``max_b min(x, b) == min(x, max_b b)``, so only a
+        cell's largest ``core_until`` and ``last_window`` matter."""
         window = self.tracker.current_window
-        if state.core_until >= window:
-            cell = state.cell
-            if state.core_until > self._cell_core_until.get(cell, -1):
-                self._cell_core_until[cell] = state.core_until
+        cell = state.cell
+        core = state.core_until
+        last = state.obj.last_window
+        is_core = core >= window
+        if is_core:
+            _extend(self._cell_core_until, cell, core)
+        fold: Dict[Coord, List[int]] = {}
+        find = fold.get
         for nb in neighbors:
-            if nb.cell != state.cell:
-                self._record_pair(state, nb)
+            entry = find(nb.cell)
+            if entry is None:
+                fold[nb.cell] = [nb.core_until, nb.obj.last_window]
+            else:
+                if nb.core_until > entry[0]:
+                    entry[0] = nb.core_until
+                if nb.obj.last_window > entry[1]:
+                    entry[1] = nb.obj.last_window
+        fold.pop(cell, None)
+        connections = self._core_connections
+        attachments = self._edge_attachments
+        # Everyone here is alive (last >= window), so a lifespan is
+        # current exactly when the core career(s) in its min are.
+        for nb_cell, (nb_core, nb_last) in fold.items():
+            if nb_core >= window:
+                if is_core:
+                    key = _pair_key(cell, nb_cell)
+                    _extend(connections, key, min(core, nb_core))
+                # The new object, attached to the neighbor cell's cores.
+                _extend(attachments, (cell, nb_cell), min(last, nb_core))
+            if is_core:
+                # The neighbor cell's objects, attached to the new core.
+                _extend(attachments, (nb_cell, cell), min(nb_last, core))
 
     def _handle_extension(
         self,
@@ -122,8 +157,7 @@ class CSGS:
         del old_core_until  # superseded values need no replay of their own
         window = self.tracker.current_window
         cell = state.cell
-        if new_core_until > self._cell_core_until.get(cell, -1):
-            self._cell_core_until[cell] = new_core_until
+        _extend(self._cell_core_until, cell, new_core_until)
         for other in snapshot:
             if other.obj.last_window < window or other.cell == cell:
                 continue
@@ -131,34 +165,11 @@ class CSGS:
             conn = min(new_core_until, other.core_until)
             if conn >= window:
                 key = _pair_key(cell, other.cell)
-                if conn > self._core_connections.get(key, -1):
-                    self._core_connections[key] = conn
+                _extend(self._core_connections, key, conn)
             # Edge attachment of the neighbor's cell to this core cell.
             attach = min(other.obj.last_window, new_core_until)
             if attach >= window:
-                key = (other.cell, cell)
-                if attach > self._edge_attachments.get(key, -1):
-                    self._edge_attachments[key] = attach
-
-    def _record_pair(self, a: ObjectState, b: ObjectState) -> None:
-        """Record connection/attachment lifespans implied by a new
-        neighbor pair (a just arrived, b preexisting, different cells)."""
-        window = self.tracker.current_window
-        conn = min(a.core_until, b.core_until)
-        if conn >= window:
-            key = _pair_key(a.cell, b.cell)
-            if conn > self._core_connections.get(key, -1):
-                self._core_connections[key] = conn
-        attach_ab = min(a.obj.last_window, b.core_until)
-        if attach_ab >= window:
-            key = (a.cell, b.cell)
-            if attach_ab > self._edge_attachments.get(key, -1):
-                self._edge_attachments[key] = attach_ab
-        attach_ba = min(b.obj.last_window, a.core_until)
-        if attach_ba >= window:
-            key = (b.cell, a.cell)
-            if attach_ba > self._edge_attachments.get(key, -1):
-                self._edge_attachments[key] = attach_ba
+                _extend(self._edge_attachments, (other.cell, cell), attach)
 
     # ------------------------------------------------------------------
     # Window processing
@@ -359,17 +370,8 @@ class CSGS:
 
     def state_sizes(self) -> Dict[str, int]:
         """Entry counts of the maintained meta-data (for memory models)."""
-        hist_entries = sum(
-            len(state.neighbor_hist) for state in self.tracker.states.values()
-        )
-        noncore_entries = sum(
-            len(state.noncore_neighbors)
-            for state in self.tracker.states.values()
-        )
         return {
-            "objects": len(self.tracker.states),
-            "hist_entries": hist_entries,
-            "noncore_entries": noncore_entries,
+            **self.tracker.state_sizes(),
             "cells": len(self._cell_core_until),
             "core_connections": len(self._core_connections),
             "edge_attachments": len(self._edge_attachments),

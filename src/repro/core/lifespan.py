@@ -11,7 +11,10 @@ The :class:`NeighborhoodTracker` maintains, per alive object:
 * the **neighbor-expiry histogram** — a count of the object's neighbors
   keyed by the neighbors' last windows. The θc-th largest key is exactly
   ``win_θc_nei`` of Observation 5.4, giving the object's core-career end
-  (``core_until``) in O(distinct keys).
+  (``core_until``) in O(distinct keys). Observation 5.4 also caps the
+  career at the object's own last window: once ``core_until`` reaches
+  it the object is *saturated* — no later neighbor can change it — so
+  the histogram is released and insertion skips the object from then on.
 * ``core_until`` — the last window (inclusive) in which the object is a
   core object, given everything known so far. It can only grow, and only
   when a new neighbor arrives (a *status prolong / promotion*, Figure 6).
@@ -73,8 +76,9 @@ class ObjectState:
     def __init__(self, obj: StreamObject, cell: Coord):
         self.obj = obj
         self.cell = cell
-        # {neighbor_last_window: count of such neighbors}
-        self.neighbor_hist: Dict[int, int] = {}
+        # {neighbor_last_window: count of such neighbors}; released
+        # (None) once the object saturates — it is never read again.
+        self.neighbor_hist: Optional[Dict[int, int]] = {}
         self.core_until: int = NEVER_CORE
         # Neighbors whose neighborship outlives this object's core career.
         self.noncore_neighbors: List["ObjectState"] = []
@@ -100,9 +104,12 @@ class ObjectState:
         window) such that at least θc neighbors are alive in ``w``, or
         :data:`NEVER_CORE` when fewer than θc neighbors are alive in the
         current window. Histogram keys before ``window_index`` are pruned
-        as a side effect (those neighbors have expired).
+        as a side effect (those neighbors have expired). A saturated
+        object has released its histogram; its career is final.
         """
         hist = self.neighbor_hist
+        if hist is None:
+            return self.core_until
         stale = [key for key in hist if key < window_index]
         for key in stale:
             del hist[key]
@@ -146,6 +153,13 @@ class ObjectState:
             f"ObjectState(oid={self.oid}, cell={self.cell}, "
             f"core_until={self.core_until})"
         )
+
+
+class UnknownNeighborError(ValueError, KeyError):
+    """An injected neighbor the tracker does not hold (``KeyError`` is
+    what the bare lookup used to raise)."""
+
+    __str__ = ValueError.__str__
 
 
 InsertCallback = Callable[[ObjectState, List[ObjectState]], None]
@@ -250,6 +264,18 @@ class NeighborhoodTracker:
     # Insertion (Section 5.4, "Handling Insertions")
     # ------------------------------------------------------------------
 
+    def _admit(self, obj: StreamObject) -> None:
+        """Refuse an expired or already-alive object, touching nothing."""
+        if obj.last_window < self.current_window:
+            raise ValueError(
+                f"object {obj.oid} is already expired at window "
+                f"{self.current_window}"
+            )
+        if obj.oid in self.states:
+            raise ValueError(
+                f"object {obj.oid} is already alive in this tracker"
+            )
+
     def insert(
         self,
         obj: StreamObject,
@@ -261,11 +287,7 @@ class NeighborhoodTracker:
         shared range-query result (the object must then already be in
         the shared grid); by default the tracker runs the query itself.
         """
-        if obj.last_window < self.current_window:
-            raise ValueError(
-                f"object {obj.oid} is already expired at window "
-                f"{self.current_window}"
-            )
+        self._admit(obj)
         cell: Optional[Coord] = None
         if neighbor_objs is None:
             if not self.manage_grid:
@@ -296,11 +318,7 @@ class NeighborhoodTracker:
                 "a tracker on a shared provider needs neighbors injected"
             )
         for obj in objects:
-            if obj.last_window < self.current_window:
-                raise ValueError(
-                    f"object {obj.oid} is already expired at window "
-                    f"{self.current_window}"
-                )
+            self._admit(obj)
         cell_backed = self._cell_backed
         for obj, placed, known in batched_neighborhoods(
             self.provider, objects
@@ -319,53 +337,76 @@ class NeighborhoodTracker:
         has it (the grid provider returns it on insert); otherwise it is
         derived here — inserting into the tracker's own CellMap when the
         provider is not cell-backed.
+
+        A saturated neighbor (core career as long as its lifespan, the
+        cap of Observation 5.4) is skipped outright: careers only grow,
+        so nothing the new object brings can change it.
         """
         window = self.current_window
         theta_count = self.theta_count
+        states = self.states
+        last = obj.last_window
+        floor = window - 1
+        # Everything that can fail is resolved before any state changes.
+        try:
+            neighbors = [states[nb.oid] for nb in neighbor_objs]
+        except KeyError as missing:
+            raise UnknownNeighborError(
+                f"neighbor {missing.args[0]} of object {obj.oid} is not "
+                "alive in this tracker"
+            ) from None
         if self._manage_cells:
             cell = self.cells.insert(obj)
         elif cell is None:
             cell = self.cells.cell_coord(obj.coords)
         state = ObjectState(obj, cell)
-        self.states[obj.oid] = state
-        self._expiry_buckets.setdefault(obj.last_window, []).append(state)
-
-        neighbors = [self.states[nb.oid] for nb in neighbor_objs]
+        states[obj.oid] = state
+        self._expiry_buckets.setdefault(last, []).append(state)
 
         # New object's own careers.
         hist = state.neighbor_hist
         for nb in neighbors:
             key = nb.obj.last_window
             hist[key] = hist.get(key, 0) + 1
-        state.core_until = state.compute_core_until(window, theta_count)
-        threshold = max(state.core_until, window - 1)
-        state.noncore_neighbors = [
-            nb
-            for nb in neighbors
-            if min(obj.last_window, nb.obj.last_window) > threshold
-        ]
+        core = state.core_until = state.compute_core_until(window, theta_count)
+        if core == last:
+            state.neighbor_hist = None  # saturated at birth
+        else:
+            # core < last and window <= last: only nb.last can fail
+            # min(last, nb.last) > threshold.
+            threshold = max(core, floor)
+            state.noncore_neighbors = [
+                nb for nb in neighbors if nb.obj.last_window > threshold
+            ]
 
         # Impact on existing neighbors: status promotion / prolong.
+        on_extension = self._on_extension
         for nb in neighbors:
-            nb_hist = nb.neighbor_hist
-            key = obj.last_window
-            nb_hist[key] = nb_hist.get(key, 0) + 1
             old = nb.core_until
+            nb_last = nb.obj.last_window
+            if old == nb_last:
+                continue  # saturated: decided for good
+            nb_hist = nb.neighbor_hist
+            nb_hist[last] = nb_hist.get(last, 0) + 1
             new = nb.compute_core_until(window, theta_count)
             if new > old:
                 nb.core_until = new
-                snapshot = list(nb.noncore_neighbors)
-                if self._on_extension is not None:
-                    self._on_extension(nb, old, new, snapshot)
+                # Rebound below, so this *is* the pre-pruning snapshot.
+                snapshot = nb.noncore_neighbors
+                if on_extension is not None:
+                    on_extension(nb, old, new, snapshot)
+                if new == nb_last:
+                    # Saturated: nothing outlives the career any more.
+                    nb.neighbor_hist = None
+                    nb.noncore_neighbors = []
+                    continue
                 nb.noncore_neighbors = [
                     other
-                    for other in nb.noncore_neighbors
+                    for other in snapshot
                     if other.obj.last_window >= window
-                    and min(nb.obj.last_window, other.obj.last_window) > new
+                    and min(nb_last, other.obj.last_window) > new
                 ]
-            if min(nb.obj.last_window, obj.last_window) > max(
-                nb.core_until, window - 1
-            ):
+            if min(nb_last, last) > max(nb.core_until, floor):
                 nb.noncore_neighbors.append(state)
 
         if self._on_insert is not None:
@@ -384,6 +425,22 @@ class NeighborhoodTracker:
 
     def state_of(self, oid: int) -> ObjectState:
         return self.states[oid]
+
+    def state_sizes(self) -> Dict[str, int]:
+        """Entry counts of the per-object meta-data (for memory models);
+        a saturated object has released its histogram."""
+        states = self.states.values()
+        return {
+            "objects": len(states),
+            "hist_entries": sum(
+                len(state.neighbor_hist)
+                for state in states
+                if state.neighbor_hist is not None
+            ),
+            "noncore_entries": sum(
+                len(state.noncore_neighbors) for state in states
+            ),
+        }
 
     def __len__(self) -> int:
         return len(self.states)

@@ -68,7 +68,9 @@ def tracker_state_bytes(sizes: dict, dimensions: int) -> int:
 
     Per alive object: coordinates + id + core_until; plus 8 bytes per
     neighbor-histogram entry and 4 bytes per non-core-career neighbor
-    reference (the theta_count-bounded auxiliary meta-data).
+    reference (the theta_count-bounded auxiliary meta-data). Saturated
+    objects (core career as long as their lifespan) carry neither: their
+    histogram is released, so ``hist_entries`` counts live ones only.
     """
     per_object = PER_COORDINATE_BYTES * dimensions + PER_MEMBER_ID_BYTES + 4
     return (

@@ -17,7 +17,11 @@ from typing import List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
+from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus, SkeletalGridCell
+from repro.core.csgs import CSGS
+from repro.core.lifespan import NeighborhoodTracker, ObjectState
+from repro.core.serialize import sgs_to_dict
 from repro.core.sgs import SGS
 from repro.matching.alignment import _centroid_shift, _neighbor_shifts
 from repro.matching.metric import DistanceMetricSpec, relative_difference
@@ -43,6 +47,13 @@ def make_objects(
         obj.last_window = last_window
         objects.append(obj)
     return objects
+
+
+def stamped(oid: int, coords, first: int, last: int) -> StreamObject:
+    """One stream object alive in windows ``first..last``."""
+    obj = StreamObject(oid, tuple(coords))
+    obj.first_window, obj.last_window = first, last
+    return obj
 
 
 def clustered_points(
@@ -287,3 +298,203 @@ def metric_specs(draw, position_sensitive=None):
         names = ("volume", "core_count", "avg_density", "avg_connectivity")
         weights = {name: part / total for name, part in zip(names, parts)}
     return DistanceMetricSpec(position_sensitive=position_sensitive, weights=weights)
+
+
+# ----------------------------------------------------------------------
+# Reference oracle of C-SGS insertion
+# ----------------------------------------------------------------------
+#
+# The insertion loop the saturation short-circuit and the per-cell fold
+# replaced, kept verbatim as the oracle the fast path is pinned to after
+# every insertion: every neighbor's histogram is bumped and its career
+# recomputed unconditionally, no histogram is ever released, and C-SGS
+# records lifespans once per (new object, neighbor) pair.
+
+
+class ReferenceTracker(NeighborhoodTracker):
+    def _insert_prepared(self, obj, neighbor_objs, cell=None):
+        window = self.current_window
+        theta_count = self.theta_count
+        if self._manage_cells:
+            cell = self.cells.insert(obj)
+        elif cell is None:
+            cell = self.cells.cell_coord(obj.coords)
+        state = ObjectState(obj, cell)
+        self.states[obj.oid] = state
+        self._expiry_buckets.setdefault(obj.last_window, []).append(state)
+
+        neighbors = [self.states[nb.oid] for nb in neighbor_objs]
+
+        # New object's own careers.
+        hist = state.neighbor_hist
+        for nb in neighbors:
+            key = nb.obj.last_window
+            hist[key] = hist.get(key, 0) + 1
+        state.core_until = state.compute_core_until(window, theta_count)
+        threshold = max(state.core_until, window - 1)
+        state.noncore_neighbors = [
+            nb
+            for nb in neighbors
+            if min(obj.last_window, nb.obj.last_window) > threshold
+        ]
+
+        # Impact on existing neighbors: status promotion / prolong.
+        for nb in neighbors:
+            nb_hist = nb.neighbor_hist
+            key = obj.last_window
+            nb_hist[key] = nb_hist.get(key, 0) + 1
+            old = nb.core_until
+            new = nb.compute_core_until(window, theta_count)
+            if new > old:
+                nb.core_until = new
+                snapshot = list(nb.noncore_neighbors)
+                if self._on_extension is not None:
+                    self._on_extension(nb, old, new, snapshot)
+                nb.noncore_neighbors = [
+                    other
+                    for other in nb.noncore_neighbors
+                    if other.obj.last_window >= window
+                    and min(nb.obj.last_window, other.obj.last_window) > new
+                ]
+            if min(nb.obj.last_window, obj.last_window) > max(
+                nb.core_until, window - 1
+            ):
+                nb.noncore_neighbors.append(state)
+
+        if self._on_insert is not None:
+            self._on_insert(state, neighbors)
+        return state
+
+
+class ReferenceCSGS(CSGS):
+    """C-SGS on the reference tracker, lifespans recorded pair by pair."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Same attributes, the reference loop: the tracker is built
+        # inside ``CSGS.__init__`` with the handlers already bound.
+        self.tracker.__class__ = ReferenceTracker
+
+    def _handle_insert(self, state, neighbors):
+        window = self.tracker.current_window
+        if state.core_until >= window:
+            cell = state.cell
+            if state.core_until > self._cell_core_until.get(cell, -1):
+                self._cell_core_until[cell] = state.core_until
+        for nb in neighbors:
+            if nb.cell != state.cell:
+                self._record_pair(state, nb)
+
+    def _record_pair(self, a, b):
+        """Record connection/attachment lifespans implied by a new
+        neighbor pair (a just arrived, b preexisting, different cells)."""
+        window = self.tracker.current_window
+        conn = min(a.core_until, b.core_until)
+        if conn >= window:
+            key = (a.cell, b.cell) if a.cell <= b.cell else (b.cell, a.cell)
+            if conn > self._core_connections.get(key, -1):
+                self._core_connections[key] = conn
+        attach_ab = min(a.obj.last_window, b.core_until)
+        if attach_ab >= window:
+            key = (a.cell, b.cell)
+            if attach_ab > self._edge_attachments.get(key, -1):
+                self._edge_attachments[key] = attach_ab
+        attach_ba = min(b.obj.last_window, a.core_until)
+        if attach_ba >= window:
+            key = (b.cell, a.cell)
+            if attach_ba > self._edge_attachments.get(key, -1):
+                self._edge_attachments[key] = attach_ba
+
+
+class ReferenceExtraN(ExtraN):
+    """Extra-N on the reference tracker."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tracker.__class__ = ReferenceTracker
+
+
+def record_extensions(tracker) -> list:
+    """Log every ``on_extension`` event the tracker fires from now on —
+    ``(oid, old, new, snapshot oids)`` — ahead of its consumer."""
+    log = []
+    consumer = tracker._on_extension
+
+    def recording(state, old, new, snapshot):
+        log.append((state.oid, old, new, [other.oid for other in snapshot]))
+        if consumer is not None:
+            consumer(state, old, new, snapshot)
+
+    tracker._on_extension = recording
+    return log
+
+
+def career_state(tracker) -> dict:
+    """What the insertion loop decides per alive object: its core career
+    and its non-core-career neighbor list (oids, in order)."""
+    return {
+        oid: (state.core_until, [nb.oid for nb in state.noncore_neighbors])
+        for oid, state in tracker.states.items()
+    }
+
+
+def lifespan_maps(csgs) -> tuple:
+    """C-SGS's three lifespan maps, as plain dicts."""
+    return (
+        dict(csgs._cell_core_until),
+        dict(csgs._core_connections),
+        dict(csgs._edge_attachments),
+    )
+
+
+def window_output_dict(output) -> dict:
+    """A ``WindowOutput`` in comparable form: members and summaries."""
+    return {
+        "window": output.window_index,
+        "clusters": [
+            (
+                sorted(obj.oid for obj in cluster.core_objects),
+                sorted(obj.oid for obj in cluster.edge_objects),
+            )
+            for cluster in output.clusters
+        ],
+        "summaries": [sgs_to_dict(sgs) for sgs in output.summaries],
+    }
+
+
+@st.composite
+def career_streams(draw):
+    """``(dims, θr, θc, ops)`` — a flat op list of ``("advance", k)`` and
+    ``("insert", coords, lifespan)``. Hypothesis picks the shape, a
+    seeded ``random.Random`` fills it: 1-4 D; θc in {1, 2, 8}; points
+    spread over a few cells, packed into one cell, or drawn from a small
+    pool (exact duplicates); lifespans equal or non-monotone; a crowd
+    shape with one neighborhood of more than 100."""
+    dims = draw(st.integers(1, 4))
+    theta_count = draw(st.sampled_from([1, 2, 8]))
+    layout = draw(st.sampled_from(["spread", "one-cell", "pool", "crowd"]))
+    lifespans = draw(st.sampled_from(["equal", "mixed"]))
+    count = 130 if layout == "crowd" else draw(st.integers(0, 60))
+    advance_rate = draw(st.sampled_from([0.0, 0.1, 0.4]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    theta_range = 1.0
+    side = theta_range / dims**0.5  # the grid's cell side
+    if layout in ("one-cell", "crowd"):
+        extent = 0.95 * side  # every pair within θr, all in cell (0,…)
+    else:
+        extent = 3.0 * theta_range
+    pool = [
+        tuple(rng.uniform(0.0, extent) for _ in range(dims)) for _ in range(8)
+    ]
+    ops = []
+    for _ in range(count):
+        if rng.random() < advance_rate:
+            ops.append(("advance", rng.randint(1, 2)))
+        if layout == "pool":
+            coords = rng.choice(pool)
+        else:
+            coords = tuple(rng.uniform(0.0, extent) for _ in range(dims))
+        lifespan = 3 if lifespans == "equal" else rng.randint(0, 5)
+        ops.append(("insert", coords, lifespan))
+    ops.append(("advance", 1))
+    return dims, theta_range, theta_count, ops

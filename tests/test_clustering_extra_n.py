@@ -1,9 +1,20 @@
 """Unit tests for the Extra-N baseline."""
 
-from tests.helpers import clustered_points, stream_batches
+from hypothesis import given, settings
+
+from tests.helpers import (
+    ReferenceExtraN,
+    career_state,
+    career_streams,
+    clustered_points,
+    record_extensions,
+    stamped,
+    stream_batches,
+)
 from repro.clustering.cluster import partition_signature
 from repro.clustering.dbscan import dbscan
 from repro.clustering.extra_n import ExtraN, _UnionFind
+from repro.streams.windows import WindowBatch
 
 
 def test_union_find_basics():
@@ -83,3 +94,41 @@ def test_empty_stream():
 
     extra_n = ExtraN(0.3, 3, 2)
     assert extra_n.process_batch(WindowBatch(index=0)) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(stream=career_streams())
+def test_fast_insertion_equals_reference_for_extra_n(stream):
+    """Extra-N consumes the same tracker events as C-SGS: on the tracker
+    that skips saturated neighbors its careers, non-core lists, extension
+    events, predicted views and clusters equal the unconditional
+    reference loop's after every insertion."""
+    dims, theta_range, theta_count, ops = stream
+    fast = ExtraN(theta_range, theta_count, dims)
+    reference = ReferenceExtraN(theta_range, theta_count, dims)
+    fast_events = record_extensions(fast.tracker)
+    reference_events = record_extensions(reference.tracker)
+    window = 0
+    for oid, op in enumerate(ops):
+        batch = WindowBatch(index=window)
+        if op[0] == "advance":
+            window += op[1]
+            batch = WindowBatch(index=window)
+        else:
+            batch.new_objects.append(
+                stamped(oid, op[1], window, window + op[2])
+            )
+        got = fast.process_batch(batch)
+        want = reference.process_batch(batch)
+        assert [
+            (c.core_oids(), c.member_oids()) for c in got
+        ] == [(c.core_oids(), c.member_oids()) for c in want]
+        assert career_state(fast.tracker) == career_state(reference.tracker)
+        assert fast_events == reference_events
+        assert {
+            index: dict(view.parent) for index, view in fast._views.items()
+        } == {
+            index: dict(view.parent) for index, view in reference._views.items()
+        }
+        sizes = fast.state_sizes()
+        assert sizes["hist_entries"] <= reference.state_sizes()["hist_entries"]

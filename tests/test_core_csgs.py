@@ -9,13 +9,26 @@ SGS summaries (statuses, connections, populations, Lemma 4.1/4.2).
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import (
+    ReferenceCSGS,
+    career_state,
+    career_streams,
+    clustered_points,
+    lifespan_maps,
+    record_extensions,
+    stamped,
+    stream_batches,
+    window_output_dict,
+)
 from repro.clustering.cluster import partition_signature
 from repro.clustering.dbscan import classify_objects, dbscan
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus
 from repro.core.csgs import CSGS
+from repro.index.provider import make_provider
 from repro.streams.objects import StreamObject
 
 
@@ -207,3 +220,135 @@ def test_objects_expire_fully():
     assert output.clusters == []
     assert len(csgs.tracker) == 0
     assert csgs.state_sizes()["cells"] == 0
+
+
+# ----------------------------------------------------------------------
+# Fast insertion ≡ reference, after every insertion
+# ----------------------------------------------------------------------
+
+
+def _grouped(ops):
+    """Consecutive inserts merged into one ``("batch", [insert…])``."""
+    grouped = []
+    for op in ops:
+        if op[0] == "advance":
+            grouped.append(op)
+        elif grouped and grouped[-1][0] == "batch":
+            grouped[-1][1].append(op)
+        else:
+            grouped.append(("batch", [op]))
+    return grouped
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stream=career_streams(),
+    mode=st.sampled_from(["owner", "owner-batch", "injected"]),
+)
+def test_fast_insertion_equals_reference_after_every_insertion(stream, mode):
+    """The saturation short-circuit and the per-cell fold are identities:
+    careers, non-core lists, extension events with their snapshots and
+    the three lifespan maps equal the unconditional per-pair reference
+    after each insertion, and every window's output is equal — with the
+    tracker owning its provider (one by one and batched) and with a
+    coordinator injecting the neighbor lists."""
+    dims, theta_range, theta_count, ops = stream
+    provider = None
+    kwargs = {}
+    if mode == "injected":
+        provider = make_provider("grid", theta_range, dims)
+        kwargs = dict(provider=provider, manage_grid=False)
+    fast = CSGS(theta_range, theta_count, dims, **kwargs)
+    reference = ReferenceCSGS(theta_range, theta_count, dims, **kwargs)
+    fast_events = record_extensions(fast.tracker)
+    reference_events = record_extensions(reference.tracker)
+    window = 0
+    oid = 0
+    for op in _grouped(ops):
+        if op[0] == "advance":
+            assert window_output_dict(fast.emit(window)) == window_output_dict(
+                reference.emit(window)
+            )
+            window += op[1]
+            if provider is not None:
+                provider.purge_expired(window)
+            fast.begin_window(window)
+            reference.begin_window(window)
+            continue
+        batch = []
+        for _, coords, lifespan in op[1]:
+            batch.append(stamped(oid, coords, window, window + lifespan))
+            oid += 1
+        if mode == "owner-batch":
+            fast.tracker.insert_batch(batch)
+            reference.tracker.insert_batch(batch)
+            batch = []
+        for obj in batch:
+            known = None
+            if provider is not None:
+                provider.insert(obj)
+                known = provider.range_query(obj.coords, exclude_oid=obj.oid)
+            fast.ingest(obj, known)
+            reference.ingest(obj, known)
+            assert career_state(fast.tracker) == career_state(reference.tracker)
+            assert lifespan_maps(fast) == lifespan_maps(reference)
+        assert career_state(fast.tracker) == career_state(reference.tracker)
+        assert fast_events == reference_events
+        assert lifespan_maps(fast) == lifespan_maps(reference)
+
+
+# ----------------------------------------------------------------------
+# Refused inserts leave C-SGS as it was
+# ----------------------------------------------------------------------
+
+
+def _csgs_state(csgs):
+    tracker = csgs.tracker
+    return (
+        career_state(tracker),
+        {
+            window: [state.oid for state in bucket]
+            for window, bucket in tracker._expiry_buckets.items()
+        },
+        lifespan_maps(csgs),
+    )
+
+
+def test_resent_oid_refused_on_a_coordinator_fed_csgs():
+    """With neighbors injected there is no provider to refuse a re-sent
+    oid: it used to overwrite the live state, strand the first copy in
+    its expiry bucket and crash ``advance_to`` two windows later."""
+    provider = make_provider("grid", 1.0, 2)
+    csgs = CSGS(1.0, 1, 2, provider=provider, manage_grid=False)
+    far = stamped(0, (5.0, 5.0), 0, 3)
+    first = stamped(1, (0.0, 0.0), 0, 2)
+    for obj in (far, first):
+        provider.insert(obj)
+        csgs.ingest(obj, provider.range_query(obj.coords, exclude_oid=obj.oid))
+    before = _csgs_state(csgs)
+    with pytest.raises(ValueError, match="object 1 is already alive"):
+        csgs.ingest(stamped(1, (0.1, 0.0), 0, 3), [first])
+    assert _csgs_state(csgs) == before
+    # The stream continues: both buckets purge cleanly.
+    provider.purge_expired(4)
+    csgs.begin_window(4)
+    assert len(csgs.tracker) == 0
+    assert csgs.emit(4).clusters == []
+
+
+def test_resent_oid_refused_on_the_owner_path():
+    csgs = CSGS(1.0, 1, 2)
+    csgs.ingest(stamped(0, (0.3, 0.0), 0, 3))
+    csgs.ingest(stamped(1, (0.0, 0.0), 0, 2))
+    before = _csgs_state(csgs)
+    population = len(csgs.tracker.provider)
+    with pytest.raises(ValueError, match="object 1 is already alive"):
+        csgs.ingest(stamped(1, (0.1, 0.0), 0, 3))
+    with pytest.raises(ValueError, match="object 0 is already alive"):
+        csgs.tracker.insert_batch(
+            [stamped(7, (0.2, 0.2), 0, 3), stamped(0, (0.1, 0.1), 0, 3)]
+        )
+    assert _csgs_state(csgs) == before
+    assert len(csgs.tracker.provider) == population  # nothing half-inserted
+    csgs.begin_window(4)
+    assert len(csgs.tracker) == 0

@@ -7,10 +7,16 @@ recomputation over the same window contents.
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from repro.core.lifespan import NEVER_CORE, NeighborhoodTracker
+from repro.core import lifespan
+from repro.core.csgs import CSGS
+from repro.core.lifespan import NEVER_CORE, NeighborhoodTracker, ObjectState
+from repro.data.gmti import GMTIStream
 from repro.geometry.distance import euclidean_distance
+from repro.index.provider import make_provider
 from repro.streams.objects import StreamObject
+from tests.helpers import career_state, career_streams, stream_batches
 
 
 def _obj(oid, coords, first, last):
@@ -194,3 +200,113 @@ def test_one_range_query_per_insert():
     for i in range(50):
         tracker.insert(_obj(i, (0.01 * i, 0.0), 0, 10))
     assert calls["n"] == 50
+
+
+# ----------------------------------------------------------------------
+# Saturated careers: decided for good, and skipped
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(stream=career_streams())
+def test_saturated_careers_are_final(stream):
+    """Observation 5.4 caps a core career at the object's own lifespan:
+    once ``core_until == last_window`` it never changes, no neighborship
+    outlives it, the object is never an edge object, and its histogram
+    is released; an unsaturated object still carries one."""
+    dims, theta_range, theta_count, ops = stream
+    tracker = NeighborhoodTracker(theta_range, theta_count, dims)
+    window = 0
+    saturated = {}
+    for oid, op in enumerate(ops):
+        if op[0] == "advance":
+            window += op[1]
+            tracker.advance_to(window)
+        else:
+            tracker.insert(_obj(oid, op[1], window, window + op[2]))
+        for state in tracker.alive_states():
+            if state.core_until == state.last_window:
+                assert saturated.setdefault(state.oid, state.core_until) == (
+                    state.core_until
+                )
+                assert state.neighbor_hist is None
+                assert state.noncore_neighbors == []
+                assert not state.is_edge_in(window)
+            else:
+                assert state.oid not in saturated
+                assert state.neighbor_hist is not None
+        saturated = {
+            oid: until for oid, until in saturated.items() if oid in tracker.states
+        }
+
+
+def test_core_until_recomputed_only_for_unsaturated_objects(monkeypatch):
+    """On a Figure-7 GMTI stream nearly every neighbor is saturated: the
+    career recomputation runs once per insert plus once per *unsaturated*
+    neighbor — a small fraction of the once-per-pair it used to be."""
+    calls = []
+
+    class CountingState(ObjectState):
+        __slots__ = ()
+
+        def compute_core_until(self, window_index, theta_count):
+            calls.append(self.oid)
+            return super().compute_core_until(window_index, theta_count)
+
+    monkeypatch.setattr(lifespan, "ObjectState", CountingState)
+    provider = make_provider("grid", 2.5, 2)
+    csgs = CSGS(2.5, 8, 2, provider=provider, manage_grid=False)
+    points = list(GMTIStream(seed=0, noise_fraction=0.2).points(4000))
+    inserts = pairs = unsaturated_pairs = 0
+    for batch in stream_batches(points, 2000, 100):
+        provider.purge_expired(batch.index)
+        csgs.begin_window(batch.index)
+        for obj in batch.new_objects:
+            provider.insert(obj)
+            known = provider.range_query(obj.coords, exclude_oid=obj.oid)
+            inserts += 1
+            pairs += len(known)
+            unsaturated_pairs += sum(
+                csgs.tracker.states[nb.oid].core_until != nb.last_window
+                for nb in known
+            )
+            csgs.ingest(obj, known)
+    assert len(calls) == inserts + unsaturated_pairs
+    assert pairs > 100_000  # the stream is dense enough to mean something
+    assert len(calls) < 0.15 * (inserts + pairs)
+
+
+# ----------------------------------------------------------------------
+# Refused inserts mutate nothing
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("backend", ("grid", "kdtree"))
+def test_unknown_injected_neighbor_refused_before_any_mutation(backend):
+    """A neighbor this tracker never saw — or one it already expired —
+    used to surface as a bare ``KeyError`` *after* the new object was
+    registered, leaving it behind coreless."""
+    provider = make_provider(backend, 1.0, 2)
+    tracker = NeighborhoodTracker(1.0, 1, 2, provider=provider, manage_grid=False)
+    gone = _obj(1, (0.0, 0.0), 0, 1)
+    kept = _obj(2, (0.2, 0.0), 0, 9)
+    tracker.insert(gone, [])
+    tracker.insert(kept, [gone])
+    tracker.advance_to(3)  # expires ``gone``
+    before = career_state(tracker)
+    buckets = {w: list(b) for w, b in tracker._expiry_buckets.items()}
+    populations = {
+        coord: tracker.cells.cell_population(coord)
+        for coord in map(tracker.cells.cell_coord, [(0.0, 0.0), (0.2, 0.0), (0.1, 0.1)])
+    }
+    for stranger in (_obj(9, (0.3, 0.3), 3, 8), gone):
+        with pytest.raises(ValueError, match=f"neighbor {stranger.oid} of object 5"):
+            tracker.insert(_obj(5, (0.1, 0.1), 3, 6), [kept, stranger])
+    assert career_state(tracker) == before
+    assert {w: list(b) for w, b in tracker._expiry_buckets.items()} == buckets
+    assert {
+        coord: tracker.cells.cell_population(coord) for coord in populations
+    } == populations
+    # The same insert with a resolvable list goes through.
+    state = tracker.insert(_obj(5, (0.1, 0.1), 3, 6), [kept])
+    assert state.core_until == 6 and tracker.state_of(2).core_until == 6

@@ -3,7 +3,13 @@ harness)."""
 
 import pytest
 
-from tests.helpers import clustered_points, make_objects, stream_batches
+from tests.golden import workload
+from tests.helpers import (
+    ReferenceCSGS,
+    clustered_points,
+    make_objects,
+    stream_batches,
+)
 from repro.clustering.dbscan import dbscan
 from repro.core.csgs import CSGS
 from repro.eval.harness import (
@@ -16,6 +22,7 @@ from repro.eval.harness import (
 from repro.eval.memory import (
     compression_rate,
     crd_bytes,
+    csgs_state_bytes,
     full_representation_bytes,
     rsp_bytes,
     sgs_bytes,
@@ -199,3 +206,45 @@ def test_geometric_mean():
     assert geometric_mean([1.0, 4.0]) == pytest.approx(2.0)
     assert geometric_mean([]) is None
     assert geometric_mean([1.0, 0.0]) is None
+
+
+#: Peak ``csgs_state_bytes`` of the golden ``stt_small`` workload at
+#: 85c47fb, the last commit on which saturated objects kept histograms.
+PARENT_GOLDEN_STT_STATE_BYTES = 17572
+
+
+def test_state_accounting_follows_released_histograms():
+    """On the golden STT workload the modelled C-SGS state never exceeds
+    what it was while every object kept its histogram (the reference
+    loop is that accounting), is smaller at its peak, and counts
+    histogram entries of unsaturated objects only — at most win/slide
+    distinct neighbor expiries each."""
+    case = workload.CASES["stt_small"]
+    args = (case.theta_range, case.theta_count, workload.DIMENSIONS)
+    fast, reference = CSGS(*args), ReferenceCSGS(*args)
+    peaks = [0, 0]
+    for batch in stream_batches(
+        workload.workload_points(case), case.win, case.slide
+    ):
+        fast.process_batch(batch)
+        reference.process_batch(batch)
+        sizes = fast.state_sizes()
+        states = fast.tracker.states.values()
+        unsaturated = [s for s in states if s.core_until != s.last_window]
+        assert all(
+            (s.neighbor_hist is None) == (s.core_until == s.last_window)
+            for s in states
+        )
+        assert sizes["hist_entries"] == sum(
+            len(s.neighbor_hist) for s in unsaturated
+        )
+        assert sizes["hist_entries"] <= len(unsaturated) * (
+            case.win // case.slide
+        )
+        got, was = csgs_state_bytes(fast), csgs_state_bytes(reference)
+        assert got <= was
+        peaks = [max(peaks[0], got), max(peaks[1], was)]
+    assert 0 < peaks[0] < peaks[1]
+    # The reference's peak is the figure this workload modelled before
+    # histograms were released.
+    assert peaks[1] == PARENT_GOLDEN_STT_STATE_BYTES
