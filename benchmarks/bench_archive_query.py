@@ -27,6 +27,10 @@ posting-list screen must evaluate strictly fewer candidates (fast
 accepts ride the posting counters; only the rest touch a signature)
 while returning identical answers, and the planner's ``inverted``
 entry must gather no more than the scan it replaces.
+``test_archive_query_disk_coarse_entry_hydrates_only_survivors`` gates
+the coarse-rung cache on a disk-backed copy of the archive by counts:
+a repeated position-sensitive panel coarsens no pattern and parses no
+stored summary beyond the candidates it refines.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from repro.eval.harness import Table, fmt_seconds
 from repro.matching.alignment import anytime_alignment_search
 from repro.matching.metric import DistanceMetricSpec, cluster_feature_distance
 from repro.retrieval import MatchEngine, MatchQuery
+from repro.retrieval import engine as engine_module
 from repro.retrieval.inverted import canonical_cell_signature
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
@@ -406,4 +411,100 @@ def test_archive_query_coarse_entry_cuts_refinement(benchmark):
     report(table.render())
     benchmark.pedantic(
         lambda: _run_panel(base, queries, 1), rounds=1, iterations=1
+    )
+
+
+def test_archive_query_disk_coarse_entry_hydrates_only_survivors(
+    tmp_path, monkeypatch
+):
+    """Count smoke (CI): the Figure-7 archive on a SQLite store whose
+    LRU holds a quarter of it, one position-sensitive ``coarse_level=1``
+    panel served twice. Coarse rungs are cached against the archive
+    record, so the second pass coarsens nothing but each query's own
+    rung and parses a stored summary only for a candidate it refines —
+    never to validate or rebuild a rung the LRU forgot."""
+    base, _ = _archive_and_queries()
+    patterns = sorted(base.all_patterns(), key=lambda p: p.pattern_id)
+    spec = f"sqlite:{tmp_path / 'fig7.db'}?cache={len(patterns) // 4}"
+    with PatternBase(store=spec) as disk:
+        for pattern in patterns:
+            disk.add(pattern.sgs, pattern.full_size)
+    panel = [
+        MatchQuery(
+            sgs=pattern.sgs,
+            threshold=0.6,
+            metric=DistanceMetricSpec(position_sensitive=True),
+            coarse_level=1,
+        )
+        for pattern in patterns[::4]
+    ]
+    coarsenings = []
+    coarsen = engine_module.coarsen_sgs
+    monkeypatch.setattr(
+        engine_module,
+        "coarsen_sgs",
+        lambda sgs, factor: coarsenings.append(1) or coarsen(sgs, factor),
+    )
+    table = Table(
+        "Disk-backed coarse entry — position-sensitive panel served twice "
+        f"({len(patterns)} archived patterns, LRU {len(patterns) // 4}, "
+        f"{len(panel)} queries, coarse L1)",
+        ["pass", "hydrations", "rung builds", "coarse evaluated", "refined",
+         "wall time"],
+    )
+    passes = []
+    with PatternBase(store=spec) as disk:  # cold: nothing parsed yet
+        engine = MatchEngine(disk)
+        for number in (1, 2):
+            del coarsenings[:]
+            hydrated = disk.store.stats["hydrations"]
+            evaluated = refined = 0
+            pairs = []
+            start = time.perf_counter()
+            for query in panel:
+                results, stats = engine.match(query)
+                evaluated += stats.coarse_evaluated
+                refined += stats.refined
+                pairs.append(
+                    [(r.pattern.pattern_id, r.distance) for r in results]
+                )
+            wall = time.perf_counter() - start
+            hydrations = disk.store.stats["hydrations"] - hydrated
+            # Every query coarsens its own rung once; the rest are
+            # pattern rungs built.
+            rung_builds = len(coarsenings) - len(panel)
+            table.add_row(
+                number, hydrations, rung_builds, evaluated, refined,
+                fmt_seconds(wall),
+            )
+            record = emit_bench_record(
+                "query",
+                "archive_query_disk_coarse_panel",
+                panel_pass=number,
+                wall_time_s=round(wall, 6),
+                hydrations=hydrations,
+                rung_builds=rung_builds,
+                coarse_evaluated=evaluated,
+                refined=refined,
+                archive_size=len(patterns),
+                cache_patterns=disk.store.cache_patterns,
+                queries=len(panel),
+            )
+            passes.append((record, pairs))
+    report(table.render())
+
+    (first, first_pairs), (second, second_pairs) = passes
+    assert first["coarse_evaluated"] > 0 and first["rung_builds"] > 0, (
+        "the panel must use the ladder"
+    )
+    assert second_pairs == first_pairs, "a warm rung cache changed answers"
+    for counter in ("coarse_evaluated", "refined"):
+        assert second[counter] == first[counter]
+    assert second["rung_builds"] == 0, (
+        f"second pass rebuilt {second['rung_builds']} pattern rungs it "
+        "had cached"
+    )
+    assert second["hydrations"] <= second["refined"], (
+        f"second pass parsed {second['hydrations']} stored summaries to "
+        f"refine {second['refined']} candidates"
     )

@@ -35,6 +35,10 @@ DEFAULT_BIN_WIDTHS = (16.0, 8.0, 2.0, 1.0)
 class ArchivedPattern:
     """One archived cluster: its SGS plus derived index keys.
 
+    The record is the unit of identity: ``sgs`` is immutable once
+    archived (replacing a summary is ``remove`` + ``restore``, which
+    makes a new record), so caches key on the record itself.
+
     ``ladder_hint`` records how many multi-resolution ladder levels a
     matching engine has materialized above the stored representation —
     a cache-warmth hint carried by the v2 archive format so a reloaded

@@ -72,6 +72,11 @@ STORE_BACKENDS = ("memory", "sqlite")
 #: summaries kept in memory; everything else streams from disk).
 DEFAULT_CACHE_PATTERNS = 128
 
+#: How long a statement waits on another connection's write lock before
+#: failing with ``database is locked``. A coarse match writes ladder
+#: hints from inside a read query, so even readers can meet the lock.
+BUSY_TIMEOUT_MS = 5000
+
 Coord = Tuple[int, ...]
 #: ``{level: iterable of signature cells}`` — one pattern's inverted
 #: cell-signature contribution, as persisted into the postings table.
@@ -413,8 +418,10 @@ class SqliteStore(PatternStore):
     readers never block on archival writes, ``synchronous=NORMAL`` so a
     commit survives a process crash (an OS/power failure can lose the
     newest WAL frames but never corrupts the database — the standard
-    WAL trade). One connection serves all threads behind a lock; the
-    serving layer's own request lock already serializes mutation.
+    WAL trade), and a fixed ``busy_timeout`` so a second process holding
+    the write lock delays a statement instead of failing it. One
+    connection serves all threads behind a lock; the serving layer's
+    own request lock already serializes mutation.
     """
 
     backend = "sqlite"
@@ -433,6 +440,7 @@ class SqliteStore(PatternStore):
         )
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
+        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         self._conn.executescript(_SCHEMA)
         self._stubs: Dict[int, StoredPattern] = {}
         self._cache: "OrderedDict[int, SGS]" = OrderedDict()

@@ -408,7 +408,6 @@ def _cmd_match(args: argparse.Namespace) -> int:
         )
     else:
         engine = MatchEngine(base, _metric_from_args(args))
-    engine.warm_ladders()
     try:
         query = MatchQuery(
             sgs=query_sgs,

@@ -12,9 +12,10 @@ filter-and-refine ladder, cheapest predicate first:
    is the paper's "only ~6% need the grid-level match" filter.
 4. **Coarse entry** (optional, ``coarse_level > 0``) — cell-level match
    at a coarser rung of the multi-resolution ladder (Section 6.1),
-   built lazily per pattern and cached across queries; candidates whose
-   coarse distance exceeds ``threshold + coarse_margin`` are rejected
-   without ever touching their full stored cells. Position-insensitive
+   built lazily per pattern and cached against its archive record;
+   candidates whose coarse distance exceeds ``threshold +
+   coarse_margin`` are rejected without ever touching their full
+   stored cells. Position-insensitive
    screening coarsens *canonicalized* forms (:func:`canonical_origin`)
    so that translated near-duplicates coarsen in phase. The margin keeps the
    screen conservative — coarsening smooths cell structure, so a
@@ -186,10 +187,13 @@ class MatchEngine:
     resolution entry (a query's own ``coarse_level`` wins when set);
     ``max_alignment_expansions`` budgets the anytime alignment search at
     the stored level, ``coarse_expansions`` at coarse rungs (coarse
-    SGS are small, so a reduced budget suffices). Per-pattern ladders
-    are built lazily and cached across queries; each build is recorded
-    in the pattern's ``ladder_hint`` so a persisted archive (format v2)
-    can re-warm the cache after reload via :meth:`warm_ladders`.
+    SGS are small, so a reduced budget suffices). Per-pattern coarse
+    rungs are built lazily and cached against the archive record the
+    base handed out (never the stored-resolution summary, which stays
+    behind the store's LRU); each build is recorded in the pattern's
+    ``ladder_hint`` so a persisted archive (format v2) can re-warm the
+    cache after reload via :meth:`warm_ladders`. A stored summary is
+    immutable once archived; replacing it is remove + ``restore``.
     """
 
     def __init__(
@@ -226,9 +230,12 @@ class MatchEngine:
         #: Ladder cache keyed ``(pattern_id, canonical)``: position-
         #: insensitive screens use the canonical-origin phase (see
         #: :func:`canonical_origin`), position-sensitive ones the raw
-        #: absolute phase. Values are ``(source_sgs, [level0, ...])``;
-        #: the source reference detects a swapped-out stored SGS.
-        self._ladders: Dict[Tuple[int, bool], Tuple[SGS, List[SGS]]] = {}
+        #: absolute phase. Values are ``(record, [rung1, rung2, ...])``;
+        #: an entry answers only for that very record, and remove +
+        #: restore under the same id makes a new one.
+        self._ladders: Dict[
+            Tuple[int, bool], Tuple[ArchivedPattern, List[SGS]]
+        ] = {}
         # Eviction and compaction flow back through the base's removal
         # listeners: the engine drops the dead pattern's cached ladders
         # the moment it leaves the archive (weakly held — neither side
@@ -251,20 +258,27 @@ class MatchEngine:
     ) -> SGS:
         """The pattern's SGS ``level`` coarsening steps above its stored
         representation (level 0 = the stored SGS itself, canonicalized
-        to the origin when ``canonical``)."""
+        to the origin when ``canonical``). Level 0 is read from the
+        store on demand, never cached; a hit on a coarser rung costs no
+        hydration and no coarsening."""
+        if level <= 0:
+            return canonical_origin(pattern.sgs) if canonical else pattern.sgs
         key = (pattern.pattern_id, canonical)
         cached = self._ladders.get(key)
-        if cached is None or cached[0] is not pattern.sgs:
-            root = canonical_origin(pattern.sgs) if canonical else pattern.sgs
-            cached = (pattern.sgs, [root])
+        if cached is None or cached[0] is not pattern:
+            cached = (pattern, [])
             self._ladders[key] = cached
-        ladder = cached[1]
-        while len(ladder) <= level:
-            ladder.append(coarsen_sgs(ladder[-1], self.ladder_factor))
-        built = len(ladder) - 1
-        if pattern.ladder_hint < built:
-            pattern.ladder_hint = built
-        return ladder[level]
+        rungs = cached[1]
+        while len(rungs) < level:
+            below = (
+                rungs[-1]
+                if rungs
+                else self.pattern_at_level(pattern, 0, canonical)
+            )
+            rungs.append(coarsen_sgs(below, self.ladder_factor))
+        if pattern.ladder_hint < len(rungs):
+            pattern.ladder_hint = len(rungs)
+        return rungs[level - 1]
 
     def warm_ladders(self) -> int:
         """Rebuild each pattern's cached ladder up to its persisted
@@ -290,9 +304,7 @@ class MatchEngine:
 
     def cached_ladder_levels(self) -> int:
         """Total coarser levels currently materialized (telemetry)."""
-        return sum(
-            len(ladder) - 1 for _, ladder in self._ladders.values()
-        )
+        return sum(len(rungs) for _, rungs in self._ladders.values())
 
     def close(self) -> None:
         """Release owned resources — nothing for the in-process engine;
@@ -485,14 +497,6 @@ class MatchEngine:
     # The coarse-to-fine refiner
     # ------------------------------------------------------------------
 
-    def _query_ladder(
-        self, sgs: SGS, level: int, canonical: bool
-    ) -> List[SGS]:
-        ladder = [canonical_origin(sgs) if canonical else sgs]
-        while len(ladder) <= level:
-            ladder.append(coarsen_sgs(ladder[-1], self.ladder_factor))
-        return ladder
-
     def _cell_distance(
         self,
         query_sgs: SGS,
@@ -531,11 +535,16 @@ class MatchEngine:
         use_ladder = coarse_level > 0 and screen is None
         if coarse_level > 0:
             stats.coarse_screen = "ladder" if use_ladder else "inverted"
-        query_ladder = (
-            self._query_ladder(query.sgs, coarse_level, canonical)
-            if use_ladder
-            else [query.sgs]
-        )
+        if use_ladder:
+            coarse_query = (
+                canonical_origin(query.sgs) if canonical else query.sgs
+            )
+            for _ in range(coarse_level):
+                coarse_query = coarsen_sgs(coarse_query, self.ladder_factor)
+            # A query too small at the coarse rung stands the screen
+            # down for every candidate: decide that once, before any
+            # candidate's rung is hydrated or coarsened.
+            use_ladder = len(coarse_query) >= self.min_coarse_cells
 
         results: List[MatchResult] = []
         for pattern in screened:
@@ -549,14 +558,10 @@ class MatchEngine:
                 if not screen.admits(pattern.pattern_id):
                     continue
             elif use_ladder:
-                coarse_query = query_ladder[coarse_level]
                 coarse_pattern = self.pattern_at_level(
                     pattern, coarse_level, canonical=canonical
                 )
-                if (
-                    len(coarse_query) >= self.min_coarse_cells
-                    and len(coarse_pattern) >= self.min_coarse_cells
-                ):
+                if len(coarse_pattern) >= self.min_coarse_cells:
                     stats.coarse_evaluated += 1
                     coarse_distance, _ = self._cell_distance(
                         coarse_query,

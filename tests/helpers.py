@@ -21,10 +21,13 @@ from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.csgs import CSGS
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
+from repro.core.multires import coarsen_sgs
 from repro.core.serialize import sgs_to_dict
 from repro.core.sgs import SGS
 from repro.matching.alignment import _centroid_shift, _neighbor_shifts
 from repro.matching.metric import DistanceMetricSpec, relative_difference
+from repro.retrieval.engine import MatchEngine
+from repro.retrieval.inverted import canonical_origin
 from repro.streams.objects import StreamObject
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
@@ -298,6 +301,34 @@ def metric_specs(draw, position_sensitive=None):
         names = ("volume", "core_count", "avg_density", "avg_connectivity")
         weights = {name: part / total for name, part in zip(names, parts)}
     return DistanceMetricSpec(position_sensitive=position_sensitive, weights=weights)
+
+
+# ----------------------------------------------------------------------
+# Reference oracle of the coarse-rung cache
+# ----------------------------------------------------------------------
+#
+# The ladder cache the record-keyed one replaced, kept verbatim as the
+# oracle: an entry is valid while ``pattern.sgs`` is the very object it
+# was built from, so validating one hydrates the stored summary, a
+# summary the store's LRU dropped rebuilds the whole ladder, and level 0
+# is held by the cache.
+
+
+class ReferenceLadderEngine(MatchEngine):
+    def pattern_at_level(self, pattern, level, canonical=True):
+        key = (pattern.pattern_id, canonical)
+        cached = self._ladders.get(key)
+        if cached is None or cached[0] is not pattern.sgs:
+            root = canonical_origin(pattern.sgs) if canonical else pattern.sgs
+            cached = (pattern.sgs, [root])
+            self._ladders[key] = cached
+        ladder = cached[1]
+        while len(ladder) <= level:
+            ladder.append(coarsen_sgs(ladder[-1], self.ladder_factor))
+        built = len(ladder) - 1
+        if pattern.ladder_hint < built:
+            pattern.ladder_hint = built
+        return ladder[level]
 
 
 # ----------------------------------------------------------------------

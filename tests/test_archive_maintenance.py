@@ -108,7 +108,7 @@ def test_eviction_invalidates_engine_caches():
     base = PatternBase(inverted_levels=(1,))
     manager = RetentionManager(base, max_patterns=4)
     summaries = _summaries(seed=6)
-    engine = MatchEngine(base, use_inverted=False)
+    engine = MatchEngine(base, use_inverted=False, min_coarse_cells=1)
     inverted_engine = MatchEngine(base)
     for sgs, size in summaries[:6]:
         manager.add(sgs, size)

@@ -145,7 +145,7 @@ def test_engine_caches_survive_reload():
     from repro.retrieval import MatchEngine, MatchQuery
 
     base, last = _populated(seed=8)
-    engine = MatchEngine(base)
+    engine = MatchEngine(base, min_coarse_cells=1)
     engine.match(
         MatchQuery(sgs=last.summaries[0], threshold=0.5, coarse_level=1)
     )

@@ -21,6 +21,7 @@ from tests.golden.workload import (
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
 from repro.archive.persistence import load_pattern_base, roundtrip_bytes
 from repro.archive.store import (
+    BUSY_TIMEOUT_MS,
     DEFAULT_CACHE_PATTERNS,
     MemoryStore,
     SqliteStore,
@@ -222,6 +223,47 @@ def test_ladder_hint_writes_through(tmp_path):
     base.close()
     with PatternBase(store=spec) as reopened:
         assert reopened.get(pattern_id).ladder_hint == 3
+
+
+def test_statements_wait_out_another_connections_write_lock(tmp_path):
+    """A second process holding the write lock delays a statement, it
+    does not fail it — not an archival commit, and not the ladder-hint
+    ``UPDATE`` a coarse match issues from inside a read query."""
+    import sqlite3
+    import threading
+    from time import perf_counter
+
+    from repro.retrieval import MatchEngine, MatchQuery
+
+    path = tmp_path / "busy.db"
+    base, last = _populated(seed=10, store=f"sqlite:{path}")
+    timeout = base.store._conn.execute("PRAGMA busy_timeout").fetchone()[0]
+    assert timeout == BUSY_TIMEOUT_MS
+    engine = MatchEngine(base, min_coarse_cells=1)
+    query = MatchQuery(sgs=last.summaries[0], threshold=0.9, coarse_level=1)
+    other = sqlite3.connect(
+        str(path), isolation_level=None, check_same_thread=False
+    )
+    try:
+        for statement in (
+            lambda: base.add(last.summaries[0], 9),
+            lambda: engine.match(query),
+        ):
+            other.execute("BEGIN IMMEDIATE")
+            release = threading.Timer(0.2, other.execute, ("COMMIT",))
+            release.start()
+            try:
+                asked = perf_counter()
+                statement()
+                waited = perf_counter() - asked
+            finally:
+                release.join(timeout=5)
+            assert not release.is_alive()
+            assert waited > 0.1, "the statement never met the lock"
+    finally:
+        other.close()
+    assert any(p.ladder_hint for p in base.all_patterns())
+    base.close()
 
 
 def test_sqlite_removal_survives_reopen(tmp_path):

@@ -302,6 +302,53 @@ def test_run_persists_inverted_index_and_match_serves_sharded(
     assert single_matches == sharded_matches
 
 
+def test_one_shot_match_hydrates_only_what_it_refines(
+    tmp_path, capsys, monkeypatch
+):
+    """`repro match` answers one query and exits, so it builds coarse
+    rungs lazily, for candidates only: on a disk-backed archive whose
+    every pattern carries a ladder hint, it parses no stored summary it
+    does not refine."""
+    import repro.cli as cli
+    from repro.archive.pattern_base import PatternBase
+    from repro.retrieval import MatchEngine
+
+    stream_csv = tmp_path / "stream.csv"
+    spec = f"sqlite:{tmp_path / 'history.db'}"
+    main(["generate", "--count", "1500", "--seed", "5", "--out",
+          str(stream_csv)])
+    assert main(
+        [
+            "run", "--input", str(stream_csv), "--theta-range", "0.3",
+            "--theta-count", "5", "--win", "500", "--slide", "250",
+            "--store", spec,
+        ]
+    ) == 0
+    with PatternBase(store=spec) as base:
+        engine = MatchEngine(base)
+        for pattern in base.all_patterns():
+            engine.pattern_at_level(pattern, 1)
+    with PatternBase(store=spec) as base:
+        hinted = sum(1 for p in base.all_patterns() if p.ladder_hint)
+        assert hinted == len(base) > 0
+    capsys.readouterr()
+
+    opened = []
+    open_base = cli._open_base
+    monkeypatch.setattr(
+        cli,
+        "_open_base",
+        lambda args: opened.append(open_base(args)) or opened[0],
+    )
+    assert main(
+        ["match", "--store", spec, "--pattern", "0", "--threshold", "0.2"]
+    ) == 0
+    out = capsys.readouterr().out
+    refined = int(out.split("refined=")[1].split()[0])
+    assert 0 < refined < hinted
+    assert opened[0].store.stats["hydrations"] <= refined
+
+
 def test_bad_inverted_levels_rejected(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
     main(["generate", "--count", "800", "--out", str(stream_csv)])

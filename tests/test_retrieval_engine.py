@@ -255,7 +255,7 @@ def test_match_many_empty_batch():
 
 def test_ladder_cache_reused_and_hint_recorded():
     base, last = _populated_base(seed=3)
-    engine = MatchEngine(base)
+    engine = MatchEngine(base, min_coarse_cells=1)
     query = MatchQuery(sgs=last.summaries[0], threshold=0.4, coarse_level=2)
     engine.match(query)
     built = engine.cached_ladder_levels()
@@ -268,7 +268,7 @@ def test_ladder_cache_reused_and_hint_recorded():
 
 def test_warm_ladders_rebuilds_from_hints():
     base, last = _populated_base(seed=3)
-    engine = MatchEngine(base)
+    engine = MatchEngine(base, min_coarse_cells=1)
     engine.match(
         MatchQuery(sgs=last.summaries[0], threshold=0.4, coarse_level=1)
     )
@@ -282,7 +282,7 @@ def test_warm_ladders_rebuilds_from_hints():
 
 def test_invalidate_drops_cached_ladders():
     base, last = _populated_base(seed=3)
-    engine = MatchEngine(base)
+    engine = MatchEngine(base, min_coarse_cells=1)
     engine.match(
         MatchQuery(sgs=last.summaries[0], threshold=0.4, coarse_level=1)
     )
@@ -331,7 +331,7 @@ def test_ladder_cache_prunes_evicted_patterns():
     patterns' ladders forever: once the cache outgrows twice the live
     archive, stale entries are swept."""
     base, last = _populated_base(seed=6)
-    engine = MatchEngine(base)
+    engine = MatchEngine(base, min_coarse_cells=1)
     ps = DistanceMetricSpec(position_sensitive=True)
     # Populate both cache phases (canonical and raw).
     engine.match(

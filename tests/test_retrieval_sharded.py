@@ -212,7 +212,7 @@ def test_sharded_engine_with_inverted_index():
 def test_sharded_cache_management_forwards():
     base, last = _populated_base(seed=5)
     sharded = _sharded(base, 2, "window")
-    engine = ShardedMatchEngine(sharded)
+    engine = ShardedMatchEngine(sharded, min_coarse_cells=1)
     engine.match(
         MatchQuery(sgs=last.summaries[0], threshold=0.5, coarse_level=1)
     )
