@@ -7,7 +7,9 @@ cluster counts, which must be identical across backends (the parity
 suite checks object-level equality; this bench re-checks it at workload
 scale while timing the search layer, the dominant insertion cost per
 Section 5.3). The candidate-set table reports how many candidate rows
-each backend hands to distance refinement per probe.
+each backend hands to distance refinement per probe. The walk-probe
+gate counts (never times) what the grid's neighbour-cell discovery costs
+on the same workload: dict probes per walk against what is occupied.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from common import (
 )
 from repro.core.csgs import CSGS
 from repro.eval.harness import Table, fmt_seconds
-from repro.index import available_backends
+from repro.index import available_backends, make_provider
+from repro.streams.objects import StreamObject
 
 MEASURE_WINDOWS = 4
 
@@ -147,6 +150,67 @@ def test_index_backends_candidate_sizes(benchmark):
     report(table.render())
     benchmark.pedantic(
         lambda: _run_backend("grid", STT_CASES[1], SLIDES[1]),
+        rounds=1,
+        iterations=1,
+    )
+
+
+class _CountingNode(dict):
+    """A node of the grid's coordinate trie that counts its probes."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        _CountingNode.probes += 1
+        return super().get(key, default)
+
+
+def _counting(node, depth: int):
+    if depth == 0:
+        return node  # a bucket list
+    return _CountingNode(
+        (value, _counting(child, depth - 1)) for value, child in node.items()
+    )
+
+
+def test_index_backends_walk_probes_follow_occupancy(benchmark):
+    """Counts only: on the Figure-7 4-D window a neighbour-cell walk
+    probes ``2*reach + 1`` keys at the root and at every populated
+    prefix within reach — nothing for a prefix no occupied cell has —
+    where the offset table cost 625 probes whatever was there."""
+    theta_range, _ = STT_CASES[1]
+    grid = make_provider("grid", theta_range, 4)
+    for oid, coords in enumerate(stt_points(WIN, seed=0)):
+        obj = StreamObject(oid, coords)
+        obj.first_window, obj.last_window = 0, 1
+        grid.insert(obj)
+    reach = grid.reach
+    per_node = 2 * reach + 1
+    grid._trie = _counting(grid._trie, 4)
+    bases = list(grid.occupied_cells())
+    total = 0
+    for base in bases:
+        populated = {
+            coord[:depth]
+            for coord in bases
+            for depth in range(1, 4)
+            if all(abs(c - b) <= reach for c, b in zip(coord[:depth], base))
+        }
+        _CountingNode.probes = 0
+        assert grid._reachable_buckets(base)  # at least the base itself
+        assert _CountingNode.probes == per_node * (1 + len(populated)), (
+            f"walk from {base}: {_CountingNode.probes} probes, "
+            f"{len(populated)} populated prefixes in reach"
+        )
+        total += _CountingNode.probes
+    mean = total / len(bases)
+    report(
+        f"grid walk on the Figure-7 4-D window: {len(bases)} occupied cells, "
+        f"{mean:.1f} probes per walk (offset table: {per_node ** 4})"
+    )
+    assert mean * 4 <= per_node ** 4
+    benchmark.pedantic(
+        lambda: [grid._reachable_buckets(base) for base in bases],
         rounds=1,
         iterations=1,
     )

@@ -137,6 +137,16 @@ class SkeletalGridCell:
             mask ^= low
         return sorted(offsets)  # bits already ascend in this order
 
+    def offset_block(self) -> List[int]:
+        """``connection_offsets()`` flattened — the blob's connection
+        block. The absolute form subtracts straight off its sorted
+        neighbors (a translation keeps their order): no offset tuples."""
+        if self._packed is not None:
+            return list(itertools.chain.from_iterable(self.connection_offsets()))
+        others = sorted(self._connections)
+        flat = itertools.chain.from_iterable(others)
+        return list(map(sub, flat, self.location * len(others)))
+
     def packed_offsets(self) -> Tuple[int, FrozenSet[Coord]]:
         """The ``(mask, extras)`` form of the connection vector."""
         if self._packed is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import struct
+from array import array
 from operator import sub
 from typing import Dict, List
 
@@ -28,6 +29,7 @@ from repro.core.cells import CellStatus, SkeletalGridCell, pack_offsets
 from repro.core.sgs import SGS
 
 _MAGIC = b"SGS1"
+_CONNECTION_LIMIT = "a cell holds up to 255 connections of its dimensionality"
 
 
 def sgs_to_dict(sgs: SGS) -> Dict:
@@ -55,7 +57,7 @@ def _cell_from_dict(entry: Dict, side_length: float) -> SkeletalGridCell:
     location, connections = tuple(entry["location"]), entry["connections"]
     dims = len(location)
     if len(connections) > 255 or any(len(other) != dims for other in connections):
-        raise ValueError("a cell holds up to 255 connections of its dimensionality")
+        raise ValueError(_CONNECTION_LIMIT)
     packed = pack_offsets(
         (tuple(map(sub, other, location)) for other in connections), dims
     )
@@ -89,8 +91,14 @@ def sgs_from_json(text: str) -> SGS:
 
 
 def sgs_to_bytes(sgs: SGS) -> bytes:
-    """Compact binary encoding (the Pattern Base storage layout)."""
+    """Compact binary encoding (the Pattern Base storage layout).
+
+    Refuses, with the ``ValueError`` of the dict path, what the layout
+    cannot hold: more than 255 connections in a cell, or an offset
+    component outside a signed byte.
+    """
     dims = sgs.dimensions
+    head = struct.Struct(f"<{dims}iBIB")
     out: List[bytes] = [
         _MAGIC,
         struct.pack(
@@ -104,19 +112,20 @@ def sgs_to_bytes(sgs: SGS) -> bytes:
         ),
     ]
     for cell in sgs.cells.values():
-        offsets = cell.connection_offsets()
-        out.append(struct.pack(f"<{dims}i", *cell.location))
-        out.append(
-            struct.pack(
-                "<BIB", 1 if cell.is_core else 0, cell.population, len(offsets)
-            )
-        )
-        for offset in offsets:
-            if any(not -128 <= off <= 127 for off in offset):
-                raise ValueError(
-                    f"connection offset out of byte range: {list(offset)}"
-                )
-            out.append(struct.pack(f"<{dims}b", *offset))
+        block = cell.offset_block()
+        count, ragged = divmod(len(block), dims)
+        if count > 255 or ragged:
+            raise ValueError(_CONNECTION_LIMIT)
+        try:
+            connections = array("b", block).tobytes()
+        except OverflowError:  # a component outside the signed byte
+            offsets = (block[at:at + dims] for at in range(0, len(block), dims))
+            stray = next(o for o in offsets if not -128 <= min(o) <= max(o) <= 127)
+            raise ValueError(
+                f"connection offset out of byte range: {stray}"
+            ) from None
+        out.append(head.pack(*cell.location, cell.is_core, cell.population, count))
+        out.append(connections)
     return b"".join(out)
 
 

@@ -9,7 +9,10 @@ Cell sizing follows Section 4.3: the *diagonal* of a cell equals the range
 threshold θr, i.e. the side length is ``θr / sqrt(d)``. That guarantees
 that any two objects in the same cell are neighbors, and it bounds the
 cells that can contain neighbors of a point to those within
-``ceil(sqrt(d))`` grid steps in every dimension.
+``ceil(sqrt(d))`` grid steps in every dimension — ``(2*reach + 1)^d``
+cells, 625 in 4-D, nearly all of them empty. :class:`GridIndex` finds
+the occupied ones through a coordinate trie of the occupied cells, so
+a query pays for what is there, not for the size of that cube.
 
 The cell decomposition itself is factored out as :class:`CellMap`: the
 pure coord→objects bookkeeping that C-SGS needs as its SGS substrate.
@@ -22,8 +25,7 @@ run a non-cell-backed backend (k-d tree, R-tree) keep a bare
 from __future__ import annotations
 
 import math
-from operator import add
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.geometry.coordstore import CoordStore
 from repro.streams.objects import StreamObject
@@ -159,7 +161,7 @@ class CellMap:
             raise KeyError(f"object {obj.oid} not present in grid")
         bucket.remove(obj)
         if not bucket:
-            del self._cells[coord]
+            self._drop_cell(coord)
 
     def purge_expired(self, window_index: int) -> int:
         """Drop every object whose last window precedes ``window_index``.
@@ -180,10 +182,16 @@ class CellMap:
             else:
                 empty.append(coord)
         for coord in empty:
-            del self._cells[coord]
+            self._drop_cell(coord)
         if removed:
             self._purged(removed)
         return len(removed)
+
+    def _drop_cell(self, coord: Coord) -> None:
+        """Unlink an emptied cell — the one place a bucket dies, so a
+        subclass mirroring the occupied cells (the grid's coordinate
+        trie) extends exactly this."""
+        del self._cells[coord]
 
     def _purged(self, objects: List[StreamObject]) -> None:
         """Hook: subclasses keeping auxiliary per-object state (the
@@ -228,12 +236,18 @@ class GridIndex(CellMap):
     set of a query (union of reachable buckets) is refined in one
     batched kernel call instead of a per-point coordinate loop.
 
-    Candidate gathering is sphere-pruned and cached: the offset table is
-    the module-level memoized :func:`sphere_pruned_offsets`, the
-    occupied reachable buckets of each base cell are cached across
-    queries (invalidated by bucket creation and bucket-emptying purges),
-    and per query the cached buckets are screened against the probe (or
-    probe-box) θr-ball before refinement.
+    Finding the occupied cells within reach of a base cell costs what
+    *is* there, not what could be: the occupied cells are mirrored in a
+    coordinate trie — one ``dict`` level per axis, the last mapping the
+    final coordinate to the bucket list itself, kept at bucket birth
+    and death — and a walk descends only into children that exist:
+    ``2*reach + 1`` int-keyed probes per populated prefix instead of
+    one tuple-keyed probe per offset of the ``(2*reach + 1)^d`` table
+    (625 in 4-D, where a few per cent hit). A walk that cheap is not
+    worth caching: ``range_query`` walks per call, ``range_query_many``
+    once per distinct base cell of the batch. Per query the reachable
+    buckets are screened against the probe (or probe-box) θr-ball
+    before refinement.
     """
 
     def __init__(self, theta_range: float, dimensions: int):
@@ -245,135 +259,101 @@ class GridIndex(CellMap):
         self._offsets = sphere_pruned_offsets(
             self.dimensions, self.reach, self.side / self.theta_range
         )
+        self._steps = range(-self.reach, self.reach + 1)
+        # The trie sees the whole cube; where the sphere-pruned table is
+        # smaller (d >= 5), a walk keeps only the offsets it lists.
+        self._kept_offsets = (
+            frozenset(self._offsets)
+            if len(self._offsets) < len(self._steps) ** self.dimensions
+            else None
+        )
         self._store = CoordStore(dimensions)
-        # Per-base-cell cache of the reachable *buckets* as (offset,
-        # bucket list) pairs — offsets alias the shared table tuples.
-        # Buckets are aliased, not copied: in-place bucket mutations
-        # (insert into an existing cell, remove leaving the cell
-        # occupied, purge of part of a cell) are visible through the
-        # cache for free. Only bucket *creation* (insert into an empty
-        # cell) and a purge that empties a bucket — which unlinks it
-        # without clearing, leaving the alias stale — change what a walk
-        # would find, so only those events invalidate (every cached base
-        # within reach of the affected cell is dropped).
-        self._reachable_cache: Dict[
-            Coord, List[Tuple[Coord, List[StreamObject]]]
-        ] = {}
-        # Invalidations are deferred and applied in one pass before the
-        # next cached read: window slides create buckets in bursts, and
-        # a burst is far cheaper to settle wholesale (often: clear)
-        # than one neighborhood at a time.
-        self._pending_invalidations: Set[Coord] = set()
+        # Invariant: the trie's leaves are exactly the items of
+        # ``_cells``. Buckets are aliased, not copied, so in-place
+        # bucket mutations (append, ``bucket[:] = kept``) need no hook.
+        self._trie: Dict[int, object] = {}
         # Per-probe bucket pruning slack mirrors the offset-table slack.
         self._sq_prune_limit = self._sq_range * (1.0 + OFFSET_PRUNE_EPS)
         #: Gathering telemetry: probes answered, candidates handed to
-        #: refinement (per probe), cold walks, and cache hits.
-        self.stats = {
-            "queries": 0,
-            "candidates": 0,
-            "walks": 0,
-            "cache_hits": 0,
-        }
+        #: refinement (per probe), and trie walks.
+        self.stats = {"queries": 0, "candidates": 0, "walks": 0}
 
     def insert(self, obj: StreamObject) -> Coord:
-        # Store first: it validates (duplicate oid, dimensionality) and
-        # raises before the cell bucket is touched, keeping both
-        # structures consistent on failure.
+        # Cell, then store, then bucket: a non-finite coordinate has no
+        # cell, and the store validates (duplicate oid, dimensionality);
+        # both raise before any structure is touched.
+        try:
+            coord = self.cell_coord(obj.coords)
+        except (ValueError, OverflowError):
+            raise ValueError(
+                f"object {obj.oid} has a non-finite coordinate: {obj.coords}"
+            ) from None
         self._store.add(obj)
-        coord = super().insert(obj)
-        # A bucket born in a previously empty cell is invisible to the
-        # cached walks that span the cell; drop them so they re-walk.
-        if len(self._cells[coord]) == 1:
-            self._invalidate_reachable(coord)
+        bucket = self._cells.get(coord)
+        if bucket is None:
+            bucket = self._cells[coord] = []
+            node = self._trie
+            for value in coord[:-1]:
+                node = node.setdefault(value, {})
+            node[coord[-1]] = bucket
+        bucket.append(obj)
         return coord
 
     def remove(self, obj: StreamObject) -> None:
         super().remove(obj)  # raises before the store is touched
         self._store.remove(obj.oid)
-        # No cache invalidation: a removal empties the bucket *in
-        # place* (cached aliases correctly read nothing), and a later
-        # re-occupation of the cell invalidates at insert time.
+
+    def _drop_cell(self, coord: Coord) -> None:
+        super()._drop_cell(coord)
+        path = [self._trie]
+        for value in coord[:-1]:
+            path.append(path[-1][value])
+        # The leaf goes, and with it every ancestor it leaves empty.
+        for node, value in zip(reversed(path), reversed(coord)):
+            del node[value]
+            if node:
+                break
 
     def _purged(self, objects: List[StreamObject]) -> None:
-        affected: Set[Coord] = set()
         for obj in objects:
             self._store.remove(obj.oid)
-            affected.add(self.cell_coord(obj.coords))
-        # A purge that empties a bucket unlinks it from the cell map
-        # without clearing the list, so cached walks that alias it would
-        # keep reporting the expired objects: drop every neighboring
-        # base cell's cached candidate walk. Partially purged buckets
-        # are rewritten in place and stay transparently visible.
-        for coord in affected:
-            if coord not in self._cells:
-                self._invalidate_reachable(coord)
-
-    def _invalidate_reachable(self, coord: Coord) -> None:
-        """Mark every cached walk that spans ``coord`` stale (lazily)."""
-        if self._reachable_cache or self._pending_invalidations:
-            self._pending_invalidations.add(coord)
-
-    def _flush_invalidations(self) -> None:
-        """Apply deferred invalidations before serving from the cache.
-
-        Spanning bases of an affected cell are exactly ``cell + offset``
-        for the (point-symmetric) offset table. A handful of events is
-        settled per-neighborhood; a burst (a window slide creating many
-        buckets at once) is settled by clearing — per-event probing
-        would cost more than re-walking the survivors ever saves.
-        """
-        pending = self._pending_invalidations
-        if not pending:
-            return
-        cache = self._reachable_cache
-        self._pending_invalidations = set()
-        if not cache:
-            return
-        offsets = self._offsets
-        if len(pending) * len(offsets) >= len(cache) * self.dimensions:
-            cache.clear()
-            return
-        pop = cache.pop
-        for coord in pending:
-            for offset in offsets:
-                pop(tuple(map(add, coord, offset)), None)
-            if not cache:
-                return
 
     def _reachable_buckets(
         self, base: Coord
     ) -> List[Tuple[Coord, List[StreamObject]]]:
         """The occupied cells a query from ``base`` can reach, as
-        ``(offset, bucket)`` pairs (cached).
+        ``(offset, bucket)`` pairs in the offset table's order.
 
-        The cold walk probes every offset of the (sphere-pruned) table —
-        ``(2*reach+1)^d`` dict lookups before pruning, the dominant
-        insertion cost in 4-D; repeated queries from the same base cell
-        (the C-SGS common case) skip the walk entirely until an
-        invalidating event lands in reach.
+        One trie level per axis: every populated prefix is extended by
+        the steps whose child exists, in ascending step order, so the
+        pairs come out in lexicographic offset order — element for
+        element what probing ``_cells`` with every table offset yields —
+        without a sort and without building a tuple for an empty cell.
         """
-        self._flush_invalidations()
-        entry = self._reachable_cache.get(base)
-        if entry is not None:
-            self.stats["cache_hits"] += 1
-            return entry
         self.stats["walks"] += 1
-        entry = []
-        cells = self._cells
-        for offset in self._offsets:
-            bucket = cells.get(tuple(map(add, base, offset)))
-            if bucket is not None:
-                entry.append((offset, bucket))
-        self._reachable_cache[base] = entry
-        return entry
+        steps = self._steps
+        level = [((), self._trie)]
+        for center in base:
+            level = [
+                (prefix + (step,), child)
+                for prefix, node in level
+                for step in steps
+                if (child := node.get(center + step)) is not None
+            ]
+        kept = self._kept_offsets
+        if kept is not None:
+            level = [pair for pair in level if pair[0] in kept]
+        return level
 
     def _gather_candidates(
         self,
+        entry: List[Tuple[Coord, List[StreamObject]]],
         base: Coord,
         lo: Sequence[float],
         hi: Sequence[float],
     ) -> List[StreamObject]:
-        """Candidates for probes bounded by the box ``[lo, hi]``.
+        """Candidates among ``entry`` (the reachable buckets of ``base``)
+        for probes bounded by the box ``[lo, hi]``.
 
         Buckets whose minimum distance to the probe box exceeds θr are
         skipped (``lo == hi`` for a single probe makes this an exact
@@ -387,7 +367,6 @@ class GridIndex(CellMap):
         walk order, so the refined output is byte-identical to a walk
         that screens nothing.
         """
-        entry = self._reachable_buckets(base)
         if not entry:
             return []
         side = self.side
@@ -420,12 +399,9 @@ class GridIndex(CellMap):
             worst += max(row)
         if worst <= limit:
             for _, bucket in entry:
-                if bucket:
-                    candidates.extend(bucket)
+                candidates.extend(bucket)
             return candidates
         for offset, bucket in entry:
-            if not bucket:
-                continue
             sq = 0.0
             for axis, delta in enumerate(offset):
                 sq += gap_sq[axis][delta + reach]
@@ -445,7 +421,9 @@ class GridIndex(CellMap):
         pins the agreement across backends and kernel arms).
         """
         base = self.cell_coord(coords)
-        candidates = self._gather_candidates(base, coords, coords)
+        candidates = self._gather_candidates(
+            self._reachable_buckets(base), base, coords, coords
+        )
         self.stats["queries"] += 1
         self.stats["candidates"] += len(candidates)
         return self._store.refine(
@@ -472,7 +450,7 @@ class GridIndex(CellMap):
         point-query path prunes per probe. Per-octant sub-boxes are at
         most half a cell wide per axis, restoring most of that pruning
         while still amortizing the gather over the co-located probes
-        (the reachable-bucket walk is cached per base cell either way).
+        (the reachable-bucket walk runs once per base cell either way).
         Sub-grouping is pure partitioning of exact refinement — results
         are byte-identical to the whole-cell box.
         """
@@ -488,6 +466,7 @@ class GridIndex(CellMap):
         side = self.side
         for base, indices in query_indices_by_base.items():
             self.stats["queries"] += len(indices)
+            entry = self._reachable_buckets(base)
             if len(indices) > 1:
                 center = tuple(
                     (base[axis] + 0.5) * side for axis in dims
@@ -513,7 +492,7 @@ class GridIndex(CellMap):
                     hi = tuple(
                         max(p[axis] for p in probes) for axis in dims
                     )
-                candidates = self._gather_candidates(base, lo, hi)
+                candidates = self._gather_candidates(entry, base, lo, hi)
                 self.stats["candidates"] += len(candidates) * len(group)
                 batch = self._store.batch(candidates)
                 refined = self._store.refine_many(

@@ -329,12 +329,14 @@ class RTreeProvider(_FallbackBatchMixin):
 class AutoProvider:
     """Adaptive backend selection: grid vs k-d tree, by observed shape.
 
-    The grid wins when its neighbor-cell walk is cheap (low
-    dimensionality keeps the sphere-pruned offset table small) or when
-    cells are densely occupied (one walk gathers many candidates that
-    refine in one kernel sweep); the k-d tree wins on sparse
-    high-dimensional data — on the 4-D STT workload it beats the grid
-    outright. ``auto`` encodes exactly that rule:
+    The grid wins when its neighbor-cell walk is cheap or when cells
+    are densely occupied (one walk gathers many candidates that refine
+    in one kernel sweep); the k-d tree wins on sparse high-dimensional
+    data. The rule below still prices the walk by the size of the
+    sphere-pruned offset table, which the grid's coordinate trie no
+    longer probes: on the Figure-7 4-D STT cases the grid now beats
+    the k-d tree it used to lose to, so ``auto`` starts those on the
+    slower backend (table and verdict: ROADMAP item 6). The rule:
 
     * at construction, if the memoized
       :func:`~repro.index.grid_index.sphere_pruned_offsets` table has at

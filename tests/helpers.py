@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
+import struct
+from operator import add
 from typing import List, Sequence, Tuple
 
 from hypothesis import strategies as st
@@ -329,6 +331,95 @@ class ReferenceLadderEngine(MatchEngine):
         if pattern.ladder_hint < built:
             pattern.ladder_hint = built
         return ladder[level]
+
+
+# ----------------------------------------------------------------------
+# Reference oracles of neighbour-cell discovery and of the blob encoder
+# ----------------------------------------------------------------------
+#
+# The two bodies the coordinate trie and the per-cell encoder replaced,
+# kept verbatim: the cold walk probes the cell map with every offset of
+# the (sphere-pruned) table, and the encoder range-checks and packs one
+# connection at a time. The >255 refusal is the one place the encoders
+# differ on purpose: this one lets ``struct.error`` escape.
+
+
+def reference_reachable_buckets(grid, base):
+    """``(offset, bucket)`` of every occupied cell the offset table
+    reaches from ``base``, in table order."""
+    entry = []
+    cells = grid._cells
+    for offset in grid._offsets:
+        bucket = cells.get(tuple(map(add, base, offset)))
+        if bucket is not None:
+            entry.append((offset, bucket))
+    return entry
+
+
+def trie_leaves(grid) -> dict:
+    """``{coord: bucket}`` of the grid trie's leaves; refuses an empty
+    interior node on the way (a death must take it along)."""
+    level = [((), grid._trie)]
+    for _ in range(grid.dimensions):
+        for prefix, node in level:
+            assert node or not prefix, f"empty interior node at {prefix}"
+        level = [
+            (prefix + (value,), child)
+            for prefix, node in level
+            for value, child in node.items()
+        ]
+    return dict(level)
+
+
+def assert_trie_mirrors_cells(grid, bases=None) -> None:
+    """The trie's invariant — its leaves are exactly the items of
+    ``_cells``, the very bucket objects, none empty — and, read through
+    the walk, from every base in ``bases`` (default: every occupied
+    cell): the reference walk's offsets and buckets, in its order."""
+    leaves = trie_leaves(grid)
+    assert leaves.keys() == grid._cells.keys()
+    for coord, bucket in grid._cells.items():
+        assert leaves[coord] is bucket, f"trie holds a stale bucket at {coord}"
+        assert bucket, f"empty bucket left at {coord}"
+    for base in list(grid._cells) if bases is None else bases:
+        walked = grid._reachable_buckets(base)
+        expected = reference_reachable_buckets(grid, base)
+        assert [offset for offset, _ in walked] == [
+            offset for offset, _ in expected
+        ], f"offsets differ from the table walk at base {base}"
+        for (_, bucket), (_, wanted) in zip(walked, expected):
+            assert bucket is wanted
+
+
+def reference_sgs_to_bytes(sgs) -> bytes:
+    dims = sgs.dimensions
+    out = [
+        b"SGS1",
+        struct.pack(
+            "<BdiiiI",
+            dims,
+            sgs.side_length,
+            sgs.level,
+            sgs.cluster_id,
+            sgs.window_index,
+            len(sgs.cells),
+        ),
+    ]
+    for cell in sgs.cells.values():
+        offsets = cell.connection_offsets()
+        out.append(struct.pack(f"<{dims}i", *cell.location))
+        out.append(
+            struct.pack(
+                "<BIB", 1 if cell.is_core else 0, cell.population, len(offsets)
+            )
+        )
+        for offset in offsets:
+            if any(not -128 <= off <= 127 for off in offset):
+                raise ValueError(
+                    f"connection offset out of byte range: {list(offset)}"
+                )
+            out.append(struct.pack(f"<{dims}b", *offset))
+    return b"".join(out)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Unit tests for SGS serialization (binary and JSON round-trips)."""
 
+import itertools
 import multiprocessing
 import pickle
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,12 @@ from hypothesis import strategies as st
 from tests.helpers import (
     clustered_points,
     metric_specs,
+    reference_sgs_to_bytes,
     stream_batches,
     summaries,
 )
+from repro.archive.pattern_base import PatternBase
+from repro.core.cells import CellStatus, SkeletalGridCell, pack_offsets
 from repro.core.csgs import CSGS
 from repro.core.multires import coarsen_sgs
 from repro.core.regenerate import regenerate_points
@@ -24,6 +29,7 @@ from repro.core.serialize import (
     sgs_to_dict,
     sgs_to_json,
 )
+from repro.core.sgs import SGS
 from repro.eval.memory import sgs_bytes
 from repro.matching.cell_match import cell_level_distance
 from repro.retrieval.inverted import canonical_origin
@@ -204,3 +210,72 @@ def test_unstorable_connection_offsets_are_refused_at_parse():
     ):
         with pytest.raises(ValueError):
             sgs_from_dict(dict(data, cells=[dict(cell, connections=bad)]))
+
+
+# ----------------------------------------------------------------------
+# The per-cell encoder against the per-connection one it replaced
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(summaries))
+def test_encoder_bytes_equal_the_reference_in_both_cell_forms(sgs):
+    """``summaries`` builds absolute connection sets with offsets out to
+    -128 / 127; decoding the blob gives the same summary in the
+    ``packed=`` form. Either way: the reference encoder's bytes."""
+    blob = reference_sgs_to_bytes(sgs)
+    assert sgs_to_bytes(sgs) == blob
+    hydrated = sgs_from_bytes(blob)
+    assert _holds_only_offsets(hydrated) and _equal(sgs, hydrated)
+    assert sgs_to_bytes(hydrated) == reference_sgs_to_bytes(hydrated) == blob
+
+
+def _lone_cell(offsets, form):
+    """A one-cell 4-D summary holding ``offsets`` in either form."""
+    here = (3, -7, 0, 120)
+    if form == "packed":
+        connections = {"packed": pack_offsets(offsets, 4)}
+    else:
+        connections = {
+            "connections": frozenset(
+                tuple(h + o for h, o in zip(here, offset)) for offset in offsets
+            )
+        }
+    return SGS([SkeletalGridCell(here, 0.5, 9, CellStatus.CORE, **connections)], 0.5)
+
+
+@pytest.mark.parametrize("form", ("absolute", "packed"))
+def test_encoder_refuses_more_than_255_connections(form, tmp_path):
+    """The dict path's refusal, word for word — where the old encoder
+    let ``struct.error`` escape, and only from the store that encodes."""
+    box = list(itertools.product(range(-2, 3), repeat=4))
+    crowded = _lone_cell(box[:599], form)
+    with pytest.raises(struct.error):
+        reference_sgs_to_bytes(crowded)
+    with pytest.raises(ValueError, match="up to 255 connections") as refusal:
+        sgs_to_bytes(crowded)
+    with pytest.raises(ValueError) as at_parse:
+        sgs_from_dict(sgs_to_dict(crowded))
+    assert str(refusal.value) == str(at_parse.value)
+    with PatternBase(store=f"sqlite:{tmp_path / 'h.db'}") as base:
+        with pytest.raises(ValueError, match="up to 255 connections"):
+            base.add(crowded, 40)
+        assert len(base) == 0
+        base.add(_lone_cell(box[:255], form), 40)  # the limit itself fits
+        assert len(base) == 1
+
+
+@pytest.mark.parametrize("form", ("absolute", "packed"))
+@pytest.mark.parametrize("stray", ((0, 0, 128, 0), (-129, 5, 5, 5), (1, 1, 1, 200)))
+def test_encoder_names_the_first_offset_outside_the_byte_range(form, stray):
+    offsets = [(-128, 0, 0, 127), (0, 1, 0, 0), stray, (127, 127, 127, 127)]
+    fine = [offset for offset in offsets if offset != stray]
+    assert sgs_to_bytes(_lone_cell(fine, form)) == reference_sgs_to_bytes(
+        _lone_cell(fine, form)
+    )
+    with pytest.raises(ValueError) as expected:
+        reference_sgs_to_bytes(_lone_cell(offsets, form))
+    with pytest.raises(ValueError, match="out of byte range") as refusal:
+        sgs_to_bytes(_lone_cell(offsets, form))
+    assert str(refusal.value) == str(expected.value)
+    assert str(list(stray)) in str(refusal.value)

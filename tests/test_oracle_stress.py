@@ -9,20 +9,21 @@ answers — fails with the offending seed in the test id, so a failure is
 reproducible with one pytest ``-k`` expression.
 
 This is the reusable correctness net for index-layer PRs: the
-sphere-pruned candidate gathering, the per-base-cell bucket cache, and
+sphere-pruned candidate gathering, the grid's coordinate trie, and
 the adaptive ``auto`` backend all landed against it, and future work on
 the provider seam (sharding, multi-resolution indexes) should extend it
-rather than start over. The cache-invalidation regression tests at the
-bottom pin the one genuinely sharp edge: a purge that empties a bucket
-unlinks it from the cell map, so neighboring base cells' cached
-candidate walks must be dropped, not reused.
+rather than start over. The bucket birth / death regression tests at
+the bottom pin the one genuinely sharp edge: a purge or removal that
+empties a bucket unlinks it from the cell map, so whatever mirrors the
+occupied cells (once a per-base cache of walks, now the trie) must
+drop it too, and a re-occupied cell must show up as the new bucket.
 """
 
 import random
 
 import pytest
 
-from tests.helpers import KERNEL_ARMS, make_objects
+from tests.helpers import KERNEL_ARMS, assert_trie_mirrors_cells, make_objects
 from repro.geometry.coordstore import within_sq_range
 from repro.index import BACKENDS, GridIndex, make_provider
 from repro.streams.objects import StreamObject
@@ -206,32 +207,32 @@ def test_remove_missing_raises_like_oracle(backend):
 
 
 # ----------------------------------------------------------------------
-# Cache-invalidation regressions: purges and re-occupied cells
+# Bucket birth / death regressions: purges and re-occupied cells
 # ----------------------------------------------------------------------
 
 
-def test_purge_emptying_bucket_drops_cached_neighbor_candidates():
-    """A purge that empties a bucket unlinks it without clearing, so a
-    neighboring base cell's cached candidate walk would keep aliasing
-    the stale list: the cache must drop those walks."""
+def test_purge_emptying_bucket_drops_it_from_neighbor_walks():
+    """A purge that empties a bucket unlinks it without clearing the
+    list, so a walk that still reached the dead list would keep
+    reporting the expired objects: the death must reach the trie."""
     grid = GridIndex(0.5, 2)
     keeper, doomed = make_objects([(0.1, 0.1), (0.6, 0.1)])
     keeper.last_window = 9
     doomed.last_window = 1
     grid.insert(keeper)
     grid.insert(doomed)
-    # Fills the cache for keeper's base cell; doomed is a neighbor
-    # (distance 0.5 == theta, boundary inclusive).
+    # doomed is a neighbor (distance 0.5 == theta, boundary inclusive).
     first = {o.oid for o in grid.range_query(keeper.coords)}
     assert first == {keeper.oid, doomed.oid}
     assert grid.purge_expired(2) == 1
     again = {o.oid for o in grid.range_query(keeper.coords)}
-    assert again == {keeper.oid}, "stale purged bucket leaked into cache"
+    assert again == {keeper.oid}, "stale purged bucket still reachable"
+    assert_trie_mirrors_cells(grid)
 
 
 def test_purge_keeping_bucket_nonempty_stays_transparent():
-    """Partial purges rewrite the bucket in place; cached walks read the
-    shrunken bucket without any invalidation."""
+    """Partial purges rewrite the bucket in place; the trie aliases the
+    same list, so walks read the shrunken bucket with no hook at all."""
     grid = GridIndex(0.5, 2)
     survivor, expiring = make_objects([(0.6, 0.1), (0.58, 0.12)])
     (probe,) = make_objects([(0.1, 0.1)])
@@ -246,21 +247,22 @@ def test_purge_keeping_bucket_nonempty_stays_transparent():
         survivor.oid,
         expiring.oid,
     }
-    walks_before = grid.stats["walks"]
+    shared = grid._cells[grid.cell_coord(survivor.coords)]
     assert grid.purge_expired(2) == 1
     assert {o.oid for o in grid.range_query(probe.coords)} == {
         probe.oid,
         survivor.oid,
     }
-    assert grid.stats["walks"] == walks_before, (
-        "partial purge should not have invalidated the cached walk"
+    assert grid._cells[grid.cell_coord(survivor.coords)] is shared, (
+        "partial purge should have rewritten the bucket in place"
     )
+    assert_trie_mirrors_cells(grid)
 
 
-def test_reoccupied_cell_invalidates_cached_walks():
+def test_reoccupied_cell_is_walked_as_the_new_bucket():
     """Emptying a cell by removal then re-occupying it creates a fresh
-    bucket object; cached walks alias the dead one and must be
-    invalidated at (re-)creation time."""
+    bucket object: the death must have unlinked the old one and the
+    birth must link the new one."""
     grid = GridIndex(0.5, 2)
     anchor, transient = make_objects([(0.1, 0.1), (0.6, 0.1)])
     grid.insert(anchor)
@@ -268,12 +270,14 @@ def test_reoccupied_cell_invalidates_cached_walks():
     assert {o.oid for o in grid.range_query(anchor.coords)} == {0, 1}
     grid.remove(transient)
     assert {o.oid for o in grid.range_query(anchor.coords)} == {0}
+    assert_trie_mirrors_cells(grid)
     (newcomer,) = make_objects([(0.6, 0.1)])
     newcomer.oid = 7
     grid.insert(newcomer)
     assert {o.oid for o in grid.range_query(anchor.coords)} == {0, 7}, (
-        "re-occupied neighboring cell invisible to the cached walk"
+        "re-occupied neighboring cell invisible to the walk"
     )
+    assert_trie_mirrors_cells(grid)
 
 
 def test_purge_empty_bucket_edge_randomized():
@@ -285,9 +289,13 @@ def test_purge_empty_bucket_edge_randomized():
     grid = GridIndex(theta, 2)
     oracle = LinearOracle(theta)
     next_oid = 0
+    emptied = 0
     for window in range(1, 12):
+        occupied_before = set(grid.occupied_cells())
         purged = grid.purge_expired(window)
         assert purged == oracle.purge_expired(window)
+        emptied += len(occupied_before - set(grid.occupied_cells()))
+        assert_trie_mirrors_cells(grid)
         for _ in range(12):
             # Half the objects die next window, clustered in few cells:
             # bucket-emptying purges every slide.
@@ -302,7 +310,7 @@ def test_purge_empty_bucket_edge_randomized():
             _check_query(
                 grid, oracle, obj.coords, obj.oid, f"window={window}"
             )
-    assert grid.stats["cache_hits"] > 0  # the cache was really exercised
+    assert emptied > 0  # the edge was really exercised
 
 
 # ----------------------------------------------------------------------
