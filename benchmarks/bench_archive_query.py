@@ -67,16 +67,17 @@ def _perturbed_variant(sgs: SGS, rng: random.Random) -> SGS:
     """Translate + crop a real summary so the synthetic history is
     feature-diverse (what lets the indices prune; cf. Figure 8)."""
     shift = tuple(rng.randint(-40, 40) for _ in range(sgs.dimensions))
-    locations = list(sgs.cells)
+    view = sgs.cells  # one view: each read of ``sgs.cells`` rebuilds it
+    locations = list(view)
     keep = max(1, int(round(len(locations) * rng.uniform(0.4, 1.0))))
     kept = set(rng.sample(locations, keep))
-    if not any(sgs.cells[loc].is_core for loc in kept):
+    if not any(view[loc].is_core for loc in kept):
         kept.add(
-            next(loc for loc in locations if sgs.cells[loc].is_core)
+            next(loc for loc in locations if view[loc].is_core)
         )
     cells = []
     for loc in kept:
-        cell = sgs.cells[loc]
+        cell = view[loc]
         moved = tuple(c + s for c, s in zip(loc, shift))
         connections = frozenset(
             tuple(c + s for c, s in zip(conn, shift))
@@ -88,7 +89,7 @@ def _perturbed_variant(sgs: SGS, rng: random.Random) -> SGS:
                 connections,
             )
         )
-    return SGS(
+    return SGS.from_cells(
         cells,
         sgs.side_length,
         level=sgs.level,

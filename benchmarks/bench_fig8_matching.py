@@ -75,22 +75,23 @@ def _perturb_sgs(sgs: SGS, rng: random.Random) -> SGS:
     shift = tuple(rng.randint(-40, 40) for _ in range(sgs.dimensions))
     scale = rng.uniform(0.5, 2.0)
     keep_fraction = rng.uniform(0.4, 1.0)
-    locations = list(sgs.cells)
+    view = sgs.cells  # one view: each read of ``sgs.cells`` rebuilds it
+    locations = list(view)
     kept = set(
         rng.sample(
             locations, max(1, int(round(len(locations) * keep_fraction)))
         )
     )
     # Always keep at least one core cell so the summary stays valid.
-    if not any(sgs.cells[loc].is_core for loc in kept):
+    if not any(view[loc].is_core for loc in kept):
         core_locs = [
-            loc for loc, cell in sgs.cells.items() if cell.is_core
+            loc for loc, cell in view.items() if cell.is_core
         ]
         if core_locs:
             kept.add(rng.choice(core_locs))
     cells = []
     for loc in kept:
-        cell = sgs.cells[loc]
+        cell = view[loc]
         new_loc = tuple(c + s for c, s in zip(loc, shift))
         conn = frozenset(
             tuple(c + s for c, s in zip(other, shift))
@@ -103,7 +104,9 @@ def _perturb_sgs(sgs: SGS, rng: random.Random) -> SGS:
                 new_loc, cell.side_length, population, cell.status, conn
             )
         )
-    return SGS(cells, sgs.side_length, sgs.level, -1, sgs.window_index)
+    return SGS.from_cells(
+        cells, sgs.side_length, level=sgs.level, window_index=sgs.window_index
+    )
 
 
 def _perturb_crd(crd: CRD, rng: random.Random) -> CRD:

@@ -1,15 +1,19 @@
 """Skeletal grid cells — the building blocks of SGS (Definition 4.4).
 
-Each cell carries the five attributes of the paper: location (grid
-coordinate, from which the per-dimension minimum values follow), side
-length, population, status (core/edge), and a connection vector. We store
-connections as a frozen set of neighbor cell coordinates instead of a
-fixed boolean vector over "adjacent" cells: with cell diagonal = θr,
-directly connected core cells can be up to ``ceil(sqrt(d))`` grid steps
-apart, so a ±1-step boolean vector cannot express all legal connections
-in d >= 2. The byte-accounting model in
-``repro.eval.memory`` still charges the paper's fixed per-cell cost so
-storage comparisons stay commensurate.
+A summary holds each cell as a **row** keyed by the cell's location
+(integer grid coordinate): ``(is_core, population, block)``, where
+``block`` is the connection vector as the blob stores it — the neighbor
+cells' *offsets*, one signed byte per dimension, in lexicographic order
+— so a row is translation invariant. Offsets, not a fixed boolean vector
+over "adjacent" cells: with cell diagonal = θr, directly connected core
+cells can be up to ``ceil(sqrt(d))`` grid steps apart, so a ±1-step
+vector cannot express all legal connections in d >= 2. The byte-accounting
+model in ``repro.eval.memory`` still charges the paper's fixed per-cell
+cost so storage comparisons stay commensurate.
+
+:class:`SkeletalGridCell` is the paper's five-attribute cell as an
+object: what hand-made summaries are built from and what ``SGS.cells``
+hands out as a view of its rows. No summary keeps one.
 """
 
 from __future__ import annotations
@@ -18,32 +22,76 @@ import enum
 import functools
 import itertools
 import math
+import struct
 from operator import add, sub
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from repro.index.grid_index import min_cell_gap_sq
 
 Coord = Tuple[int, ...]
 
+#: One cell of a summary: core flag, population, connection block.
+Row = Tuple[bool, int, bytes]
+
+
+def connection_block(location: Coord, neighbors: Sequence[Coord]) -> bytes:
+    """A row's connection block from the connected cells' coordinates in
+    lexicographic order (a translation keeps their order, so the offsets
+    come out sorted): subtracted straight into signed bytes, no offset
+    tuples."""
+    count = len(neighbors)
+    flat = itertools.chain.from_iterable(neighbors)
+    try:
+        return struct.pack(
+            f"<{count * len(location)}b", *map(sub, flat, location * count)
+        )
+    except struct.error:  # a component outside the signed byte
+        for other in neighbors:
+            if len(other) != len(location):
+                raise ValueError(
+                    f"connection {other}: not its cell's dimensionality"
+                ) from None
+            offset = list(map(sub, other, location))
+            if not -128 <= min(offset) <= max(offset) <= 127:
+                raise ValueError(
+                    f"connection offset out of byte range: {offset}"
+                ) from None
+        raise
+
+
 @functools.lru_cache(maxsize=None)
-def _box(dims: int) -> Tuple[Tuple[Coord, ...], Dict[Coord, int]]:
-    """Connection *offsets* (neighbor minus owning cell) with every
-    component in ``[-2, 2]`` — all that the extractor or the coarsener
-    produces for d <= 4 — own one bit each of a cell's offset mask, in
-    lexicographic order: the offsets by bit, and each one's ``1 << bit``.
-    Any other offset (hand-made summaries, d > 5) stays verbatim in the
-    cell's ``extras``: the pair is exact for every input, and no mask
-    outgrows ``5 ** 5`` bits whatever a client sends."""
-    offsets = tuple(itertools.product(range(-2, 3), repeat=dims))
-    return offsets, {offset: 1 << bit for bit, offset in enumerate(offsets)}
+def _offsets_in(dims: int):
+    """Reader of the connection offsets a block holds, in its order."""
+    return struct.Struct(f"<{dims}b").iter_unpack
 
 
-def pack_offsets(offsets: Iterable[Coord], dims: int) -> Tuple[int, FrozenSet[Coord]]:
-    """``(mask, extras)`` of a cell's connection offsets."""
-    bits = _box(dims)[1] if dims <= 5 else {}  # no mask beyond 5 ** 5 bits
+def block_neighbors(location: Coord, block: bytes) -> List[Coord]:
+    """The connected cells' coordinates, in lexicographic order."""
+    offsets = _offsets_in(len(location))(block)
+    return [tuple(map(add, location, offset)) for offset in offsets]
+
+
+@functools.lru_cache(maxsize=None)
+def _box(dims: int) -> Dict[Coord, int]:
+    """Connection offsets with every component in ``[-2, 2]`` — all that
+    the extractor or the coarsener produces for d <= 4 — own one bit each
+    of the match kernel's offset mask, numbered in lexicographic order:
+    each one's ``1 << bit``. Any other offset (hand-made summaries,
+    d > 5) stays verbatim in the kernel row's ``extras``: the pair is
+    exact for every input, and no mask outgrows ``5 ** 5`` bits whatever
+    a client sends."""
+    offsets = itertools.product(range(-2, 3), repeat=dims)
+    return {offset: 1 << bit for bit, offset in enumerate(offsets)}
+
+
+def pack_offsets(block: bytes, dims: int) -> Tuple[int, FrozenSet[Coord]]:
+    """``(mask, extras)`` of a connection block: the set form the match
+    kernel intersects. Derived where the kernel first reads a summary,
+    never on the stream path."""
+    bits = _box(dims) if dims <= 5 else {}  # no mask beyond 5 ** 5 bits
     mask = 0
     extras: List[Coord] = []
-    for offset in offsets:
+    for offset in _offsets_in(dims)(block):
         bit = bits.get(offset)
         if bit is None:
             extras.append(offset)
@@ -76,18 +124,9 @@ class SkeletalGridCell:
       Definition 4.4 only core cells carry connections (to directly
       connected core cells and to attached edge cells); for edge cells the
       set is empty.
-
-    The connection vector is stored in one of two forms, the other
-    derived on request: the absolute neighbor coordinates (built by the
-    extractor, returned by ``connections``) or the translation-invariant
-    ``(mask, extras)`` of neighbor *offsets* (see :func:`_box`; held by the
-    stored blob, read by the match kernel). A cell decoded from a blob
-    holds only the latter: one int in place of a set of tuples.
     """
 
-    __slots__ = (
-        "location", "side_length", "population", "status", "_connections", "_packed",
-    )
+    __slots__ = ("location", "side_length", "population", "status", "connections")
 
     def __init__(
         self,
@@ -95,8 +134,7 @@ class SkeletalGridCell:
         side_length: float,
         population: int,
         status: CellStatus,
-        connections: FrozenSet[Coord] = frozenset(),
-        packed: Optional[Tuple[int, FrozenSet[Coord]]] = None,
+        connections: Iterable[Coord] = (),
     ):
         if population < 0:
             raise ValueError("population must be non-negative")
@@ -106,57 +144,11 @@ class SkeletalGridCell:
         self.side_length = float(side_length)
         self.population = int(population)
         self.status = status
-        # ``packed``, the offset form, stands in for ``connections``.
-        self._connections = None if packed is not None else frozenset(connections)
-        self._packed = packed
-
-    @property
-    def connections(self) -> FrozenSet[Coord]:
-        stored = self._connections
-        return stored if stored is not None else frozenset(self.neighbors())
+        self.connections = frozenset(connections)
 
     def neighbors(self) -> List[Coord]:
         """The connected cells' coordinates in lexicographic order."""
-        if self._connections is not None:
-            return sorted(self._connections)
-        here = self.location
-        return [tuple(map(add, here, off)) for off in self.connection_offsets()]
-
-    def connection_offsets(self) -> List[Coord]:
-        """Neighbor offsets (neighbor minus this cell's location) in
-        lexicographic order — the order the blob stores them in."""
-        if self._packed is None:
-            here = self.location
-            return [tuple(map(sub, other, here)) for other in self.neighbors()]
-        mask, extras = self._packed
-        offsets = list(extras)
-        by_bit = _box(len(self.location))[0] if mask else ()
-        while mask:
-            low = mask & -mask
-            offsets.append(by_bit[low.bit_length() - 1])
-            mask ^= low
-        return sorted(offsets)  # bits already ascend in this order
-
-    def offset_block(self) -> List[int]:
-        """``connection_offsets()`` flattened — the blob's connection
-        block. The absolute form subtracts straight off its sorted
-        neighbors (a translation keeps their order): no offset tuples."""
-        if self._packed is not None:
-            return list(itertools.chain.from_iterable(self.connection_offsets()))
-        others = sorted(self._connections)
-        flat = itertools.chain.from_iterable(others)
-        return list(map(sub, flat, self.location * len(others)))
-
-    def packed_offsets(self) -> Tuple[int, FrozenSet[Coord]]:
-        """The ``(mask, extras)`` form of the connection vector."""
-        if self._packed is not None:
-            return self._packed
-        return pack_offsets(self.connection_offsets(), len(self.location))
-
-    def connection_count(self) -> int:
-        if self._connections is not None:
-            return len(self._connections)
-        return self._packed[0].bit_count() + len(self._packed[1])
+        return sorted(self.connections)
 
     @property
     def dimensions(self) -> int:
@@ -223,5 +215,5 @@ class SkeletalGridCell:
     def __repr__(self) -> str:
         return (
             f"SkeletalGridCell(loc={self.location}, status={self.status.value}, "
-            f"pop={self.population}, conn={self.connection_count()})"
+            f"pop={self.population}, conn={len(self.connections)})"
         )

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
 from repro.clustering.cluster import Cluster
-from repro.core.cells import CellStatus, SkeletalGridCell
+from repro.core.cells import Row, connection_block
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
 from repro.core.sgs import SGS
 from repro.streams.windows import WindowBatch
@@ -274,7 +274,7 @@ class CSGS:
         # cell of cluster Q when one of its non-core objects is attached
         # to a core object of Q — so core cells attached across groups
         # are candidates too.
-        edge_candidates: Set[Coord] = set()
+        attached_to: Dict[Coord, List[Coord]] = {}  # core cell -> candidates
         for (edge_coord, core_coord), until in self._edge_attachments.items():
             if until < window or core_coord not in core_cells:
                 continue
@@ -283,7 +283,8 @@ class CSGS:
             ):
                 continue
             if grid.cell_population(edge_coord) > 0:
-                edge_candidates.add(edge_coord)
+                attached_to.setdefault(core_coord, []).append(edge_coord)
+        edge_candidates = set().union(*attached_to.values())
 
         # Per-group edge members, resolved through the objects'
         # non-core-career neighbor lists (no range queries).
@@ -314,7 +315,6 @@ class CSGS:
         for group_id, cores in enumerate(group_cores):
             core_objects: List = []
             edge_objects: List = []
-            core_set = set(cores)
             for coord in cores:
                 for obj in grid.objects_in_cell(coord):
                     if states[obj.oid].core_until >= window:
@@ -327,39 +327,25 @@ class CSGS:
                 Cluster(group_id, core_objects, edge_objects, window)
             )
 
-            cells: List[SkeletalGridCell] = []
+            # One row per cell. A core cell is connected to its
+            # adjacency list (already sorted, all of this group) and to
+            # the cells attached to it — each holds an edge member of
+            # this group: an attachment lives as long as one does.
+            rows: Dict[Coord, Row] = {}
             attached_cells = group_edge_cells[group_id]
             for coord in cores:
-                connections = set(
-                    neighbor
-                    for neighbor in adjacency[coord]
-                    if neighbor in core_set
-                )
-                for edge_coord in attached_cells:
-                    until = self._edge_attachments.get((edge_coord, coord), -1)
-                    if until >= window:
-                        connections.add(edge_coord)
-                cells.append(
-                    SkeletalGridCell(
-                        coord,
-                        side,
-                        grid.cell_population(coord),
-                        CellStatus.CORE,
-                        frozenset(connections),
-                    )
+                neighbors = adjacency[coord]
+                if coord in attached_to:
+                    neighbors = sorted(neighbors + attached_to[coord])
+                rows[coord] = (
+                    True,
+                    grid.cell_population(coord),
+                    connection_block(coord, neighbors),
                 )
             for edge_coord, member_count in attached_cells.items():
-                cells.append(
-                    SkeletalGridCell(
-                        edge_coord,
-                        side,
-                        member_count,
-                        CellStatus.EDGE,
-                        frozenset(),
-                    )
-                )
+                rows[edge_coord] = (False, member_count, b"")
             summaries.append(
-                SGS(cells, side, level=0, cluster_id=group_id, window_index=window)
+                SGS(rows, side, level=0, cluster_id=group_id, window_index=window)
             )
 
         return WindowOutput(window, clusters, summaries)

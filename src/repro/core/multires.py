@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.core.cells import CellStatus, Coord, SkeletalGridCell
+from repro.core.cells import Coord, block_neighbors, connection_block
 from repro.core.sgs import SGS
 
 
@@ -32,10 +32,6 @@ def parent_coord(coord: Coord, factor: int) -> Coord:
     return tuple(c // factor for c in coord)
 
 
-# Backward-compatible internal alias.
-_parent_coord = parent_coord
-
-
 def coarsen_sgs(sgs: SGS, factor: int = 3) -> SGS:
     """Build the next-coarser resolution level of an SGS.
 
@@ -46,45 +42,42 @@ def coarsen_sgs(sgs: SGS, factor: int = 3) -> SGS:
         raise ValueError("compression factor must be at least 2")
 
     populations: Dict[Coord, int] = {}
-    statuses: Dict[Coord, CellStatus] = {}
+    core: Dict[Coord, bool] = {}
     connections: Dict[Coord, Set[Coord]] = {}
 
-    parents = {coord: _parent_coord(coord, factor) for coord in sgs.cells}
-    for cell in sgs.cells.values():
-        parent = parents[cell.location]
-        populations[parent] = populations.get(parent, 0) + cell.population
-        if cell.is_core:
-            statuses[parent] = CellStatus.CORE
-        else:
-            statuses.setdefault(parent, CellStatus.EDGE)
+    rows = sgs.rows
+    parents = {coord: parent_coord(coord, factor) for coord in rows}
+    for coord, (is_core, population, _) in rows.items():
+        parent = parents[coord]
+        populations[parent] = populations.get(parent, 0) + population
+        core[parent] = is_core or core.get(parent, False)
 
     # Cross-boundary fine connections induce coarse connections. Fine
     # connection vectors live on core cells only (Definition 4.4), and
     # cover both core-core connections and edge attachments, so scanning
     # them reproduces both relations at the coarse level. A neighbor
     # outside the summary induces nothing, so its parent is never needed.
-    for cell in sgs.cells.values():
-        parent = parents[cell.location]
-        for other in cell.connections:
+    for coord, (_, _, block) in rows.items():
+        parent = parents[coord]
+        for other in block_neighbors(coord, block):
             other_parent = parents.get(other)
             if other_parent is None or other_parent == parent:
                 continue
             connections.setdefault(parent, set()).add(other_parent)
             connections.setdefault(other_parent, set()).add(parent)
 
-    side = sgs.side_length * factor
-    cells: List[SkeletalGridCell] = []
-    for coord, population in populations.items():
-        status = statuses[coord]
-        conn: Set[Coord] = set()
-        if status is CellStatus.CORE:
-            conn = connections.get(coord, set())
-        cells.append(
-            SkeletalGridCell(coord, side, population, status, frozenset(conn))
-        )
     return SGS(
-        cells,
-        side,
+        {
+            coord: (
+                core[coord],
+                population,
+                connection_block(coord, sorted(connections.get(coord, ())))
+                if core[coord]
+                else b"",
+            )
+            for coord, population in populations.items()
+        },
+        sgs.side_length * factor,
         level=sgs.level + 1,
         cluster_id=sgs.cluster_id,
         window_index=sgs.window_index,
@@ -114,6 +107,6 @@ def cells_needed_at_level(sgs: SGS, factor: int, level: int) -> int:
         raise ValueError("cannot predict a finer level than the input")
     scale = factor ** (level - sgs.level)
     parents = {
-        tuple(c // scale for c in coord) for coord in sgs.cells
+        tuple(c // scale for c in coord) for coord in sgs.rows
     }
     return len(parents)

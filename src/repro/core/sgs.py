@@ -5,10 +5,11 @@ member of the summarized cluster (Definition 4.4), at some resolution
 level (Section 6.1: level 0 is the finest, built on cells whose diagonal
 equals θr; level n combines θ^n level-0 cells per side).
 
-The class exposes the derived quantities the rest of the system consumes:
-the cluster feature vector for the non-locational index, the MBR for the
-locational index, and the fidelity helpers the property-based tests
-assert (Lemmas 4.3–4.5).
+Its one state is ``rows``: location → ``(is_core, population, connection
+block)`` in cell order (:mod:`repro.core.cells`). The extractor appends
+rows, the blob is their byte image, and the feature vector, the MBR, the
+match kernel's table and the coarser levels are read off them; ``cells``
+and the fidelity helpers of Lemmas 4.3–4.5 are for people and tests.
 """
 
 from __future__ import annotations
@@ -16,10 +17,18 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.cells import Coord, SkeletalGridCell
+from repro.core.cells import (
+    CellStatus,
+    Coord,
+    Row,
+    SkeletalGridCell,
+    block_neighbors,
+    connection_block,
+    pack_offsets,
+)
 from repro.geometry.mbr import MBR
 
-#: A packed-table row: core flag, float population, offset mask, extras.
+#: A match-kernel row: core flag, float population, offset mask, extras.
 CellRow = Tuple[bool, float, int, FrozenSet[Coord]]
 
 
@@ -27,110 +36,128 @@ class SGS:
     """Skeletal Grid Summarization of a single density-based cluster."""
 
     __slots__ = (
-        "cells", "side_length", "level", "cluster_id", "window_index", "_table",
+        "rows", "side_length", "level", "cluster_id", "window_index", "_table",
     )
 
     def __init__(
         self,
-        cells: Iterable[SkeletalGridCell],
+        rows: Dict[Coord, Row],
         side_length: float,
         level: int = 0,
         cluster_id: int = -1,
         window_index: int = -1,
     ):
-        self.cells: Dict[Coord, SkeletalGridCell] = {}
-        for cell in cells:
-            if abs(cell.side_length - side_length) > 1e-9:
-                raise ValueError("all cells of an SGS share one side length")
-            if cell.location in self.cells:
-                raise ValueError(f"duplicate cell location {cell.location}")
-            self.cells[cell.location] = cell
-        if not self.cells:
+        """The summary owning ``rows`` as given: how the extractor, the
+        decoders and the coarsener build one without a cell object."""
+        if not rows:
             raise ValueError("an SGS must contain at least one cell")
+        self.rows = rows
         self.side_length = float(side_length)
         self.level = int(level)
         self.cluster_id = cluster_id
         self.window_index = window_index
         self._table: Optional[Dict[Coord, CellRow]] = None
 
+    @classmethod
+    def from_cells(
+        cls, cells: Iterable[SkeletalGridCell], side_length: float, **placement
+    ) -> "SGS":
+        """A hand-made summary, from cell objects (checked, then dropped);
+        ``placement`` is ``level`` / ``cluster_id`` / ``window_index``."""
+        rows: Dict[Coord, Row] = {}
+        for cell in cells:
+            if abs(cell.side_length - side_length) > 1e-9:
+                raise ValueError("all cells of an SGS share one side length")
+            if cell.location in rows:
+                raise ValueError(f"duplicate cell location {cell.location}")
+            rows[cell.location] = (
+                cell.is_core,
+                cell.population,
+                connection_block(cell.location, cell.neighbors()),
+            )
+        return cls(rows, side_length, **placement)
+
     # ------------------------------------------------------------------
     # Basic accessors
     # ------------------------------------------------------------------
 
     @property
+    def cells(self) -> Dict[Coord, SkeletalGridCell]:
+        """The rows as cell objects, location → cell in cell order: a
+        fresh view per call, O(cells) — not for stream or match paths."""
+        side, status = self.side_length, (CellStatus.EDGE, CellStatus.CORE)
+        return {
+            location: SkeletalGridCell(
+                location, side, population, status[is_core],
+                block_neighbors(location, block),
+            )
+            for location, (is_core, population, block) in self.rows.items()
+        }
+
+    @property
     def dimensions(self) -> int:
-        return next(iter(self.cells.values())).dimensions
+        return len(next(iter(self.rows)))
 
     @property
     def volume(self) -> int:
         """Number of skeletal grid cells (the 'volume' feature)."""
-        return len(self.cells)
+        return len(self.rows)
 
     @property
     def core_count(self) -> int:
         """Number of core cells (the 'status count' feature)."""
-        return sum(1 for cell in self.cells.values() if cell.is_core)
+        return sum(1 for is_core, _, _ in self.rows.values() if is_core)
 
     @property
     def population(self) -> int:
         """Total number of summarized cluster member objects."""
-        return sum(cell.population for cell in self.cells.values())
+        return sum(population for _, population, _ in self.rows.values())
 
     def cell_table(self) -> Dict[Coord, CellRow]:
-        """The packed cell table the match kernel reads: location → row,
-        in cell order. A row is translation invariant; only its key says
-        where the cluster sits. Built on first use (never on the stream
-        path) and kept: cells are not mutated after construction."""
+        """The table the match kernel reads: location → kernel row, in
+        cell order — a row with its block as the ``(mask, extras)`` set
+        the kernel intersects. Built on first use (never on the stream
+        path) and kept: rows are not mutated after construction."""
         if self._table is None:
+            dims = self.dimensions
             self._table = {
-                location: (
-                    cell.is_core, float(cell.population), *cell.packed_offsets()
-                )
-                for location, cell in self.cells.items()
+                location: (is_core, float(population), *pack_offsets(block, dims))
+                for location, (is_core, population, block) in self.rows.items()
             }
         return self._table
 
-    def core_cells(self) -> List[SkeletalGridCell]:
-        return [cell for cell in self.cells.values() if cell.is_core]
-
-    def edge_cells(self) -> List[SkeletalGridCell]:
-        return [cell for cell in self.cells.values() if not cell.is_core]
-
     def average_density(self) -> float:
         """Mean objects-per-cell-volume over the occupied cells."""
-        total = sum(cell.density() for cell in self.cells.values())
-        return total / len(self.cells)
+        cell_volume = self.side_length ** self.dimensions
+        total = sum(
+            population / cell_volume for _, population, _ in self.rows.values()
+        )
+        return total / len(self.rows)
 
     def average_connectivity(self) -> float:
         """Mean number of connections per core cell (0 when no core cells)."""
-        cores = self.core_cells()
-        if not cores:
+        blocks = [block for is_core, _, block in self.rows.values() if is_core]
+        if not blocks:
             return 0.0
-        return sum(cell.connection_count() for cell in cores) / len(cores)
+        return sum(map(len, blocks)) // self.dimensions / len(blocks)
 
     def mbr(self) -> MBR:
-        """Bounding rectangle of the covered data space (Lemma 4.3)."""
-        lows = None
-        highs = None
-        for cell in self.cells.values():
-            cell_lows = cell.lows()
-            cell_highs = cell.highs()
-            if lows is None:
-                lows = list(cell_lows)
-                highs = list(cell_highs)
-            else:
-                for i in range(len(lows)):
-                    lows[i] = min(lows[i], cell_lows[i])
-                    highs[i] = max(highs[i], cell_highs[i])
-        return MBR(lows, highs)
+        """Bounding rectangle of the covered data space (Lemma 4.3): a
+        float multiply is monotone, so the extreme corners are those of
+        the per-axis extreme coordinates."""
+        side = self.side_length
+        axes = list(zip(*self.rows))
+        return MBR(
+            [min(axis) * side for axis in axes],
+            [(max(axis) + 1) * side for axis in axes],
+        )
 
     def density_of_region(self, locations: Sequence[Coord]) -> float:
         """Exact density of the sub-region covered by ``locations``
         (Lemma 4.4: populations are exact and cells do not overlap)."""
-        cells = [self.cells[loc] for loc in locations]
-        total_population = sum(cell.population for cell in cells)
-        total_volume = sum(cell.cell_volume() for cell in cells)
-        return total_population / total_volume
+        total_population = sum(self.rows[loc][1] for loc in locations)
+        cell_volume = self.side_length ** self.dimensions
+        return total_population / (len(locations) * cell_volume)
 
     # ------------------------------------------------------------------
     # Connectivity helpers
@@ -138,17 +165,16 @@ class SGS:
 
     def core_graph(self) -> Dict[Coord, List[Coord]]:
         """Adjacency among core cells via the connection vectors."""
-        adjacency: Dict[Coord, List[Coord]] = {}
-        for cell in self.cells.values():
-            if not cell.is_core:
-                continue
-            neighbors = []
-            for other in cell.connections:
-                target = self.cells.get(other)
-                if target is not None and target.is_core:
-                    neighbors.append(other)
-            adjacency[cell.location] = neighbors
-        return adjacency
+        rows = self.rows
+        return {
+            location: [
+                other
+                for other in block_neighbors(location, block)
+                if other in rows and rows[other][0]
+            ]
+            for location, (is_core, _, block) in rows.items()
+            if is_core
+        }
 
     def core_path_length(self, start: Coord, goal: Coord) -> Optional[int]:
         """Length (in hops) of the shortest core-cell path, or None.
@@ -179,28 +205,27 @@ class SGS:
     def is_connected(self) -> bool:
         """True when the core cells form one connected component and every
         edge cell is attached to (connected from) some core cell."""
-        cores = [cell.location for cell in self.cells.values() if cell.is_core]
-        if not cores:
-            return len(self.cells) == 1
         adjacency = self.core_graph()
-        seen = {cores[0]}
-        stack = [cores[0]]
+        if not adjacency:
+            return len(self.rows) == 1
+        start = next(iter(adjacency))
+        seen = {start}
+        stack = [start]
         while stack:
             node = stack.pop()
-            for neighbor in adjacency.get(node, ()):
+            for neighbor in adjacency[node]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     stack.append(neighbor)
-        if any(core not in seen for core in cores):
+        if len(seen) != len(adjacency):
             return False
         attached = set()
-        for core in cores:
-            for other in self.cells[core].connections:
-                attached.add(other)
-        for cell in self.cells.values():
-            if not cell.is_core and cell.location not in attached:
-                return False
-        return True
+        for core in adjacency:
+            attached.update(block_neighbors(core, self.rows[core][2]))
+        return all(
+            is_core or location in attached
+            for location, (is_core, _, _) in self.rows.items()
+        )
 
     # ------------------------------------------------------------------
     # Fidelity (Lemma 4.3)
@@ -215,14 +240,14 @@ class SGS:
     def covers_point(self, point: Sequence[float]) -> bool:
         """True when ``point`` falls into one of the skeletal grid cells."""
         coord = tuple(int(math.floor(value / self.side_length)) for value in point)
-        return coord in self.cells
+        return coord in self.rows
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.rows)
 
     def __repr__(self) -> str:
         return (
             f"SGS(cluster={self.cluster_id}, window={self.window_index}, "
-            f"level={self.level}, cells={len(self.cells)}, "
+            f"level={self.level}, cells={len(self.rows)}, "
             f"cores={self.core_count}, population={self.population})"
         )

@@ -37,7 +37,7 @@ def sgs_cell_bytes(dimensions: int) -> int:
 
 def sgs_bytes(sgs: SGS) -> int:
     """Serialized size of one SGS."""
-    return len(sgs.cells) * sgs_cell_bytes(sgs.dimensions)
+    return len(sgs) * sgs_cell_bytes(sgs.dimensions)
 
 
 def full_representation_bytes(

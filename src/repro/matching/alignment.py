@@ -39,10 +39,10 @@ def _centroid_shift(sgs_a: SGS, sgs_b: SGS) -> Shift:
 
     def centroid(sgs: SGS) -> Tuple[float, ...]:
         sums = [0.0] * dims
-        for coord in sgs.cells:
+        for coord in sgs.rows:
             for i, c in enumerate(coord):
                 sums[i] += c
-        return tuple(total / len(sgs.cells) for total in sums)
+        return tuple(total / len(sgs) for total in sums)
 
     ca = centroid(sgs_a)
     cb = centroid(sgs_b)
@@ -110,15 +110,10 @@ def exhaustive_alignment_search(
     """
     distance_at = aligned_distances(sgs_a, sgs_b, spec)
     dims = sgs_a.dimensions
-    mins_a = [min(c[i] for c in sgs_a.cells) for i in range(dims)]
-    maxs_a = [max(c[i] for c in sgs_a.cells) for i in range(dims)]
-    mins_b = [min(c[i] for c in sgs_b.cells) for i in range(dims)]
-    maxs_b = [max(c[i] for c in sgs_b.cells) for i in range(dims)]
-    ranges = []
-    for i in range(dims):
-        low = mins_b[i] - maxs_a[i] - margin
-        high = maxs_b[i] - mins_a[i] + margin
-        ranges.append(range(low, high + 1))
+    ranges = [
+        range(min(b) - max(a) - margin, max(b) - min(a) + margin + 1)
+        for a, b in zip(zip(*sgs_a.rows), zip(*sgs_b.rows))  # per axis
+    ]
     best_distance = float("inf")
     best_shift: Shift = (0,) * dims
     evaluated = 0

@@ -54,6 +54,7 @@ ladder screen is mirrored verbatim.
 
 from __future__ import annotations
 
+from operator import sub
 from typing import (
     Dict,
     FrozenSet,
@@ -93,20 +94,15 @@ def canonical_origin(sgs: SGS) -> SGS:
     the canonicalized form — pure translations then coarsen
     identically, and the coarse distance tracks the fine one.
     """
-    dims = sgs.dimensions
-    mins = [min(coord[i] for coord in sgs.cells) for i in range(dims)]
+    mins = tuple(map(min, zip(*sgs.rows)))
     if not any(mins):
         return sgs
-    # A cell's connection offsets move with it: only the key changes.
-    cells = [
-        type(cell)(
-            tuple(c - m for c, m in zip(cell.location, mins)), cell.side_length,
-            cell.population, cell.status, packed=cell.packed_offsets(),
-        )
-        for cell in sgs.cells.values()
-    ]
+    # A row moves with its cell: only the key changes.
     return SGS(
-        cells,
+        {
+            tuple(map(sub, location, mins)): row
+            for location, row in sgs.rows.items()
+        },
         sgs.side_length,
         level=sgs.level,
         cluster_id=sgs.cluster_id,
@@ -125,12 +121,11 @@ def canonical_cell_signature(
     """
     if level < 1:
         raise ValueError("signature level must be at least 1")
-    dims = sgs.dimensions
-    mins = [min(coord[i] for coord in sgs.cells) for i in range(dims)]
+    mins = tuple(map(min, zip(*sgs.rows)))
     scale = factor**level
     return frozenset(
         tuple((c - m) // scale for c, m in zip(coord, mins))
-        for coord in sgs.cells
+        for coord in sgs.rows
     )
 
 

@@ -50,7 +50,7 @@ class TrackedCluster:
 
 
 def _core_cells(sgs: SGS) -> Set[Coord]:
-    return {cell.location for cell in sgs.cells.values() if cell.is_core}
+    return {location for location, row in sgs.rows.items() if row[0]}
 
 
 def _overlap(a: Set[Coord], b: Set[Coord]) -> float:

@@ -26,19 +26,20 @@ def render_sgs(sgs: SGS, border: bool = True) -> str:
     """
     if sgs.dimensions != 2:
         raise ValueError("ASCII rendering supports 2-D summaries only")
-    xs = [loc[0] for loc in sgs.cells]
-    ys = [loc[1] for loc in sgs.cells]
+    cells = sgs.cells  # one view for the whole rendering
+    xs = [loc[0] for loc in cells]
+    ys = [loc[1] for loc in cells]
     min_x, max_x = min(xs), max(xs)
     min_y, max_y = min(ys), max(ys)
     max_population = max(
-        (cell.population for cell in sgs.cells.values() if cell.is_core),
+        (cell.population for cell in cells.values() if cell.is_core),
         default=1,
     )
     rows: List[str] = []
     for y in range(max_y, min_y - 1, -1):
         row_chars = []
         for x in range(min_x, max_x + 1):
-            cell = sgs.cells.get((x, y))
+            cell = cells.get((x, y))
             if cell is None:
                 row_chars.append(" ")
             elif cell.is_core:

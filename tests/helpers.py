@@ -10,22 +10,26 @@ them unambiguous under any invocation.
 
 from __future__ import annotations
 
+import contextlib
 import heapq
 import itertools
 import random
 import struct
-from operator import add
+from operator import add, sub
 from typing import List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
+from repro.clustering.cluster import Cluster
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus, SkeletalGridCell
-from repro.core.csgs import CSGS
+from repro.core.csgs import CSGS, WindowOutput
+from repro.core.features import ClusterFeatures
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
 from repro.core.multires import coarsen_sgs
 from repro.core.serialize import sgs_to_dict
 from repro.core.sgs import SGS
+from repro.geometry.mbr import MBR
 from repro.matching.alignment import _centroid_shift, _neighbor_shifts
 from repro.matching.metric import DistanceMetricSpec, relative_difference
 from repro.retrieval.engine import MatchEngine
@@ -273,7 +277,7 @@ def summaries(draw, dims, origin=None):
                 ),
             )
         )
-    return SGS(cells, 0.5)
+    return SGS.from_cells(cells, 0.5)
 
 
 @st.composite
@@ -391,6 +395,12 @@ def assert_trie_mirrors_cells(grid, bases=None) -> None:
             assert bucket is wanted
 
 
+def _connection_offsets(cell):
+    """Neighbor offsets (neighbor minus the cell's location) in
+    lexicographic order — the order the blob stores them in."""
+    return [tuple(map(sub, other, cell.location)) for other in cell.neighbors()]
+
+
 def reference_sgs_to_bytes(sgs) -> bytes:
     dims = sgs.dimensions
     out = [
@@ -406,7 +416,7 @@ def reference_sgs_to_bytes(sgs) -> bytes:
         ),
     ]
     for cell in sgs.cells.values():
-        offsets = cell.connection_offsets()
+        offsets = _connection_offsets(cell)
         out.append(struct.pack(f"<{dims}i", *cell.location))
         out.append(
             struct.pack(
@@ -620,3 +630,272 @@ def career_streams(draw):
         ops.append(("insert", coords, lifespan))
     ops.append(("advance", 1))
     return dims, theta_range, theta_count, ops
+
+
+# ----------------------------------------------------------------------
+# Reference oracles of the summary's forms
+# ----------------------------------------------------------------------
+#
+# The bodies the row table replaced, kept as the oracles the rows are
+# pinned to: the output stage building one cell object per cell from a
+# set of absolute neighbor coordinates (and probing ``_edge_attachments``
+# once per core cell x attached cell), the blob decoder unpacking field
+# by field into cell objects, and the MBR, the features, the kernel
+# table and the coarser level each walked off cell objects.
+
+
+def reference_emit(csgs, window):
+    """``CSGS._emit`` as it was: the summaries from cell objects."""
+    grid = csgs.tracker.cells
+    states = csgs.tracker.states
+    core_cells = {
+        coord
+        for coord, until in csgs._cell_core_until.items()
+        if until >= window and grid.cell_population(coord) > 0
+    }
+    adjacency = {coord: [] for coord in core_cells}
+    for (a, b), until in csgs._core_connections.items():
+        if until >= window and a in core_cells and b in core_cells:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+    for neighbors in adjacency.values():
+        neighbors.sort()
+    group_of = {}
+    group_cores = []
+    for coord in sorted(core_cells):
+        if coord in group_of:
+            continue
+        group_id = len(group_cores)
+        members = []
+        stack = [coord]
+        group_of[coord] = group_id
+        while stack:
+            node = stack.pop()
+            members.append(node)
+            for neighbor in adjacency[node]:
+                if neighbor not in group_of:
+                    group_of[neighbor] = group_id
+                    stack.append(neighbor)
+        group_cores.append(members)
+
+    edge_candidates = set()
+    for (edge_coord, core_coord), until in csgs._edge_attachments.items():
+        if until < window or core_coord not in core_cells:
+            continue
+        if edge_coord in core_cells and (
+            group_of[edge_coord] == group_of[core_coord]
+        ):
+            continue
+        if grid.cell_population(edge_coord) > 0:
+            edge_candidates.add(edge_coord)
+
+    n_groups = len(group_cores)
+    group_edge_members = [{} for _ in range(n_groups)]
+    group_edge_cells = [{} for _ in range(n_groups)]
+    for edge_coord in sorted(edge_candidates):
+        own_group = group_of.get(edge_coord)
+        for obj in grid.objects_in_cell(edge_coord):
+            state = states[obj.oid]
+            if state.core_until >= window:
+                continue
+            touched = set()
+            for core_state in state.attached_cores_in(window):
+                group_id = group_of.get(core_state.cell)
+                if group_id is not None and group_id != own_group:
+                    touched.add(group_id)
+            for group_id in touched:
+                group_edge_members[group_id][state.oid] = state
+                cells = group_edge_cells[group_id]
+                cells[edge_coord] = cells.get(edge_coord, 0) + 1
+
+    side = grid.side
+    clusters = []
+    summaries = []
+    for group_id, cores in enumerate(group_cores):
+        core_objects = []
+        edge_objects = []
+        core_set = set(cores)
+        for coord in cores:
+            for obj in grid.objects_in_cell(coord):
+                if states[obj.oid].core_until >= window:
+                    core_objects.append(obj)
+                else:
+                    edge_objects.append(obj)
+        for state in group_edge_members[group_id].values():
+            edge_objects.append(state.obj)
+        clusters.append(Cluster(group_id, core_objects, edge_objects, window))
+
+        cells = []
+        attached_cells = group_edge_cells[group_id]
+        for coord in cores:
+            connections = set(
+                neighbor for neighbor in adjacency[coord] if neighbor in core_set
+            )
+            for edge_coord in attached_cells:
+                until = csgs._edge_attachments.get((edge_coord, coord), -1)
+                if until >= window:
+                    connections.add(edge_coord)
+            cells.append(
+                SkeletalGridCell(
+                    coord,
+                    side,
+                    grid.cell_population(coord),
+                    CellStatus.CORE,
+                    frozenset(connections),
+                )
+            )
+        for edge_coord, member_count in attached_cells.items():
+            cells.append(
+                SkeletalGridCell(
+                    edge_coord, side, member_count, CellStatus.EDGE, frozenset()
+                )
+            )
+        summaries.append(
+            SGS.from_cells(
+                cells, side, level=0, cluster_id=group_id, window_index=window
+            )
+        )
+    return WindowOutput(window, clusters, summaries)
+
+
+def reference_sgs_from_bytes(blob) -> SGS:
+    """The field-by-field decoder, one cell object per cell. It reads
+    past nothing and checks nothing at the end: trailing bytes pass and
+    a cut inside a cell head is a raw ``struct.error``."""
+    if blob[:4] != b"SGS1":
+        raise ValueError("not an SGS binary blob")
+    offset = 4
+    dims, side, level, cluster_id, window_index, n_cells = struct.unpack_from(
+        "<BdiiiI", blob, offset
+    )
+    offset += struct.calcsize("<BdiiiI")
+    connection = struct.Struct(f"<{dims}b")
+    cells = []
+    for _ in range(n_cells):
+        location = struct.unpack_from(f"<{dims}i", blob, offset)
+        offset += 4 * dims
+        is_core, population, n_conn = struct.unpack_from("<BIB", blob, offset)
+        offset += struct.calcsize("<BIB")
+        end = offset + n_conn * dims
+        if end > len(blob):
+            raise struct.error("truncated connection block")
+        connections = frozenset(
+            tuple(map(add, location, delta))
+            for delta in connection.iter_unpack(blob[offset:end])
+        )
+        offset = end
+        cells.append(
+            SkeletalGridCell(
+                location,
+                side,
+                population,
+                CellStatus.CORE if is_core else CellStatus.EDGE,
+                connections,
+            )
+        )
+    return SGS.from_cells(
+        cells, side, level=level, cluster_id=cluster_id, window_index=window_index
+    )
+
+
+def reference_mbr(sgs) -> MBR:
+    lows = None
+    highs = None
+    for cell in sgs.cells.values():
+        cell_lows = cell.lows()
+        cell_highs = cell.highs()
+        if lows is None:
+            lows = list(cell_lows)
+            highs = list(cell_highs)
+        else:
+            for i in range(len(lows)):
+                lows[i] = min(lows[i], cell_lows[i])
+                highs[i] = max(highs[i], cell_highs[i])
+    return MBR(lows, highs)
+
+
+def reference_features(sgs) -> ClusterFeatures:
+    cells = list(sgs.cells.values())
+    cores = [cell for cell in cells if cell.is_core]
+    return ClusterFeatures(
+        volume=float(len(cells)),
+        core_count=float(sum(1 for cell in cells if cell.is_core)),
+        avg_density=sum(cell.density() for cell in cells) / len(cells),
+        avg_connectivity=(
+            sum(len(cell.connections) for cell in cores) / len(cores)
+            if cores
+            else 0.0
+        ),
+    )
+
+
+def reference_cell_table(sgs) -> dict:
+    """The kernel table derived cell by cell, a bit per in-box offset."""
+    dims = sgs.dimensions
+    box = itertools.product(range(-2, 3), repeat=dims) if dims <= 5 else ()
+    bits = {offset: 1 << bit for bit, offset in enumerate(box)}
+    table = {}
+    for location, cell in sgs.cells.items():
+        offsets = _connection_offsets(cell)
+        mask = sum({bits[o] for o in offsets if o in bits})
+        extras = frozenset(o for o in offsets if o not in bits)
+        table[location] = (cell.is_core, float(cell.population), mask, extras)
+    return table
+
+
+def reference_coarsen_sgs(sgs, factor=3) -> SGS:
+    populations = {}
+    statuses = {}
+    connections = {}
+    fine = sgs.cells
+    parents = {coord: tuple(c // factor for c in coord) for coord in fine}
+    for cell in fine.values():
+        parent = parents[cell.location]
+        populations[parent] = populations.get(parent, 0) + cell.population
+        if cell.is_core:
+            statuses[parent] = CellStatus.CORE
+        else:
+            statuses.setdefault(parent, CellStatus.EDGE)
+    for cell in fine.values():
+        parent = parents[cell.location]
+        for other in cell.connections:
+            other_parent = parents.get(other)
+            if other_parent is None or other_parent == parent:
+                continue
+            connections.setdefault(parent, set()).add(other_parent)
+            connections.setdefault(other_parent, set()).add(parent)
+    side = sgs.side_length * factor
+    cells = []
+    for coord, population in populations.items():
+        status = statuses[coord]
+        conn = set()
+        if status is CellStatus.CORE:
+            conn = connections.get(coord, set())
+        cells.append(
+            SkeletalGridCell(coord, side, population, status, frozenset(conn))
+        )
+    return SGS.from_cells(
+        cells,
+        side,
+        level=sgs.level + 1,
+        cluster_id=sgs.cluster_id,
+        window_index=sgs.window_index,
+    )
+
+
+@contextlib.contextmanager
+def cell_constructions():
+    """Count ``SkeletalGridCell`` constructions inside the block: yields
+    a one-item list holding the count so far."""
+    built = [0]
+    real = SkeletalGridCell.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    SkeletalGridCell.__init__ = counting
+    try:
+        yield built
+    finally:
+        SkeletalGridCell.__init__ = real

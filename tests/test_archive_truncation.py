@@ -8,6 +8,7 @@ archive behind:
 * a torn **dump file** must be rejected with a clean :class:`ValueError`
   at every possible cut point — never a raw ``struct.error`` — and a
   bulk load into a durable store must roll back to its pre-load state;
+  so must a single torn or padded **stored blob**;
 * a SIGKILL **during archival** must preserve every pattern whose
   ``add`` was acknowledged before the kill.
 """
@@ -22,7 +23,11 @@ from pathlib import Path
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import (
+    clustered_points,
+    reference_sgs_from_bytes,
+    stream_batches,
+)
 from repro.archive.pattern_base import PatternBase
 from repro.archive.persistence import (
     dump_pattern_base,
@@ -30,6 +35,7 @@ from repro.archive.persistence import (
     roundtrip_bytes,
 )
 from repro.core.csgs import CSGS
+from repro.core.serialize import sgs_from_bytes, sgs_to_bytes
 
 _RECORD = "<IIBI"
 
@@ -128,6 +134,23 @@ def test_truncation_corpus_raises_clean_valueerror():
         # escapes: struct.error is not a ValueError subclass.
         with pytest.raises(ValueError):
             load_pattern_base(io.BytesIO(blob[:cut]))
+
+
+def test_single_blob_is_consumed_exactly_at_every_cut_point():
+    """The drill on one stored blob: the decoder the rows replaced let a
+    cut inside a cell head escape as ``struct.error`` and returned a
+    summary for a blob with bytes to spare."""
+    sgs = max((p.sgs for p in _populated(seed=9).all_patterns()), key=len)
+    blob = sgs_to_bytes(sgs)
+    assert sgs_from_bytes(blob).rows == sgs.rows
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            sgs_from_bytes(blob[:cut])
+    with pytest.raises(ValueError, match="trailing bytes"):
+        sgs_from_bytes(blob + b"junk")
+    with pytest.raises(struct.error):
+        reference_sgs_from_bytes(blob[: 4 + 25 + 3])  # inside the first head
+    assert reference_sgs_from_bytes(blob + b"junk").rows == sgs.rows
 
 
 def test_truncated_header_names_the_missing_piece():

@@ -16,9 +16,14 @@ from tests.helpers import (
     ReferenceCSGS,
     career_state,
     career_streams,
+    cell_constructions,
     clustered_points,
     lifespan_maps,
     record_extensions,
+    reference_emit,
+    reference_features,
+    reference_mbr,
+    reference_sgs_to_bytes,
     stamped,
     stream_batches,
     window_output_dict,
@@ -28,6 +33,8 @@ from repro.clustering.dbscan import classify_objects, dbscan
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus
 from repro.core.csgs import CSGS
+from repro.core.features import ClusterFeatures
+from repro.core.serialize import sgs_to_bytes
 from repro.index.provider import make_provider
 from repro.streams.objects import StreamObject
 
@@ -126,9 +133,11 @@ def test_lemma_4_2_edge_cell_population_below_theta_count():
         output = csgs.process_batch(batch)
         for sgs in output.summaries:
             grid = csgs.tracker.grid
-            for cell in sgs.edge_cells():
+            for location, (is_core, _, _) in sgs.rows.items():
+                if is_core:
+                    continue
                 # All objects physically in the cell (not just members).
-                assert len(grid.objects_in_cell(cell.location)) < theta_count
+                assert len(grid.objects_in_cell(location)) < theta_count
 
 
 def test_sgs_population_counts_cluster_members():
@@ -295,6 +304,78 @@ def test_fast_insertion_equals_reference_after_every_insertion(stream, mode):
         assert career_state(fast.tracker) == career_state(reference.tracker)
         assert fast_events == reference_events
         assert lifespan_maps(fast) == lifespan_maps(reference)
+
+
+# ----------------------------------------------------------------------
+# Rows appended by emit ≡ the cell objects it used to build
+# ----------------------------------------------------------------------
+
+
+def _assert_output_equals_oracle(csgs, window):
+    with cell_constructions() as built:
+        output = csgs.emit(window)
+        assert built == [0]
+    oracle = reference_emit(csgs, window)
+    assert window_output_dict(output) == window_output_dict(oracle)
+    for sgs, expected in zip(output.summaries, oracle.summaries):
+        assert list(sgs.rows.items()) == list(expected.rows.items())
+        assert sgs_to_bytes(sgs) == reference_sgs_to_bytes(expected)
+        assert sgs.mbr() == reference_mbr(expected)
+        assert ClusterFeatures.from_sgs(sgs) == reference_features(expected)
+    return output
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stream=career_streams(),
+    backend=st.sampled_from(["grid", "kdtree", "rtree"]),
+)
+def test_emitted_rows_equal_the_cell_built_oracle_after_every_slide(
+    stream, backend
+):
+    """Emit builds no cell object, and what it appends — rows, their
+    order, the blob, the interchange dict, the MBR and the feature
+    tuple — is what the cell-building output stage and the cell walks
+    gave, on every neighbor-search backend."""
+    dims, theta_range, theta_count, ops = stream
+    csgs = CSGS(theta_range, theta_count, dims, backend=backend)
+    window = 0
+    oid = 0
+    for op in _grouped(ops):
+        if op[0] == "batch":
+            batch = []
+            for _, coords, lifespan in op[1]:
+                batch.append(stamped(oid, coords, window, window + lifespan))
+                oid += 1
+            csgs.tracker.insert_batch(batch)
+            continue
+        _assert_output_equals_oracle(csgs, window)
+        window += op[1]
+        csgs.begin_window(window)
+
+
+@pytest.mark.parametrize("backend", ["grid", "kdtree", "rtree"])
+@pytest.mark.parametrize("dims", [2, 4])
+def test_emitted_rows_equal_the_oracle_on_clustered_streams(dims, backend):
+    """The same identity where attachments are dense: clusters in noise
+    whose fringe cells are attached to several core cells at once."""
+    if dims == 2:
+        points = clustered_points(
+            [(2.0, 2.0), (3.2, 2.6), (5.0, 4.0)], per_cluster=220, noise=400, seed=9
+        )
+        csgs = CSGS(0.35, 12, 2, backend=backend)
+    else:
+        rng = random.Random(3)
+        points = [tuple(rng.gauss(0.5, 0.12) for _ in range(4)) for _ in range(900)]
+        csgs = CSGS(0.15, 6, 4, backend=backend)
+    edge_rows = 0
+    for batch in stream_batches(points, 300, 60):
+        csgs.begin_window(batch.index)
+        csgs.tracker.insert_batch(batch.new_objects)
+        output = _assert_output_equals_oracle(csgs, batch.index)
+        for sgs in output.summaries:
+            edge_rows += sum(not is_core for is_core, _, _ in sgs.rows.values())
+    assert edge_rows > 150  # the stream does exercise the attachment merge
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,7 @@ def _sgs():
         SkeletalGridCell((1, 0), 0.5, 4, CellStatus.CORE, frozenset({(0, 0)})),
         SkeletalGridCell((2, 0), 0.5, 2, CellStatus.EDGE),
     ]
-    return SGS(cells, 0.5)
+    return SGS.from_cells(cells, 0.5)
 
 
 def test_from_sgs():

@@ -87,7 +87,7 @@ def test_negative_coordinates_coarsen_correctly():
         SkeletalGridCell((-1, -1), 1.0, 3, CellStatus.CORE, frozenset()),
         SkeletalGridCell((-2, -2), 1.0, 2, CellStatus.EDGE),
     ]
-    sgs = SGS(cells, 1.0)
+    sgs = SGS.from_cells(cells, 1.0)
     coarse = coarsen_sgs(sgs, factor=2)
     assert set(coarse.cells) == {(-1, -1)}
     assert coarse.cells[(-1, -1)].population == 5

@@ -10,14 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import (
+    cell_constructions,
     clustered_points,
     metric_specs,
+    reference_anytime_search,
+    reference_cell_level_distance,
+    reference_cell_table,
+    reference_coarsen_sgs,
+    reference_sgs_from_bytes,
     reference_sgs_to_bytes,
     stream_batches,
     summaries,
+    summary_pairs,
 )
 from repro.archive.pattern_base import PatternBase
-from repro.core.cells import CellStatus, SkeletalGridCell, pack_offsets
+from repro.core.cells import CellStatus, SkeletalGridCell, connection_block
 from repro.core.csgs import CSGS
 from repro.core.multires import coarsen_sgs
 from repro.core.regenerate import regenerate_points
@@ -31,7 +38,9 @@ from repro.core.serialize import (
 )
 from repro.core.sgs import SGS
 from repro.eval.memory import sgs_bytes
+from repro.matching.alignment import anytime_alignment_search
 from repro.matching.cell_match import cell_level_distance
+from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval.inverted import canonical_origin
 
 
@@ -128,28 +137,24 @@ def test_multires_roundtrip():
 
 
 # ----------------------------------------------------------------------
-# The two forms of a connection vector (absolute / packed offsets)
+# Rows in, rows out: no codec builds a cell object
 # ----------------------------------------------------------------------
-
-
-def _holds_only_offsets(sgs):
-    return all(
-        cell._connections is None and cell._packed is not None
-        for cell in sgs.cells.values()
-    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4).flatmap(summaries))
 def test_blob_roundtrip_never_builds_absolute_connections(sgs):
     blob = sgs_to_bytes(sgs)
-    hydrated = sgs_from_bytes(blob)
+    with cell_constructions() as built:
+        hydrated = sgs_from_bytes(blob)
+        assert sgs_to_bytes(hydrated) == blob
+        parsed = sgs_from_dict(sgs_to_dict(hydrated))
+        assert sgs_to_bytes(parsed) == blob
+        assert hydrated.rows == parsed.rows == sgs.rows
+        assert built == [0]
+    # Asking for the view does not change what the summary stores.
+    assert _equal(sgs, hydrated) and _equal(sgs, reference_sgs_from_bytes(blob))
     assert sgs_to_bytes(hydrated) == blob
-    assert _holds_only_offsets(hydrated)
-    # Asking does not change what the cell stores.
-    assert _equal(sgs, hydrated) and _holds_only_offsets(hydrated)
-    parsed = sgs_from_dict(sgs_to_dict(hydrated))
-    assert sgs_to_bytes(parsed) == blob and _holds_only_offsets(parsed)
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,6 +178,83 @@ def test_hydrated_summary_behaves_as_the_original(sgs, spec):
     assert cell_level_distance(hydrated, sgs, spec) == 0.0
 
 
+def _forms(sgs):
+    """One summary reached five ways: as built, through the blob, through
+    the interchange dict, through the cell view and through the
+    cell-building decoder."""
+    blob = sgs_to_bytes(sgs)
+    placed = dict(
+        level=sgs.level, cluster_id=sgs.cluster_id, window_index=sgs.window_index
+    )
+    return [
+        sgs,
+        sgs_from_bytes(blob),
+        sgs_from_dict(sgs_to_dict(sgs)),
+        SGS.from_cells(sgs.cells.values(), sgs.side_length, **placed),
+        reference_sgs_from_bytes(blob),
+    ]
+
+
+def _assert_one_summary(forms):
+    first = forms[0]
+    table, coarse = reference_cell_table(first), reference_coarsen_sgs(first, 3)
+    for form in forms:
+        assert list(form.rows.items()) == list(first.rows.items())
+        assert sgs_to_bytes(form) == sgs_to_bytes(first)
+        assert sgs_to_dict(form) == sgs_to_dict(first)
+        assert list(form.cell_table().items()) == list(table.items())
+        assert list(coarsen_sgs(form, 3).rows.items()) == list(coarse.rows.items())
+    assert reference_cell_table(coarse) == coarsen_sgs(first, 3).cell_table()
+
+
+@settings(max_examples=60, deadline=None)
+@given(summary_pairs(), metric_specs())
+def test_every_form_of_a_summary_is_one_summary_to_the_kernel(pair, spec):
+    """Rows, blob, dict, cell view and coarser level round-trip, and the
+    match kernel returns the same floats, bit for bit, whichever form
+    its two summaries came from — the floats of the cell-by-cell walk."""
+    a, b = pair
+    forms_a, forms_b = _forms(a), _forms(b)
+    _assert_one_summary(forms_a)
+    _assert_one_summary(forms_b)
+    distance = reference_cell_level_distance(a, b, spec)
+    found = reference_anytime_search(a, b, spec, max_expansions=3)
+    for form_a, form_b in zip(forms_a, forms_b[1:] + forms_b[:1]):
+        assert cell_level_distance(form_a, form_b, spec) == distance
+        result = anytime_alignment_search(form_a, form_b, spec, max_expansions=3)
+        assert (result.distance, result.alignment, result.evaluated) == found
+
+
+def test_offsets_beyond_the_kernel_box_stay_exact_in_six_dimensions():
+    """Above 5-D no offset owns a mask bit: every connection is an
+    ``extras`` entry of the kernel row, and the forms still agree."""
+    here, there = (0, 1, -2, 3, 0, 7), (9, 9, 9, 9, 9, 9)
+    near = [(0, 1, -1, 3, 0, 7), (1, 2, -2, 3, -2, 5), (-128, 1, -2, 3, 0, 134)]
+    a = SGS.from_cells(
+        [
+            SkeletalGridCell(here, 0.5, 4, CellStatus.CORE, near),
+            SkeletalGridCell(near[0], 0.5, 1, CellStatus.EDGE),
+        ],
+        0.5,
+    )
+    b = SGS.from_cells(
+        [
+            SkeletalGridCell(here, 0.5, 3, CellStatus.CORE, near[:2]),
+            SkeletalGridCell(there, 0.5, 2, CellStatus.CORE, [here]),
+        ],
+        0.5,
+    )
+    _assert_one_summary(_forms(a))
+    _assert_one_summary(_forms(b))
+    mask, extras = a.cell_table()[here][2:]
+    assert mask == 0 and len(extras) == 3 and (-128, 0, 0, 0, 0, 127) in extras
+    spec = DistanceMetricSpec()
+    for form_a, form_b in zip(_forms(a), _forms(b)):
+        assert cell_level_distance(form_a, form_b, spec) == (
+            reference_cell_level_distance(a, b, spec)
+        )
+
+
 def _pickle_in_spawned_process(sgs):
     context = multiprocessing.get_context("spawn")
     with context.Pool(1) as pool:
@@ -192,6 +274,23 @@ def test_pickle_roundtrip_with_and_without_a_built_table():
         built = pickle.loads(_pickle_in_spawned_process(sgs))
         assert built.cell_table() == table and _equal(sgs, built)
         assert sgs_to_bytes(built) == sgs_to_bytes(original)
+
+
+def test_wire_connections_in_any_order_make_the_same_rows():
+    """The block is sorted and holds each connection once, whatever
+    order (or how often) a client lists them in."""
+    sgs = max(_summaries(), key=len)
+    data = sgs_to_dict(sgs)
+    shuffled = dict(
+        data,
+        cells=[
+            dict(cell, connections=cell["connections"][::-1] + cell["connections"][:1])
+            for cell in data["cells"]
+        ],
+    )
+    assert any(len(cell["connections"]) > 2 for cell in shuffled["cells"])
+    assert sgs_from_dict(shuffled).rows == sgs.rows
+    assert sgs_to_bytes(sgs_from_dict(shuffled)) == sgs_to_bytes(sgs)
 
 
 def test_unstorable_connection_offsets_are_refused_at_parse():
@@ -220,28 +319,26 @@ def test_unstorable_connection_offsets_are_refused_at_parse():
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 4).flatmap(summaries))
 def test_encoder_bytes_equal_the_reference_in_both_cell_forms(sgs):
-    """``summaries`` builds absolute connection sets with offsets out to
-    -128 / 127; decoding the blob gives the same summary in the
-    ``packed=`` form. Either way: the reference encoder's bytes."""
+    """``summaries`` builds cells from absolute connection sets with
+    offsets out to -128 / 127; decoding the blob gives the same summary
+    straight from packed rows. Either way: the reference encoder's bytes."""
     blob = reference_sgs_to_bytes(sgs)
     assert sgs_to_bytes(sgs) == blob
     hydrated = sgs_from_bytes(blob)
-    assert _holds_only_offsets(hydrated) and _equal(sgs, hydrated)
+    assert hydrated.rows == sgs.rows and _equal(sgs, hydrated)
     assert sgs_to_bytes(hydrated) == reference_sgs_to_bytes(hydrated) == blob
 
 
 def _lone_cell(offsets, form):
-    """A one-cell 4-D summary holding ``offsets`` in either form."""
+    """A one-cell 4-D summary holding ``offsets``, built from a cell
+    object or straight from a packed row."""
     here = (3, -7, 0, 120)
+    neighbors = {tuple(h + o for h, o in zip(here, offset)) for offset in offsets}
     if form == "packed":
-        connections = {"packed": pack_offsets(offsets, 4)}
-    else:
-        connections = {
-            "connections": frozenset(
-                tuple(h + o for h, o in zip(here, offset)) for offset in offsets
-            )
-        }
-    return SGS([SkeletalGridCell(here, 0.5, 9, CellStatus.CORE, **connections)], 0.5)
+        row = (True, 9, connection_block(here, sorted(neighbors)))
+        return SGS({here: row}, 0.5)
+    cell = SkeletalGridCell(here, 0.5, 9, CellStatus.CORE, neighbors)
+    return SGS.from_cells([cell], 0.5)
 
 
 @pytest.mark.parametrize("form", ("absolute", "packed"))
@@ -279,3 +376,27 @@ def test_encoder_names_the_first_offset_outside_the_byte_range(form, stray):
         sgs_to_bytes(_lone_cell(offsets, form))
     assert str(refusal.value) == str(expected.value)
     assert str(list(stray)) in str(refusal.value)
+
+
+@pytest.mark.parametrize(
+    "location, population",
+    [((2**31, 0), 1), ((0, -(2**31) - 1), 1), ((0, 0), 2**32), ((0.5, 0), 1)],
+)
+def test_encoder_and_parser_refuse_what_the_cell_head_cannot_hold(
+    location, population, tmp_path
+):
+    """One refusal, word for word, from the row encoder and from the
+    dict path — where ``struct.error`` used to escape the SQLite store
+    and the memory store took the pattern."""
+    fits = SGS({(2**31 - 1, -(2**31)): (True, 2**32 - 1, b"")}, 0.5)
+    assert sgs_from_bytes(sgs_to_bytes(fits)).rows == fits.rows
+    stray = SGS({location: (True, population, b"")}, 0.5)
+    with pytest.raises(ValueError, match="int32 location") as refusal:
+        sgs_to_bytes(stray)
+    with pytest.raises(ValueError) as at_parse:
+        sgs_from_dict(sgs_to_dict(stray))
+    assert str(refusal.value) == str(at_parse.value)
+    with PatternBase(store=f"sqlite:{tmp_path / 'h.db'}") as base:
+        with pytest.raises(ValueError, match="int32 location"):
+            base.add(stray, 40)
+        assert len(base) == 0

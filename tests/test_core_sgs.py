@@ -23,7 +23,7 @@ def _sample_sgs():
         _core((1, 0), pop=4, conn={(0, 0)}),
         _edge((1, 1), pop=2),
     ]
-    return SGS(cells, 0.5, level=0, cluster_id=3, window_index=9)
+    return SGS.from_cells(cells, 0.5, level=0, cluster_id=3, window_index=9)
 
 
 def test_basic_features():
@@ -85,7 +85,7 @@ def test_core_graph_and_path():
 
 def test_core_path_none_when_disconnected():
     cells = [_core((0, 0)), _core((5, 5))]
-    sgs = SGS(cells, 0.5)
+    sgs = SGS.from_cells(cells, 0.5)
     assert sgs.core_path_length((0, 0), (5, 5)) is None
     assert not sgs.is_connected()
 
@@ -96,22 +96,22 @@ def test_is_connected_true_for_sample():
 
 def test_is_connected_false_for_orphan_edge():
     cells = [_core((0, 0), conn=set()), _edge((5, 5))]
-    sgs = SGS(cells, 0.5)
+    sgs = SGS.from_cells(cells, 0.5)
     assert not sgs.is_connected()
 
 
 def test_duplicate_locations_rejected():
     with pytest.raises(ValueError):
-        SGS([_core((0, 0)), _core((0, 0))], 0.5)
+        SGS.from_cells([_core((0, 0)), _core((0, 0))], 0.5)
 
 
 def test_mixed_side_lengths_rejected():
     good = _core((0, 0))
     bad = SkeletalGridCell((1, 0), 0.7, 1, CellStatus.CORE)
     with pytest.raises(ValueError):
-        SGS([good, bad], 0.5)
+        SGS.from_cells([good, bad], 0.5)
 
 
 def test_empty_sgs_rejected():
     with pytest.raises(ValueError):
-        SGS([], 0.5)
+        SGS.from_cells([], 0.5)

@@ -32,7 +32,7 @@ def _sgs(locations, populations=None, side=0.5):
         )
         for i, loc in enumerate(locations)
     ]
-    return SGS(cells, side)
+    return SGS.from_cells(cells, side)
 
 
 L_SHAPE = [(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)]

@@ -26,7 +26,7 @@ def _sgs(locations, populations=None, side=0.5, statuses=None, conns=None):
         status = statuses[i] if statuses else CellStatus.CORE
         conn = conns[i] if conns else frozenset()
         cells.append(SkeletalGridCell(loc, side, pop, status, frozenset(conn)))
-    return SGS(cells, side)
+    return SGS.from_cells(cells, side)
 
 
 def test_identical_sgs_zero_distance():
@@ -111,7 +111,7 @@ def test_position_sensitive_rejects_nonzero_alignment():
 def test_dimension_mismatch_rejected():
     a = _sgs([(0, 0)])
     cells = [SkeletalGridCell((0, 0, 0), 0.5, 1, CellStatus.CORE)]
-    b = SGS(cells, 0.5)
+    b = SGS.from_cells(cells, 0.5)
     spec = DistanceMetricSpec()
     with pytest.raises(ValueError):
         cell_level_distance(a, b, spec)

@@ -148,8 +148,8 @@ def test_distance_between_real_sgs():
         SkeletalGridCell((5, 5), 0.5, 10, CellStatus.CORE, frozenset({(6, 5)})),
         SkeletalGridCell((6, 5), 0.5, 8, CellStatus.CORE, frozenset({(5, 5)})),
     ]
-    sgs_a = SGS(cells_a, 0.5)
-    sgs_b = SGS(cells_b, 0.5)
+    sgs_a = SGS.from_cells(cells_a, 0.5)
+    sgs_b = SGS.from_cells(cells_b, 0.5)
     spec = DistanceMetricSpec()
     distance = cluster_feature_distance(
         ClusterFeatures.from_sgs(sgs_a),

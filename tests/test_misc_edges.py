@@ -16,8 +16,8 @@ def test_print_series(capsys):
 
 
 def test_single_cell_sgs_matching():
-    a = SGS([SkeletalGridCell((0, 0), 0.5, 5, CellStatus.CORE)], 0.5)
-    b = SGS([SkeletalGridCell((9, 9), 0.5, 5, CellStatus.CORE)], 0.5)
+    a = SGS.from_cells([SkeletalGridCell((0, 0), 0.5, 5, CellStatus.CORE)], 0.5)
+    b = SGS.from_cells([SkeletalGridCell((9, 9), 0.5, 5, CellStatus.CORE)], 0.5)
     spec = DistanceMetricSpec()
     result = anytime_alignment_search(a, b, spec)
     assert result.distance == pytest.approx(0.0)
@@ -27,9 +27,9 @@ def test_single_cell_sgs_matching():
 def test_sgs_with_only_edge_cells_connectivity():
     # Degenerate summary (can arise from manual construction): a single
     # edge cell counts as trivially connected; two do not.
-    single = SGS([SkeletalGridCell((0, 0), 0.5, 2, CellStatus.EDGE)], 0.5)
+    single = SGS.from_cells([SkeletalGridCell((0, 0), 0.5, 2, CellStatus.EDGE)], 0.5)
     assert single.is_connected()
-    double = SGS(
+    double = SGS.from_cells(
         [
             SkeletalGridCell((0, 0), 0.5, 2, CellStatus.EDGE),
             SkeletalGridCell((1, 0), 0.5, 2, CellStatus.EDGE),
@@ -54,7 +54,7 @@ def test_cell_status_roundtrip_via_value():
 
 
 def test_sgs_density_of_region_single_cell():
-    sgs = SGS([SkeletalGridCell((2, 2), 0.5, 8, CellStatus.CORE)], 0.5)
+    sgs = SGS.from_cells([SkeletalGridCell((2, 2), 0.5, 8, CellStatus.CORE)], 0.5)
     assert sgs.density_of_region([(2, 2)]) == pytest.approx(8 / 0.25)
     with pytest.raises(KeyError):
         sgs.density_of_region([(0, 0)])

@@ -61,7 +61,7 @@ def random_sgs(draw):
             cells.append(
                 SkeletalGridCell(loc, 0.25, population, CellStatus.EDGE)
             )
-    return SGS(
+    return SGS.from_cells(
         cells,
         0.25,
         level=draw(st.integers(min_value=0, max_value=3)),

@@ -76,7 +76,7 @@ def _tiny_sgs():
         SkeletalGridCell((1, 0), 0.5, 3, CellStatus.CORE, frozenset({(0, 0)})),
         SkeletalGridCell((1, 1), 0.5, 1, CellStatus.EDGE),
     ]
-    return SGS(cells, 0.5, cluster_id=4, window_index=2)
+    return SGS.from_cells(cells, 0.5, cluster_id=4, window_index=2)
 
 
 def test_render_dimensions_and_symbols():
@@ -102,7 +102,7 @@ def test_render_window_labels():
 def test_render_rejects_non_2d():
     cells = [SkeletalGridCell((0, 0, 0), 0.5, 1, CellStatus.CORE)]
     with pytest.raises(ValueError):
-        render_sgs(SGS(cells, 0.5))
+        render_sgs(SGS.from_cells(cells, 0.5))
 
 
 def test_render_real_extraction():

@@ -78,7 +78,7 @@ def _sgs_from_locations(locations, side=1.0, window=0):
         )
         for i, loc in enumerate(sorted(set(locations)))
     ]
-    return SGS(cells, side, window_index=window)
+    return SGS.from_cells(cells, side, window_index=window)
 
 
 def test_signature_matches_engine_ladder_cells():

@@ -7,6 +7,7 @@ process over a persisted archive: parse the printed bound port, ingest
 a pattern, match, and compare against the in-process golden answer.
 """
 
+import contextlib
 import http.client
 import json
 import os
@@ -22,7 +23,7 @@ import pytest
 
 from tests.golden.workload import build_sharded_v3_archive
 from repro.archive.persistence import dump_pattern_base
-from repro.core.serialize import sgs_to_dict
+from repro.core.serialize import sgs_from_bytes, sgs_to_bytes, sgs_to_dict
 from repro.retrieval import (
     MatchQuery,
     ShardedMatchEngine,
@@ -369,6 +370,41 @@ def _post(conn, path, payload):
     return resp.status, resp.getheader("Connection"), json.loads(resp.read())
 
 
+@contextlib.contextmanager
+def _keep_alive_service(archive_path, tmp_path, backend):
+    """``(service, conn)``: a threaded server on the given store backend
+    and one keep-alive connection to it."""
+    store = f"sqlite:{tmp_path / 'archive.db'}" if backend == "sqlite" else None
+    service = MatchService.from_archive(archive_path, shards=2, store=store)
+    server, host, port = make_server(service, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        yield service, conn
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
+def _assert_refused_everywhere(conn, service, bad, reason):
+    """A typed 400 naming ``reason`` on every endpoint that takes a wire
+    summary, and the archive as it was."""
+    before = len(service.base)
+    status, _, body = _post(conn, "/ingest", {"sgs": bad, "full_size": 9})
+    assert status == 400 and "bad ingest payload" in body["error"]
+    assert reason in body["error"]
+    query = {"sgs": bad, "threshold": 0.5}
+    status, _, body = _post(conn, "/match", query)
+    assert status == 400 and "bad query" in body["error"]
+    status, _, body = _post(conn, "/match_many", {"queries": [query]})
+    assert status == 400 and "bad query" in body["error"]
+    assert len(service.base) == before
+
+
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_unstorable_connection_offset_is_a_400(
     archive_path, tmp_path, backend
@@ -379,27 +415,13 @@ def test_unstorable_connection_offset_is_a_400(
     at dump time). The blob's signed-byte offset range is checked where
     wire summaries are parsed: a typed 400 on every endpoint that takes
     one, the archive untouched, the keep-alive socket still usable."""
-    store = f"sqlite:{tmp_path / 'archive.db'}" if backend == "sqlite" else None
-    service = MatchService.from_archive(archive_path, shards=2, store=store)
-    server, host, port = make_server(service, "127.0.0.1", 0)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    conn = http.client.HTTPConnection(host, port, timeout=30)
-    try:
+    with _keep_alive_service(archive_path, tmp_path, backend) as (service, conn):
         good = sgs_to_dict(_query_sgs(service.base))
         bad = json.loads(json.dumps(good))
         cell = bad["cells"][0]
         cell["connections"].append([cell["location"][0] + 128, *cell["location"][1:]])
         before = len(service.base)
-        status, _, body = _post(conn, "/ingest", {"sgs": bad, "full_size": 9})
-        assert status == 400 and "bad ingest payload" in body["error"]
-        assert "out of byte range" in body["error"]
-        query = {"sgs": bad, "threshold": 0.5}
-        status, _, body = _post(conn, "/match", query)
-        assert status == 400 and "bad query" in body["error"]
-        status, _, body = _post(conn, "/match_many", {"queries": [query]})
-        assert status == 400 and "bad query" in body["error"]
-        assert len(service.base) == before
+        _assert_refused_everywhere(conn, service, bad, "out of byte range")
         # -128 is the last storable offset; same socket, next ingest.
         cell["connections"][-1][0] = cell["location"][0] - 128
         cell["connections"].sort()
@@ -407,12 +429,41 @@ def test_unstorable_connection_offset_is_a_400(
         assert status == 200 and body["archive_size"] == before + 1
         stored = service.base.get(body["pattern_id"]).sgs
         assert sgs_to_dict(stored)["cells"] == bad["cells"]
-    finally:
-        conn.close()
-        server.shutdown()
-        server.server_close()
-        service.close()
-        thread.join(timeout=5)
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_out_of_range_cell_is_a_400(archive_path, tmp_path, backend):
+    """Regression pin: a location component of ``2**31``, a population
+    of ``2**32`` or a location of ``12.5`` parsed fine, then the cell
+    head's ``struct.error`` (or a ``TypeError``) escaped ``engine.ingest``
+    as a 500 — on the SQLite store only for the first two: the memory
+    store took the pattern and failed at the next dump. What the head
+    cannot hold is refused where wire summaries are parsed."""
+    with _keep_alive_service(archive_path, tmp_path, backend) as (service, conn):
+        good = sgs_to_dict(_query_sgs(service.base))
+        before = len(service.base)
+        for field, value in (
+            ("location", [2**31, 0, 0, 0]),
+            ("location", [0, -(2**31) - 1, 0, 0]),
+            ("location", [12.5, 0, 0, 0]),
+            ("population", 2**32),
+            ("population", -1),
+            ("population", 3.0),
+        ):
+            bad = json.loads(json.dumps(good))
+            bad["cells"][0].update({field: value, "connections": []})
+            _assert_refused_everywhere(conn, service, bad, "int32 location")
+        # The last storable values; same socket, next ingest. (One cell:
+        # the inverted index sizes its histograms by a summary's extent.)
+        edge = dict(good, cells=[dict(good["cells"][0], connections=[])])
+        edge["cells"][0].update(
+            location=[2**31 - 1, -(2**31), 0, 0], population=2**32 - 1
+        )
+        status, _, body = _post(conn, "/ingest", {"sgs": edge, "full_size": 9})
+        assert status == 200 and body["archive_size"] == before + 1
+        stored = service.base.get(body["pattern_id"]).sgs
+        assert sgs_to_dict(stored)["cells"] == edge["cells"]
+        assert sgs_to_dict(sgs_from_bytes(sgs_to_bytes(stored))) == sgs_to_dict(stored)
 
 
 def test_service_rejects_malformed_payloads_directly(archive_path):

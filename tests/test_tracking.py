@@ -16,7 +16,7 @@ def _sgs(locations, window, cluster_id=0, population=5):
         SkeletalGridCell(loc, 0.5, population, CellStatus.CORE)
         for loc in locations
     ]
-    return SGS(
+    return SGS.from_cells(
         cells, 0.5, cluster_id=cluster_id, window_index=window
     )
 
