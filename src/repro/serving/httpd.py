@@ -23,13 +23,25 @@ server threads only decode and encode here — every operation runs
 under the service's own lock, so threading the HTTP layer costs no
 determinism.
 
-Error replies never poison the HTTP/1.1 keep-alive stream: a request
-rejected *before* its body was read (oversized, unknown path) has the
-unread bytes drained — bounded by :data:`DRAIN_LIMIT_BYTES` — so the
-next request on the same socket starts at a request line, and when
-draining is unreasonable (body too large, or a malformed
-``Content-Length`` that leaves the stream unparseable) the reply
-carries ``Connection: close`` instead.
+Every reply accounts for the request body it did not read, so the
+HTTP/1.1 keep-alive stream is never poisoned: a body that was rejected
+before it was read (oversized, unknown path) or that the endpoint takes
+no body for (``GET``, ``DELETE``) is drained — bounded by
+:data:`DRAIN_LIMIT_BYTES` — so the next request on the same socket
+starts at a request line, and when draining is unreasonable (body too
+large, or a malformed ``Content-Length`` that leaves the stream
+unparseable) the reply carries ``Connection: close`` instead.
+
+A reply leaves in one write. With the stdlib's default unbuffered
+``wfile`` the head and the body were two sends: Nagle's algorithm held
+the body until the client acknowledged the head, and the client delays
+that ACK by ~40 ms, so every round trip paid ~40 ms of idle wait on top
+of its match. ``wbufsize`` collects the status line, headers and body
+in one buffer, which ``handle_one_request`` flushes after each
+``do_*`` (and ``finish`` on close, so the stdlib's own ``send_error``
+replies still arrive). A reply bigger than the buffer leaves as a head
+flush plus a direct body write; ``disable_nagle_algorithm`` sets
+``TCP_NODELAY`` so that body never waits on the head's ACK either.
 """
 
 from __future__ import annotations
@@ -51,10 +63,13 @@ DRAIN_LIMIT_BYTES = 1024 * 1024
 
 
 class MatchRequestHandler(BaseHTTPRequestHandler):
-    """Routes the five service endpoints; JSON in, JSON out."""
+    """Routes the service endpoints; JSON in, JSON out."""
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    #: One reply, one send: see the module docstring.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
     #: Class attributes, not module constants, so deployments (and the
     #: regression tests) can tighten them per handler.
     max_body_bytes = MAX_BODY_BYTES
@@ -67,8 +82,22 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # quiet by default; the CLI
         pass  # announces the bound address once instead.
 
-    def _reply(self, status: int, payload, close: bool = False) -> None:
+    def handle_expect_100(self) -> bool:
+        # The interim reply must leave now, not at the final flush: the
+        # client holds the body back until it sees it.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
+
+    def _reply(self, status: int, payload) -> None:
+        """Answer without corrupting the keep-alive stream: drain the
+        unread body (bounded) so the socket stays reusable, or close the
+        connection when the stream can't be resynced."""
         body = json.dumps(payload).encode("utf-8")
+        unread = self._unread_body
+        close = unread is None or unread > self.drain_limit
+        if not close and unread:
+            self.rfile.read(unread)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -92,7 +121,7 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             return None
 
     def _read_json(self):
-        length = self._declared_body_length()
+        length = self._unread_body
         if length is None:
             raise ServiceError(
                 "malformed Content-Length header "
@@ -104,45 +133,32 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             raise ServiceError("request body too large")
         data = self.rfile.read(length)
         self._unread_body = 0
-        return json.loads(data)
-
-    def _reply_error(self, status: int, message: str) -> None:
-        """Answer an error without corrupting the keep-alive stream:
-        drain the unread body (bounded) so the socket stays reusable,
-        or close the connection when the stream can't be resynced."""
-        unread = self._unread_body
-        close = False
-        if unread is None:
-            close = True  # unknown body length: no way to resync
-        elif unread > 0:
-            if unread <= self.drain_limit:
-                self.rfile.read(unread)
-            else:
-                close = True
-        self._reply(status, {"error": message}, close=close)
+        try:
+            return json.loads(data)
+        except ValueError as error:  # bad JSON, or bytes that are no UTF
+            raise ServiceError(f"malformed JSON body: {error}") from None
 
     def _dispatch(self, handler, with_body: bool) -> None:
+        """Answer with ``handler`` (``None``: unknown path, 404), which
+        takes the parsed JSON body when ``with_body``."""
         # Until _read_json consumes it, the declared body is pending on
-        # the socket; error replies must account for it.
-        self._unread_body = self._declared_body_length() if with_body else 0
+        # the socket; every reply must account for it.
+        self._unread_body = self._declared_body_length()
+        if handler is None:
+            self._reply(404, {"error": f"unknown path {self.path}"})
+            return
         try:
-            payload = self._read_json() if with_body else None
-            answer = handler(payload) if with_body else handler()
+            answer = handler(self._read_json()) if with_body else handler()
             self._reply(200, answer)
-        except (ServiceError, json.JSONDecodeError) as error:
-            self._reply_error(400, str(error))
+        except ServiceError as error:
+            self._reply(400, {"error": str(error)})
         except Exception as error:  # a crash must answer, not hang the
             # client: the connection is keep-alive under HTTP/1.1.
-            self._reply_error(500, f"{type(error).__name__}: {error}")
+            self._reply(500, {"error": f"{type(error).__name__}: {error}"})
 
     def do_GET(self) -> None:
-        if self.path == "/healthz":
-            self._dispatch(self.service.healthz, with_body=False)
-        elif self.path == "/stats":
-            self._dispatch(self.service.stats, with_body=False)
-        else:
-            self._unread_body = 0
-            self._reply_error(404, f"unknown path {self.path}")
+        routes = {"/healthz": self.service.healthz, "/stats": self.service.stats}
+        self._dispatch(routes.get(self.path), with_body=False)
 
     def do_POST(self) -> None:
         routes = {
@@ -152,28 +168,15 @@ class MatchRequestHandler(BaseHTTPRequestHandler):
             "/queries": self.service.register_query,
             "/stream": self.service.stream,
         }
-        handler = routes.get(self.path)
-        if handler is None:
-            # The unknown-path reply still owes the stream its body.
-            self._unread_body = self._declared_body_length()
-            self._reply_error(404, f"unknown path {self.path}")
-            return
-        self._dispatch(handler, with_body=True)
+        self._dispatch(routes.get(self.path), with_body=True)
 
     def do_DELETE(self) -> None:
         prefix = "/queries/"
-        if not self.path.startswith(prefix):
-            self._unread_body = self._declared_body_length()
-            self._reply_error(404, f"unknown path {self.path}")
-            return
-        query_id = self.path[len(prefix):]
-        self._unread_body = self._declared_body_length()
-        try:
-            self._reply(200, self.service.unregister_query(query_id))
-        except ServiceError as error:
-            self._reply_error(400, str(error))
-        except Exception as error:
-            self._reply_error(500, f"{type(error).__name__}: {error}")
+        handler = None
+        if self.path.startswith(prefix):
+            query_id = self.path[len(prefix):]
+            handler = lambda: self.service.unregister_query(query_id)
+        self._dispatch(handler, with_body=False)
 
 
 def make_server(

@@ -33,6 +33,7 @@ concurrent mutation, and determinism is the product.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Dict, List, Optional, Sequence
 
@@ -186,7 +187,22 @@ class MatchService:
                 raise ServiceError(f"query is missing {field!r}")
         window_range = data.get("window_range")
         feature_ranges = data.get("feature_ranges")
+        top_k = data.get("top_k")
         try:
+            if top_k is not None and (
+                isinstance(top_k, bool) or not isinstance(top_k, int)
+            ):
+                raise ValueError(f"top_k must be an integer, not {top_k!r}")
+            if feature_ranges is not None and not (
+                isinstance(feature_ranges, dict)
+                and all(
+                    isinstance(span, (list, tuple)) and len(span) == 2
+                    for span in feature_ranges.values()
+                )
+            ):
+                raise ValueError(
+                    "feature_ranges must map feature names to [lo, hi] pairs"
+                )
             metric = (
                 metric_from_wire(data["metric"])
                 if data.get("metric") is not None
@@ -195,7 +211,7 @@ class MatchService:
             return MatchQuery(
                 sgs=sgs_from_dict(data["sgs"]),
                 threshold=float(data["threshold"]),
-                top_k=data.get("top_k"),
+                top_k=top_k,
                 metric=metric,
                 window_range=(
                     (int(window_range[0]), int(window_range[1]))
@@ -411,6 +427,16 @@ class MatchService:
                     timestamp = (
                         float(timestamps[i]) if timestamps is not None else None
                     )
+                    # Refused here, before any object of the batch is
+                    # admitted: the index would only trip on it later,
+                    # blaming whichever batch closes the slide.
+                    if not all(map(math.isfinite, values)) or (
+                        timestamp is not None and not math.isfinite(timestamp)
+                    ):
+                        raise ValueError(
+                            f"object {i} is not finite: {values}, "
+                            f"timestamp {timestamp}"
+                        )
                     objects.append(
                         StreamObject(self._stream_oid + i, values, timestamp)
                     )

@@ -100,7 +100,9 @@ def stream_batches(points, win: int, slide: int):
 # the kernel is pinned to bit for bit: it re-shifts every absolute
 # connection coordinate per pair and builds one target tuple per cell
 # per shift. ``reference_*_search`` are the two alignment searches
-# driven by it.
+# driven by it. It reads cell views (``sgs.cells``), and ``SGS.cells``
+# builds a fresh O(cells) view on every read: a caller scoring many
+# shifts builds each summary's view once and passes it in.
 
 
 def _reference_weights(spec):
@@ -126,11 +128,13 @@ def _reference_connection_difference(cell_a, cell_b, shift):
     return 1.0 - len(conn_a & conn_b) / len(union)
 
 
-def reference_cell_level_distance(sgs_a, sgs_b, spec, alignment=None):
-    if sgs_a.dimensions != sgs_b.dimensions:
+def reference_cell_level_distance(cells_a, cells_b, spec, alignment=None):
+    """The distance of two summaries given as their cell views."""
+    dimensions = len(next(iter(cells_a)))
+    if dimensions != len(next(iter(cells_b))):
         raise ValueError("cannot match SGS of different dimensionality")
     if alignment is None:
-        shift = (0,) * sgs_a.dimensions
+        shift = (0,) * dimensions
     else:
         if spec.position_sensitive and any(alignment):
             raise ValueError(
@@ -138,11 +142,10 @@ def reference_cell_level_distance(sgs_a, sgs_b, spec, alignment=None):
             )
         shift = tuple(int(s) for s in alignment)
     status_weight, density_weight, connectivity_weight = _reference_weights(spec)
-    cells_b = sgs_b.cells
     total = 0.0
     compared = 0
     matched_b = 0
-    for coord, cell_a in sgs_a.cells.items():
+    for coord, cell_a in cells_a.items():
         target = tuple(c + s for c, s in zip(coord, shift))
         cell_b = cells_b.get(target)
         compared += 1
@@ -169,11 +172,12 @@ def reference_cell_level_distance(sgs_a, sgs_b, spec, alignment=None):
 def reference_anytime_search(sgs_a, sgs_b, spec, max_expansions=64):
     """``(distance, alignment, evaluated)`` of the anytime search, every
     shift scored by the reference distance."""
+    cells_a, cells_b = sgs_a.cells, sgs_b.cells
     if spec.position_sensitive:
         zero = (0,) * sgs_a.dimensions
-        return reference_cell_level_distance(sgs_a, sgs_b, spec, zero), zero, 1
+        return reference_cell_level_distance(cells_a, cells_b, spec, zero), zero, 1
     start = _centroid_shift(sgs_a, sgs_b)
-    best_distance = reference_cell_level_distance(sgs_a, sgs_b, spec, start)
+    best_distance = reference_cell_level_distance(cells_a, cells_b, spec, start)
     best_shift = start
     visited = {start}
     heap = [(best_distance, start)]
@@ -186,7 +190,7 @@ def reference_anytime_search(sgs_a, sgs_b, spec, max_expansions=64):
             if neighbor in visited:
                 continue
             visited.add(neighbor)
-            distance = reference_cell_level_distance(sgs_a, sgs_b, spec, neighbor)
+            distance = reference_cell_level_distance(cells_a, cells_b, spec, neighbor)
             evaluated += 1
             if distance < best_distance:
                 best_distance, best_shift = distance, neighbor
@@ -199,16 +203,17 @@ def overlap_box(sgs_a, sgs_b, margin=1):
     summaries' bounding boxes, ``margin`` cells wider on each side."""
     ranges = []
     for i in range(sgs_a.dimensions):
-        a = [coord[i] for coord in sgs_a.cells]
-        b = [coord[i] for coord in sgs_b.cells]
+        a = [coord[i] for coord in sgs_a.rows]
+        b = [coord[i] for coord in sgs_b.rows]
         ranges.append(range(min(b) - max(a) - margin, max(b) - min(a) + margin + 1))
     return ranges
 
 
 def reference_exhaustive_search(sgs_a, sgs_b, spec, margin=1):
     best_distance, best_shift, evaluated = float("inf"), (0,) * sgs_a.dimensions, 0
+    cells_a, cells_b = sgs_a.cells, sgs_b.cells
     for shift in itertools.product(*overlap_box(sgs_a, sgs_b, margin)):
-        distance = reference_cell_level_distance(sgs_a, sgs_b, spec, shift)
+        distance = reference_cell_level_distance(cells_a, cells_b, spec, shift)
         evaluated += 1
         if distance < best_distance:
             best_distance, best_shift = distance, shift
@@ -403,6 +408,7 @@ def _connection_offsets(cell):
 
 def reference_sgs_to_bytes(sgs) -> bytes:
     dims = sgs.dimensions
+    cells = sgs.cells
     out = [
         b"SGS1",
         struct.pack(
@@ -412,10 +418,10 @@ def reference_sgs_to_bytes(sgs) -> bytes:
             sgs.level,
             sgs.cluster_id,
             sgs.window_index,
-            len(sgs.cells),
+            len(cells),
         ),
     ]
-    for cell in sgs.cells.values():
+    for cell in cells.values():
         offsets = _connection_offsets(cell)
         out.append(struct.pack(f"<{dims}i", *cell.location))
         out.append(

@@ -217,7 +217,7 @@ def test_every_form_of_a_summary_is_one_summary_to_the_kernel(pair, spec):
     forms_a, forms_b = _forms(a), _forms(b)
     _assert_one_summary(forms_a)
     _assert_one_summary(forms_b)
-    distance = reference_cell_level_distance(a, b, spec)
+    distance = reference_cell_level_distance(a.cells, b.cells, spec)
     found = reference_anytime_search(a, b, spec, max_expansions=3)
     for form_a, form_b in zip(forms_a, forms_b[1:] + forms_b[:1]):
         assert cell_level_distance(form_a, form_b, spec) == distance
@@ -251,7 +251,7 @@ def test_offsets_beyond_the_kernel_box_stay_exact_in_six_dimensions():
     spec = DistanceMetricSpec()
     for form_a, form_b in zip(_forms(a), _forms(b)):
         assert cell_level_distance(form_a, form_b, spec) == (
-            reference_cell_level_distance(a, b, spec)
+            reference_cell_level_distance(a.cells, b.cells, spec)
         )
 
 

@@ -134,10 +134,11 @@ def test_kernel_equals_reference_bit_for_bit(pair, spec, stored):
         if stored
         else (a, b)
     )
+    cells_a, cells_b = a.cells, b.cells
     for shift in shifts:
         assert cell_level_distance(
             kernel_a, kernel_b, spec, shift
-        ) == reference_cell_level_distance(a, b, spec, shift), shift
+        ) == reference_cell_level_distance(cells_a, cells_b, spec, shift), shift
 
 
 def test_unmatched_cells_are_summed_one_by_one():
@@ -150,5 +151,5 @@ def test_unmatched_cells_are_summed_one_by_one():
     assert (matched + 1.0) + 1.0 != matched + 2.0
     assert cell_level_distance(a, b, spec) == ((matched + 1.0) + 1.0) / 3
     assert cell_level_distance(a, b, spec) == reference_cell_level_distance(
-        a, b, spec
+        a.cells, b.cells, spec
     )

@@ -552,6 +552,39 @@ def test_service_register_stream_unregister():
         service.close()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_stream_batch_is_refused_whole(bad):
+    """Regression pin: ``[[NaN, 1.0], [1.0, 2.0]]`` was acked
+    (``{"accepted": 2}``) and the grid then refused the *next* batch,
+    whose objects were lost. A non-finite coordinate or timestamp is a
+    typed 400 for its own batch, none of whose objects are admitted:
+    the next valid batch closes exactly the windows of a service that
+    never saw the bad one."""
+    from repro.core.serialize import sgs_to_bytes
+    from repro.serving.service import ServiceError
+
+    clean, dirty = _empty_service(), _empty_service()
+    try:
+        for service in (clean, dirty):
+            service.register_query(
+                {"query": DETECT, "dimensions": 2, "archive": True}
+            )
+        with pytest.raises(ServiceError, match="bad stream objects"):
+            dirty.stream({"objects": [[bad, 1.0], [1.0, 2.0]]})
+        with pytest.raises(ServiceError, match="bad stream objects"):
+            dirty.stream({"objects": [[1.0, 2.0]], "timestamps": [bad]})
+        batch = {"objects": [list(c) for c in POINTS[: SLIDE * 3]], "flush": True}
+        answer = dirty.stream(batch)
+        assert answer == clean.stream(batch)
+        assert [w["window"] for w in answer["windows"]] == [0, 1, 2]
+        assert [
+            (p.pattern_id, sgs_to_bytes(p.sgs)) for p in dirty.base.all_patterns()
+        ] == [(p.pattern_id, sgs_to_bytes(p.sgs)) for p in clean.base.all_patterns()]
+    finally:
+        clean.close()
+        dirty.close()
+
+
 def test_http_multiplex_endpoints():
     import json
     import threading

@@ -16,8 +16,10 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from unittest.mock import ANY
 
 import pytest
 
@@ -29,6 +31,7 @@ from repro.retrieval import (
     ShardedMatchEngine,
     ShardedPatternBase,
 )
+from repro.serving import httpd
 from repro.serving.httpd import MatchRequestHandler, make_server
 from repro.serving.service import MatchService, ServiceError
 
@@ -217,17 +220,45 @@ def test_error_paths(served):
     except urllib.error.HTTPError as error:
         status = error.code
     assert status == 404
-    request = urllib.request.Request(
-        client.root + "/match",
-        data=b"this is not json",
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=30) as resp:
-            status = resp.status
-    except urllib.error.HTTPError as error:
-        status = error.code
-    assert status == 400
+    # Not JSON, and not even UTF-8 (that one used to be a 500).
+    for data in (b"this is not json", b"\x80 not utf-8"):
+        request = urllib.request.Request(
+            client.root + "/match",
+            data=data,
+            headers={"Content-Type": "application/json"},
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=30) as resp:
+                status = resp.status
+        except urllib.error.HTTPError as error:
+            status = error.code
+        assert status == 400
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("top_k", 1.5),
+        ("top_k", True),
+        ("top_k", "3"),
+        ("top_k", 0),
+        ("feature_ranges", [1, 2]),
+        ("feature_ranges", {"volume": [1]}),
+        ("feature_ranges", {"volume": 5}),
+    ],
+)
+def test_malformed_query_field_is_a_400(served, flat_base, field, value):
+    """Regression pin: ``"top_k": 1.5`` escaped as a slicing
+    ``TypeError`` and ``"feature_ranges": [1, 2]`` as an
+    ``AttributeError`` — both 500s. A query field of the wrong shape is a
+    typed 400 on both query endpoints."""
+    client, _ = served
+    query = {"sgs": sgs_to_dict(_query_sgs(flat_base)), "threshold": 0.5}
+    query[field] = value
+    status, body = client.post("/match", query)
+    assert status == 400 and body["error"].startswith("bad query"), body
+    status, body = client.post("/match_many", {"queries": [query]})
+    assert status == 400 and body["error"].startswith("bad query"), body
 
 
 @pytest.fixture()
@@ -307,6 +338,44 @@ def test_keep_alive_survives_404_with_body(small_body_server, flat_base):
         resp = conn.getresponse()
         json.loads(resp.read())
         assert resp.status == 200
+    finally:
+        conn.close()
+
+
+def test_keep_alive_survives_get_with_body(small_body_server, flat_base):
+    """Regression pin: ``GET`` takes no body, and its 200 never read the
+    declared one, so the next request on the socket was parsed out of
+    the stale body (the stdlib's HTML 400). Every reply drains."""
+    host, port = small_body_server
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("GET", "/healthz", body=b'{"unexpected": "body"}')
+        resp = conn.getresponse()
+        assert resp.status == 200 and json.loads(resp.read())["status"] == "ok"
+        status, _, answer = _post(conn, "/match", _match_payload(flat_base))
+        assert status == 200 and answer["results"]
+    finally:
+        conn.close()
+
+
+def test_keep_alive_survives_delete_with_body(small_body_server, flat_base):
+    """The same for a successful ``DELETE /queries/<id>``."""
+    host, port = small_body_server
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        status, _, _ = _post(
+            conn,
+            "/queries",
+            {"theta_range": 5.0, "theta_count": 3, "win": 80, "slide": 40,
+             "dimensions": 2},
+        )
+        assert status == 200
+        conn.request("DELETE", "/queries/1", body=b'{"unexpected": "body"}')
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["query"]["state"] == "stopped"
+        status, _, answer = _post(conn, "/match", _match_payload(flat_base))
+        assert status == 200 and answer["results"]
     finally:
         conn.close()
 
@@ -403,6 +472,118 @@ def _assert_refused_everywhere(conn, service, bad, reason):
     status, _, body = _post(conn, "/match_many", {"queries": [query]})
     assert status == 400 and "bad query" in body["error"]
     assert len(service.base) == before
+
+
+def test_every_reply_is_one_send(archive_path, tmp_path, flat_base, monkeypatch):
+    """Regression pin: the head and the body of a reply used to be two
+    sends through an unbuffered ``wfile``; Nagle's algorithm held the
+    body until the client's delayed ACK of the head, ~40 ms per round
+    trip. Each reply now reaches the socket in exactly one write."""
+    sends, nodelay = [], []
+
+    class SendCountingHandler(httpd.MatchRequestHandler):
+        max_body_bytes = 256 * 1024
+
+        def setup(self):
+            super().setup()
+            # On loopback a reply bigger than the buffer does not show
+            # the stall reliably, so the socket option itself is pinned.
+            nodelay.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            # Whatever writes to the socket: a buffered wfile's raw
+            # stream, or the unbuffered writer itself.
+            sink = getattr(self.wfile, "raw", self.wfile)
+            write = sink.write
+
+            def counted(data):
+                sends.append(len(data))
+                return write(data)
+
+            sink.write = counted
+
+    monkeypatch.setattr(httpd, "MatchRequestHandler", SendCountingHandler)
+    with _keep_alive_service(archive_path, tmp_path, "memory") as (service, conn):
+
+        def reply(method, path, body=None):
+            before = len(sends)
+            conn.request(method, path, body=body)
+            resp = conn.getresponse()
+            resp.read()
+            return resp.status, resp.getheader("Connection"), sends[before:]
+
+        # (status, Connection header, the writes: [ANY] is exactly one)
+        assert reply("POST", "/match", _match_payload(flat_base)) == (200, None, [ANY])
+        # Rejected before it was read, and drained.
+        assert reply("POST", "/match", b"x" * 300_000) == (400, None, [ANY])
+        assert reply("POST", "/nope", b"{}") == (404, None, [ANY])
+        assert reply("GET", "/stats") == (200, None, [ANY])
+        # A reply bigger than the buffer leaves as a head flush plus the
+        # body, and no part of it waits on a delayed ACK: ten back to
+        # back spend well under the 10 x 40 ms the stall cost outside
+        # the service. (An empty window range screens every candidate
+        # out, so 200 queries make a big answer from little work.)
+        smallest = min(flat_base.all_patterns(), key=lambda p: len(p.sgs)).sgs
+        query = {"sgs": sgs_to_dict(smallest), "threshold": 0.5,
+                 "window_range": [-2, -1]}
+        big = json.dumps({"queries": [query] * 200}).encode("utf-8")
+        service_seconds = []
+        match_many = service.match_many
+
+        def timed_match_many(payload):
+            started = time.perf_counter()
+            try:
+                return match_many(payload)
+            finally:
+                service_seconds.append(time.perf_counter() - started)
+
+        monkeypatch.setattr(service, "match_many", timed_match_many)
+        status, _, writes = reply("POST", "/match_many", big)
+        assert status == 200 and sum(writes) > SendCountingHandler.wbufsize
+        del service_seconds[:]
+        started = time.perf_counter()
+        for _ in range(10):
+            assert reply("POST", "/match_many", big)[0] == 200
+        outside = time.perf_counter() - started - sum(service_seconds)
+        assert outside < 10 * 0.040 / 2, outside
+        # Too big to drain: the reply closes the connection, still one write.
+        monkeypatch.setattr(SendCountingHandler, "drain_limit", 1024)
+        assert reply("POST", "/match", b"x" * 300_000) == (400, "close", [ANY])
+    assert nodelay and all(nodelay)
+
+
+def test_stdlib_error_replies_still_arrive(small_body_server):
+    """The stdlib's own ``send_error`` replies return from
+    ``handle_one_request`` before its flush; ``finish`` flushes them,
+    and both carry ``Connection: close``."""
+    host, port = small_body_server
+    for request in (
+        b"PUT /match HTTP/1.1\r\nHost: test\r\nContent-Length: 0\r\n\r\n",
+        b"GET /a b HTTP/1.1\r\n\r\n",
+    ):
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.sendall(request)
+            response = b"".join(iter(lambda: raw.recv(4096), b""))
+        status_line = response.split(b"\r\n", 1)[0]
+        assert status_line.split()[1] in (b"501", b"400"), response[:200]
+        assert b"connection: close" in response.lower()
+
+
+def test_interim_100_continue_is_not_held_in_the_buffer(small_body_server, flat_base):
+    """A client that sends ``Expect: 100-continue`` holds its body back
+    until the interim reply arrives, so that reply leaves at once."""
+    host, port = small_body_server
+    body = _match_payload(flat_base)
+    with socket.create_connection((host, port), timeout=5) as raw:
+        raw.sendall(
+            b"POST /match HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nExpect: 100-continue\r\n"
+            + f"Content-Length: {len(body)}\r\n\r\n".encode()
+        )
+        assert raw.recv(4096).startswith(b"HTTP/1.1 100 Continue\r\n\r\n")
+        raw.sendall(body)
+        head = raw.recv(4096)
+    assert head.startswith(b"HTTP/1.1 200 "), head[:200]
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
