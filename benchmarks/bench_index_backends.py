@@ -1,19 +1,26 @@
-"""Index-backend ablation: C-SGS on the Figure-7 workload per backend.
+"""Index-backend ablation: C-SGS per NeighborProvider backend.
 
 Runs the same scaled-down Figure-7 configuration (STT-like 4-D stream,
-win=2000) once per NeighborProvider backend — grid, kdtree, rtree,
-auto — and reports average per-window response time plus the per-window
-cluster counts, which must be identical across backends (the parity
-suite checks object-level equality; this bench re-checks it at workload
-scale while timing the search layer, the dominant insertion cost per
-Section 5.3). The candidate-set table reports how many candidate rows
-each backend hands to distance refinement per probe. The walk-probe
-gate counts (never times) what the grid's neighbour-cell discovery costs
-on the same workload: dict probes per walk against what is occupied.
+win=2000) once per backend — grid and kdtree — and reports average
+per-window response time plus the per-window cluster counts, which must
+be identical across backends (the parity suite checks object-level
+equality; this bench re-checks it at workload scale while timing the
+search layer, the dominant insertion cost per Section 5.3). The
+candidate-set table reports how many candidate rows each backend hands
+to distance refinement per probe. The walk-probe gate counts (never
+times) what the grid's neighbour-cell discovery costs on the same
+workload: dict probes per walk against what is occupied.
+
+The clustered 8-D and 16-D cases are why two backends exist: the grid
+wins every 4-D Figure-7 case, the k-d tree wins both of these. Each is
+C-SGS with θr = 2.0, θc = 5, win 2000, slide 500 over 10 windows; 80 %
+of the points fall in 10 Gaussian clusters (σ 0.5), the rest are
+uniform over the same box.
 """
 
 from __future__ import annotations
 
+import random
 import time
 
 from common import (
@@ -31,6 +38,10 @@ from repro.index import available_backends, make_provider
 from repro.streams.objects import StreamObject
 
 MEASURE_WINDOWS = 4
+
+#: (dims, θr, θc, slide, windows) of the clustered high-dimensional cases.
+CLUSTERED_CASES = ((8, 2.0, 5, 500, 10), (16, 2.0, 5, 500, 10))
+CLUSTERED_SPAN = 20.0
 
 _cache = {}
 
@@ -68,8 +79,47 @@ def _run_backend(backend: str, case, slide: int):
     return _cache[key]
 
 
+def clustered_points(dims: int, count: int, seed: int = 0):
+    """80 % of the points in 10 Gaussian clusters (σ 0.5), the rest
+    uniform over the ``[0, CLUSTERED_SPAN]^dims`` box."""
+    rng = random.Random(seed)
+    centres = [
+        [rng.uniform(0.0, CLUSTERED_SPAN) for _ in range(dims)]
+        for _ in range(10)
+    ]
+    points = []
+    for _ in range(count):
+        if rng.random() < 0.8:
+            centre = rng.choice(centres)
+            points.append(tuple(rng.gauss(c, 0.5) for c in centre))
+        else:
+            points.append(
+                tuple(rng.uniform(0.0, CLUSTERED_SPAN) for _ in range(dims))
+            )
+    return points
+
+
+def _run_clustered(backend: str, case):
+    """Whole-run seconds and per-window cluster counts of one clustered
+    high-dimensional case."""
+    key = (backend, case)
+    if key not in _cache:
+        dims, theta_range, theta_count, slide, windows = case
+        points = clustered_points(dims, WIN + (windows - 1) * slide)
+        csgs = CSGS(theta_range, theta_count, dims, backend=backend)
+        counts = []
+        start = time.perf_counter()
+        for batch in batches_over(points, WIN, slide):
+            counts.append(len(csgs.process_batch(batch).clusters))
+            if len(counts) >= windows:
+                break
+        _cache[key] = (time.perf_counter() - start, counts)
+    return _cache[key]
+
+
 def test_index_backends_agree(benchmark):
-    """All backends produce the same per-window cluster counts."""
+    """All backends produce the same per-window cluster counts, on the
+    4-D Figure-7 case and on the clustered 8-D and 16-D cases."""
     case, slide = STT_CASES[1], SLIDES[1]
     counts = {
         backend: _run_backend(backend, case, slide)[1]
@@ -80,6 +130,16 @@ def test_index_backends_agree(benchmark):
         assert observed == reference, (
             f"{backend} cluster counts diverge: {observed} != {reference}"
         )
+    for clustered in CLUSTERED_CASES:
+        dims = clustered[0]
+        grid_counts = _run_clustered("grid", clustered)[1]
+        assert sum(grid_counts) > 0, f"no clusters at {dims}-D"
+        for backend in available_backends():
+            observed = _run_clustered(backend, clustered)[1]
+            assert observed == grid_counts, (
+                f"{backend} cluster counts diverge at {dims}-D: "
+                f"{observed} != {grid_counts}"
+            )
     benchmark.pedantic(
         lambda: _run_backend("grid", case, slide), rounds=1, iterations=1
     )
@@ -119,6 +179,35 @@ def test_index_backends_report(benchmark):
                 candidates_examined=round(per_probe, 2),
             )
     report(table.render())
+    clustered = Table(
+        "Index backends — C-SGS seconds per run (clustered, θr 2.0, "
+        "θc 5, win 2000, slide 500, 10 windows)",
+        ["dims"] + list(available_backends()) + ["clusters"],
+    )
+    for case in CLUSTERED_CASES:
+        results = {
+            backend: _run_clustered(backend, case)
+            for backend in available_backends()
+        }
+        clustered.add_row(
+            case[0],
+            *[fmt_seconds(results[b][0]) for b in available_backends()],
+            sum(results["grid"][1]),
+        )
+        for backend, (seconds, counts) in results.items():
+            emit_bench_record(
+                "query",
+                "index_backends_clustered",
+                backend=backend,
+                dimensions=case[0],
+                theta_range=case[1],
+                theta_count=case[2],
+                slide=case[3],
+                windows=case[4],
+                wall_time_s=round(seconds, 6),
+                clusters=sum(counts),
+            )
+    report(clustered.render())
     benchmark.pedantic(
         lambda: _run_backend("grid", STT_CASES[1], SLIDES[1]),
         rounds=1,
@@ -177,7 +266,7 @@ def test_index_backends_walk_probes_follow_occupancy(benchmark):
     """Counts only: on the Figure-7 4-D window a neighbour-cell walk
     probes ``2*reach + 1`` keys at the root and at every populated
     prefix within reach — nothing for a prefix no occupied cell has —
-    where the offset table cost 625 probes whatever was there."""
+    where probing the whole offset cube cost 625 whatever was there."""
     theta_range, _ = STT_CASES[1]
     grid = make_provider("grid", theta_range, 4)
     for oid, coords in enumerate(stt_points(WIN, seed=0)):
@@ -206,7 +295,7 @@ def test_index_backends_walk_probes_follow_occupancy(benchmark):
     mean = total / len(bases)
     report(
         f"grid walk on the Figure-7 4-D window: {len(bases)} occupied cells, "
-        f"{mean:.1f} probes per walk (offset table: {per_node ** 4})"
+        f"{mean:.1f} probes per walk (offset cube: {per_node ** 4})"
     )
     assert mean * 4 <= per_node ** 4
     benchmark.pedantic(

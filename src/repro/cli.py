@@ -191,13 +191,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 for c, s in zip(output.clusters, output.summaries)
             )
             print(f"window {output.window_index}: {digest or 'no clusters'}")
-        provider = system.extractor.algorithm.tracker.provider
-        if args.index_backend == "auto":
-            print(
-                f"auto backend: ran on {provider.backend_name} "
-                f"({provider.switches} switches, "
-                f"walk cost {provider.walk_cost})"
-            )
         print(f"archived {system.archived_count} patterns")
         if args.store:
             print(f"pattern base durable in {args.store}")
@@ -546,9 +539,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--index-backend",
         choices=available_backends(),
         default="grid",
-        help="neighbor-search backend for range queries (auto: pick "
-        "grid vs kdtree from dimensionality and observed cell "
-        "occupancy, switching adaptively)",
+        help="neighbor-search backend for range queries (kdtree pays "
+        "off from about 8 dimensions and on sparse streams)",
     )
     run.add_argument("--level", type=int, default=0, help="archive resolution")
     run.add_argument("--max-windows", type=int, default=None)

@@ -94,10 +94,9 @@ class SharedCSGS:
         self.grid = provider
         # One SGS cell substrate for all members: an injected CellMap
         # (maintained here, purged by window stamps — the coordinator-fed
-        # mode's arrangement), the one the provider itself maintains when
-        # it has one (the grid is a CellMap; the auto backend keeps an
-        # observer CellMap), otherwise a single coordinator-owned CellMap
-        # (rather than one per member).
+        # mode's arrangement), the provider itself when it is one (the
+        # grid), otherwise a single coordinator-owned CellMap (rather
+        # than one per member).
         substrate = cell_substrate(provider)
         if cells is not None:
             self.cells: CellMap = cells

@@ -33,9 +33,8 @@ class ContinuousClusteringQuery:
     """A continuous cluster extraction query (Figure 2).
 
     ``index_backend`` selects the neighbor-search backend the query
-    executes against (``grid`` / ``kdtree`` / ``rtree`` / ``auto``; see
-    :mod:`repro.index.provider` — ``auto`` picks grid vs k-d tree from
-    the dimensionality and the observed cell occupancy).
+    executes against (``grid`` / ``kdtree``; see
+    :mod:`repro.index.provider`).
 
     The serving-side knobs shape the archive the query accumulates:
     ``match_shards`` > 1 partitions the Pattern Base (by

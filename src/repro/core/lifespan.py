@@ -37,8 +37,8 @@ Consumers (C-SGS, Extra-N) subscribe via two callbacks:
 Exactly one range query runs per inserted object, matching the paper's
 "minimum number of range query searches" guarantee — and because that
 query dominates insertion cost, the search itself is delegated to a
-pluggable :class:`~repro.index.provider.NeighborProvider` (grid, k-d
-tree, or R-tree backend). The skeletal-grid *cell* bookkeeping C-SGS
+pluggable :class:`~repro.index.provider.NeighborProvider` (grid or k-d
+tree backend). The skeletal-grid *cell* bookkeeping C-SGS
 needs is independent of the search backend: when the provider is
 cell-backed (the grid), it doubles as the cell substrate; otherwise the
 tracker keeps a bare :class:`~repro.index.grid_index.CellMap` alongside.
@@ -208,11 +208,11 @@ class NeighborhoodTracker:
         # Backward-compatible alias: the provider used to always be a grid.
         self.grid = provider
         # The SGS cell substrate: an externally shared CellMap (its
-        # owner maintains it), one the provider itself maintains (the
-        # grid *is* a CellMap; the auto backend keeps an observer one),
-        # or a bare CellMap this tracker maintains. Consumers that never
-        # read per-cell contents (Extra-N) pass ``maintain_cells=False``
-        # to skip the bookkeeping; cell *coordinates* stay available.
+        # owner maintains it), the provider itself (the grid *is* a
+        # CellMap), or a bare CellMap this tracker maintains. Consumers
+        # that never read per-cell contents (Extra-N) pass
+        # ``maintain_cells=False`` to skip the bookkeeping; cell
+        # *coordinates* stay available.
         substrate = cell_substrate(provider)
         if cells is not None:
             self.cells: CellMap = cells
@@ -224,7 +224,7 @@ class NeighborhoodTracker:
             self.cells = CellMap(theta_range, dimensions)
             self._manage_cells = maintain_cells
         # Whether ``provider.insert`` returns coordinates of the very
-        # substrate this tracker reads (grid and auto backends do).
+        # substrate this tracker reads (the grid backend does).
         self._cell_backed = self.cells is substrate
         self.manage_grid = manage_grid
         self.states: Dict[int, ObjectState] = {}

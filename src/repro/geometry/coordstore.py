@@ -46,6 +46,7 @@ scans), so consumers observe byte-identical output from either path.
 
 from __future__ import annotations
 
+from math import isfinite
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.streams.objects import StreamObject
@@ -77,16 +78,18 @@ def within_sq_range(
 ) -> bool:
     """Exact refinement: canonical squared distance <= sq_range.
 
-    Early-exits once the partial sum exceeds ``sq_range`` — decision-
-    equivalent to the full canonical sum because the partial sums are
-    monotone non-decreasing (each addend is non-negative and IEEE
-    addition of a non-negative value never decreases the accumulator).
+    Early-exits once the partial sum is no longer within ``sq_range`` —
+    decision-equivalent to the full canonical sum because the partial
+    sums are monotone non-decreasing (each addend is non-negative and
+    IEEE addition of a non-negative value never decreases the
+    accumulator). The test is written ``not total <= sq_range`` so a
+    NaN sum fails it, as it fails the array kernels' ``<=`` mask.
     """
     total = 0.0
     for ai, bi in zip(a, b):
         diff = ai - bi
         total += diff * diff
-        if total > sq_range:
+        if not total <= sq_range:
             return False
     return True
 
@@ -180,6 +183,10 @@ class CoordStore:
             raise ValueError(
                 f"object {obj.oid} has {len(coords)} dimensions, "
                 f"store expects {self.dimensions}"
+            )
+        if not all(map(isfinite, coords)):
+            raise ValueError(
+                f"object {obj.oid} has a non-finite coordinate: {coords}"
             )
         if self._track_oids:
             if obj.oid in self._row_of:

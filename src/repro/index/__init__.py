@@ -2,8 +2,10 @@
 
 Neighbor search is a first-class, swappable subsystem: the
 :class:`~repro.index.provider.NeighborProvider` protocol is what every
-clustering consumer is written against, with ``grid`` / ``kdtree`` /
-``rtree`` backends selectable via :func:`~repro.index.provider.make_provider`.
+clustering consumer is written against, with the ``grid`` and
+``kdtree`` backends selectable via
+:func:`~repro.index.provider.make_provider`. :class:`RTree` is the
+Pattern Base's locational index, not a neighbor-search backend.
 """
 
 from repro.index.feature_grid import FeatureGridIndex
@@ -11,17 +13,13 @@ from repro.index.grid_index import (
     CellMap,
     GridIndex,
     cell_side_for_range,
-    full_offset_table,
     min_cell_gap_sq,
-    sphere_pruned_offsets,
 )
 from repro.index.kdtree import KDTree
 from repro.index.provider import (
     BACKENDS,
-    AutoProvider,
     KDTreeProvider,
     NeighborProvider,
-    RTreeProvider,
     available_backends,
     cell_substrate,
     make_provider,
@@ -29,7 +27,6 @@ from repro.index.provider import (
 from repro.index.rtree import RTree
 
 __all__ = [
-    "AutoProvider",
     "BACKENDS",
     "CellMap",
     "FeatureGridIndex",
@@ -38,12 +35,9 @@ __all__ = [
     "KDTreeProvider",
     "NeighborProvider",
     "RTree",
-    "RTreeProvider",
     "available_backends",
     "cell_side_for_range",
     "cell_substrate",
-    "full_offset_table",
     "make_provider",
     "min_cell_gap_sq",
-    "sphere_pruned_offsets",
 ]

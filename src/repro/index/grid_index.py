@@ -12,13 +12,16 @@ cells that can contain neighbors of a point to those within
 ``ceil(sqrt(d))`` grid steps in every dimension — ``(2*reach + 1)^d``
 cells, 625 in 4-D, nearly all of them empty. :class:`GridIndex` finds
 the occupied ones through a coordinate trie of the occupied cells, so
-a query pays for what is there, not for the size of that cube.
+a query pays for what is there, not for the size of that cube; the
+walk carries each prefix's remaining gap budget down the trie, so from
+5-D on it never enters the cells the θr-ball cannot reach, and no
+per-dimensionality table is built.
 
 The cell decomposition itself is factored out as :class:`CellMap`: the
 pure coord→objects bookkeeping that C-SGS needs as its SGS substrate.
 :class:`GridIndex` extends it with neighbor search and is the default
 :class:`~repro.index.provider.NeighborProvider` backend; trackers that
-run a non-cell-backed backend (k-d tree, R-tree) keep a bare
+run the k-d tree backend keep a bare
 :class:`CellMap` alongside it for the skeletal-grid bookkeeping.
 """
 
@@ -42,20 +45,13 @@ def cell_side_for_range(theta_range: float, dimensions: int) -> float:
     return theta_range / math.sqrt(dimensions)
 
 
-# ----------------------------------------------------------------------
-# Neighbor-cell offset tables (module-level, shared across instances)
-# ----------------------------------------------------------------------
-
-#: Relative slack of the sphere-pruning predicate. Pruning must be
-#: conservative: a cell whose true minimum gap to the base cell equals
-#: θr exactly can host a boundary-inclusive neighbor pair, and the gap
+#: Relative slack of the per-probe bucket screen. Pruning must be
+#: conservative: a cell whose true minimum gap to the probe equals θr
+#: exactly can host a boundary-inclusive neighbor pair, and the gap
 #: arithmetic here differs from the canonical refinement summation by a
 #: few ulps. The slack only ever *admits* extra cells (refinement
 #: discards them), never drops one.
 OFFSET_PRUNE_EPS = 1e-9
-
-_FULL_OFFSETS: Dict[Tuple[int, int], Tuple[Coord, ...]] = {}
-_PRUNED_OFFSETS: Dict[Tuple[int, int, float], Tuple[Coord, ...]] = {}
 
 
 def min_cell_gap_sq(offset: Sequence[int], side: float) -> float:
@@ -71,56 +67,6 @@ def min_cell_gap_sq(offset: Sequence[int], side: float) -> float:
             gap = (abs(delta) - 1) * side
             sq += gap * gap
     return sq
-
-
-def full_offset_table(dimensions: int, reach: int) -> Tuple[Coord, ...]:
-    """The unpruned ``(2*reach + 1)^d`` relative-cell offset cube.
-
-    Memoized per ``(dimensions, reach)`` and shared across instances;
-    offsets are in lexicographic order (first dimension slowest).
-    """
-    key = (dimensions, reach)
-    table = _FULL_OFFSETS.get(key)
-    if table is None:
-        span = range(-reach, reach + 1)
-        offsets: List[Coord] = [()]
-        for _ in range(dimensions):
-            offsets = [
-                prefix + (delta,) for prefix in offsets for delta in span
-            ]
-        table = _FULL_OFFSETS[key] = tuple(offsets)
-    return table
-
-
-def sphere_pruned_offsets(
-    dimensions: int, reach: int, side_over_range: float
-) -> Tuple[Coord, ...]:
-    """The offsets a θr range query must visit, sphere-pruned.
-
-    Drops every offset of the full cube whose minimum cell-to-cell gap
-    exceeds θr — those cells cannot intersect the θr-ball of *any* query
-    point in the base cell. The predicate is evaluated in units of θr
-    (``side_over_range`` is ``cell_side / θr``), so the table depends
-    only on ``(dimensions, reach, side/θr)`` and is memoized per that
-    key at module level, shared by every :class:`GridIndex` instance
-    (and by the ``auto`` backend's heuristic).
-
-    With the paper's diagonal sizing (side = θr/√d, reach = ⌈√d⌉) the
-    corner gap equals θr exactly for d <= 4 — nothing is prunable — but
-    from 5-D on most of the cube goes (e.g. 6095 of 16807 cells remain
-    at d=5), and non-diagonal sizings prune at any dimensionality.
-    """
-    key = (dimensions, reach, side_over_range)
-    table = _PRUNED_OFFSETS.get(key)
-    if table is None:
-        limit = 1.0 + OFFSET_PRUNE_EPS
-        table = tuple(
-            offset
-            for offset in full_offset_table(dimensions, reach)
-            if min_cell_gap_sq(offset, side_over_range) <= limit
-        )
-        _PRUNED_OFFSETS[key] = table
-    return table
 
 
 class CellMap:
@@ -204,11 +150,6 @@ class CellMap:
     def occupied_cells(self) -> Iterator[Coord]:
         return iter(self._cells.keys())
 
-    def occupied_count(self) -> int:
-        """Number of non-empty cells (the ``auto`` backend's occupancy
-        signal reads mean population through this)."""
-        return len(self._cells)
-
     def cell_population(self, coord: Coord) -> int:
         return len(self._cells.get(coord, ()))
 
@@ -241,9 +182,9 @@ class GridIndex(CellMap):
     coordinate trie — one ``dict`` level per axis, the last mapping the
     final coordinate to the bucket list itself, kept at bucket birth
     and death — and a walk descends only into children that exist:
-    ``2*reach + 1`` int-keyed probes per populated prefix instead of
-    one tuple-keyed probe per offset of the ``(2*reach + 1)^d`` table
-    (625 in 4-D, where a few per cent hit). A walk that cheap is not
+    at most ``2*reach + 1`` int-keyed probes per populated prefix
+    instead of one tuple-keyed probe per cell of the ``(2*reach + 1)^d``
+    cube (625 in 4-D, where a few per cent hit). A walk that cheap is not
     worth caching: ``range_query`` walks per call, ``range_query_many``
     once per distinct base cell of the batch. Per query the reachable
     buckets are screened against the probe (or probe-box) θr-ball
@@ -256,32 +197,35 @@ class GridIndex(CellMap):
         # in each dimension because theta_range == side * sqrt(d).
         self.reach = int(math.ceil(math.sqrt(self.dimensions)))
         self._sq_range = self.theta_range * self.theta_range
-        self._offsets = sphere_pruned_offsets(
-            self.dimensions, self.reach, self.side / self.theta_range
-        )
-        self._steps = range(-self.reach, self.reach + 1)
-        # The trie sees the whole cube; where the sphere-pruned table is
-        # smaller (d >= 5), a walk keeps only the offsets it lists.
-        self._kept_offsets = (
-            frozenset(self._offsets)
-            if len(self._offsets) < len(self._steps) ** self.dimensions
-            else None
+        # A step of delta cells on one axis leaves a gap of
+        # max(|delta| - 1, 0) sides, i.e. that squared over d in units
+        # of θr²; a cell is reachable while the integer sum of those
+        # squares stays within d. ``_steps[left]`` lists, in ascending
+        # step order, the steps a prefix with ``left`` budget can take
+        # and the budget each leaves.
+        self._steps = tuple(
+            tuple(
+                (step, left - cost)
+                for step in range(-self.reach, self.reach + 1)
+                if (cost := max(abs(step) - 1, 0) ** 2) <= left
+            )
+            for left in range(self.dimensions + 1)
         )
         self._store = CoordStore(dimensions)
         # Invariant: the trie's leaves are exactly the items of
         # ``_cells``. Buckets are aliased, not copied, so in-place
         # bucket mutations (append, ``bucket[:] = kept``) need no hook.
         self._trie: Dict[int, object] = {}
-        # Per-probe bucket pruning slack mirrors the offset-table slack.
         self._sq_prune_limit = self._sq_range * (1.0 + OFFSET_PRUNE_EPS)
         #: Gathering telemetry: probes answered, candidates handed to
         #: refinement (per probe), and trie walks.
         self.stats = {"queries": 0, "candidates": 0, "walks": 0}
 
     def insert(self, obj: StreamObject) -> Coord:
-        # Cell, then store, then bucket: a non-finite coordinate has no
-        # cell, and the store validates (duplicate oid, dimensionality);
-        # both raise before any structure is touched.
+        # Cell, then store, then bucket: a non-finite coordinate (or one
+        # too large for the grid) has no cell, and the store validates
+        # (duplicate oid, dimensionality, finiteness); both raise before
+        # any structure is touched.
         try:
             coord = self.cell_coord(obj.coords)
         except (ValueError, OverflowError):
@@ -322,28 +266,37 @@ class GridIndex(CellMap):
         self, base: Coord
     ) -> List[Tuple[Coord, List[StreamObject]]]:
         """The occupied cells a query from ``base`` can reach, as
-        ``(offset, bucket)`` pairs in the offset table's order.
+        ``(offset, bucket)`` pairs in lexicographic offset order.
 
         One trie level per axis: every populated prefix is extended by
-        the steps whose child exists, in ascending step order, so the
-        pairs come out in lexicographic offset order — element for
-        element what probing ``_cells`` with every table offset yields —
+        the steps whose child exists and whose gap its budget still
+        covers, in ascending step order, so the pairs come out sorted
         without a sort and without building a tuple for an empty cell.
+        The budget keeps exactly the cells whose minimum gap to the base
+        cell is at most θr: under the diagonal sizing nothing is cut
+        through 4-D, and from 5-D on most of the ``(2*reach + 1)^d``
+        cube is never entered.
         """
         self.stats["walks"] += 1
         steps = self._steps
-        level = [((), self._trie)]
-        for center in base:
+        level = [((), self._trie, self.dimensions)]
+        for center in base[:-1]:
             level = [
-                (prefix + (step,), child)
-                for prefix, node in level
-                for step in steps
+                (prefix + (step,), child, rest)
+                for prefix, node, left in level
+                for step, rest in steps[left]
                 if (child := node.get(center + step)) is not None
             ]
-        kept = self._kept_offsets
-        if kept is not None:
-            level = [pair for pair in level if pair[0] in kept]
-        return level
+        # The last axis emits the pairs: no budget is left to carry,
+        # and re-packing them would add a pass over every reachable
+        # bucket.
+        center = base[-1]
+        return [
+            (prefix + (step,), bucket)
+            for prefix, node, left in level
+            for step, _ in steps[left]
+            if (bucket := node.get(center + step)) is not None
+        ]
 
     def _gather_candidates(
         self,
@@ -420,6 +373,7 @@ class GridIndex(CellMap):
         order — see :mod:`repro.geometry.coordstore`; the parity suite
         pins the agreement across backends and kernel arms).
         """
+        self._store._check_probe(coords)
         base = self.cell_coord(coords)
         candidates = self._gather_candidates(
             self._reachable_buckets(base), base, coords, coords
@@ -457,7 +411,9 @@ class GridIndex(CellMap):
         if not queries:
             return []
         query_indices_by_base: Dict[Coord, List[int]] = {}
+        check_probe = self._store._check_probe
         for qi, (coords, _) in enumerate(queries):
+            check_probe(coords)
             base = self.cell_coord(coords)
             query_indices_by_base.setdefault(base, []).append(qi)
         results: List[List[StreamObject]] = [[] for _ in queries]

@@ -20,7 +20,7 @@ class PatternExtractor:
     """Continuous cluster extraction + summarization over one stream.
 
     ``index_backend`` selects the neighbor-search backend by name
-    (``grid`` / ``kdtree`` / ``rtree``); alternatively a ready
+    (``grid`` / ``kdtree``); alternatively a ready
     :class:`~repro.index.provider.NeighborProvider` instance can be
     injected via ``provider``.
     """

@@ -8,7 +8,7 @@ Usage (from the repo root)::
 Only rerun this after an *intentional* change to C-SGS output; the
 diffs of the fixture files are part of the review surface for any such
 change. Each case regenerates through its canonical backend (the
-``stt_auto`` case runs the adaptive ``auto`` provider); the test suite
+``stt_auto`` case on the k-d tree); the test suite
 then requires every backend × kernel arm to reproduce the bytes.
 """
 

@@ -11,10 +11,10 @@ any way trips it.
 
 Two cases are pinned: ``stt_small`` (θr=0.1, θc=8 — the paper's middle
 parameter case, canonical run on the grid backend) and ``stt_auto``
-(θr=0.2, θc=5, canonically regenerated through ``--index-backend
-auto`` — on this 4-D workload the adaptive provider starts on the k-d
-tree, so the fixture also pins that auto's answers are byte-identical
-to every concrete backend).
+(θr=0.2, θc=5). The second was first generated through the retired
+adaptive backend, which ran this 4-D workload on the k-d tree; its
+canonical producer is now the k-d tree itself, and the file is
+unchanged.
 
 Regenerating (only after an *intentional* output change)::
 
@@ -46,6 +46,7 @@ from repro.retrieval import (
 )
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
+from tests.helpers import on_backend
 
 DIMENSIONS = 4
 
@@ -82,7 +83,7 @@ CASES: Dict[str, GoldenCase] = {
         ),
         GoldenCase(
             "stt_auto", 0.2, 5, 240, 120, 5, 11,
-            "csgs_stt_auto.json", "auto",
+            "csgs_stt_auto.json", "kdtree",
         ),
     )
 }
@@ -109,7 +110,7 @@ def run_trace(backend: str, case: GoldenCase = _SMALL) -> List[dict]:
         case.theta_range,
         case.theta_count,
         DIMENSIONS,
-        backend=backend,
+        **on_backend(backend, case.theta_range, DIMENSIONS),
     )
     spec = CountBasedWindowSpec(win=case.win, slide=case.slide)
     trace = []

@@ -16,7 +16,7 @@ import itertools
 import random
 import struct
 from operator import add, sub
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
@@ -29,7 +29,11 @@ from repro.core.lifespan import NeighborhoodTracker, ObjectState
 from repro.core.multires import coarsen_sgs
 from repro.core.serialize import sgs_to_dict
 from repro.core.sgs import SGS
+from repro.geometry.coordstore import CoordStore
 from repro.geometry.mbr import MBR
+from repro.index.grid_index import Coord, OFFSET_PRUNE_EPS, min_cell_gap_sq
+from repro.index.provider import make_provider
+from repro.index.rtree import RTree
 from repro.matching.alignment import _centroid_shift, _neighbor_shifts
 from repro.matching.metric import DistanceMetricSpec, relative_difference
 from repro.retrieval.engine import MatchEngine
@@ -346,11 +350,72 @@ class ReferenceLadderEngine(MatchEngine):
 # Reference oracles of neighbour-cell discovery and of the blob encoder
 # ----------------------------------------------------------------------
 #
-# The two bodies the coordinate trie and the per-cell encoder replaced,
-# kept verbatim: the cold walk probes the cell map with every offset of
-# the (sphere-pruned) table, and the encoder range-checks and packs one
-# connection at a time. The >255 refusal is the one place the encoders
-# differ on purpose: this one lets ``struct.error`` escape.
+# The bodies the coordinate trie, its gap budget and the per-cell
+# encoder replaced, kept verbatim: the memoized offset tables, the cold
+# walk that probes the cell map with every offset of the sphere-pruned
+# table, and the encoder that range-checks and packs one connection at
+# a time. The >255 refusal is the one place the encoders differ on
+# purpose: this one lets ``struct.error`` escape.
+
+_FULL_OFFSETS: Dict[Tuple[int, int], Tuple[Coord, ...]] = {}
+_PRUNED_OFFSETS: Dict[Tuple[int, int, float], Tuple[Coord, ...]] = {}
+
+
+def full_offset_table(dimensions: int, reach: int) -> Tuple[Coord, ...]:
+    """The unpruned ``(2*reach + 1)^d`` relative-cell offset cube.
+
+    Memoized per ``(dimensions, reach)`` and shared across instances;
+    offsets are in lexicographic order (first dimension slowest).
+    """
+    key = (dimensions, reach)
+    table = _FULL_OFFSETS.get(key)
+    if table is None:
+        span = range(-reach, reach + 1)
+        offsets: List[Coord] = [()]
+        for _ in range(dimensions):
+            offsets = [
+                prefix + (delta,) for prefix in offsets for delta in span
+            ]
+        table = _FULL_OFFSETS[key] = tuple(offsets)
+    return table
+
+
+def sphere_pruned_offsets(
+    dimensions: int, reach: int, side_over_range: float
+) -> Tuple[Coord, ...]:
+    """The offsets a θr range query must visit, sphere-pruned.
+
+    Drops every offset of the full cube whose minimum cell-to-cell gap
+    exceeds θr — those cells cannot intersect the θr-ball of *any* query
+    point in the base cell. The predicate is evaluated in units of θr
+    (``side_over_range`` is ``cell_side / θr``), so the table depends
+    only on ``(dimensions, reach, side/θr)`` and is memoized per that
+    key at module level, shared by every :class:`GridIndex` instance
+    (and by the ``auto`` backend's heuristic).
+
+    With the paper's diagonal sizing (side = θr/√d, reach = ⌈√d⌉) the
+    corner gap equals θr exactly for d <= 4 — nothing is prunable — but
+    from 5-D on most of the cube goes (e.g. 6095 of 16807 cells remain
+    at d=5), and non-diagonal sizings prune at any dimensionality.
+    """
+    key = (dimensions, reach, side_over_range)
+    table = _PRUNED_OFFSETS.get(key)
+    if table is None:
+        limit = 1.0 + OFFSET_PRUNE_EPS
+        table = tuple(
+            offset
+            for offset in full_offset_table(dimensions, reach)
+            if min_cell_gap_sq(offset, side_over_range) <= limit
+        )
+        _PRUNED_OFFSETS[key] = table
+    return table
+
+
+def grid_offset_table(grid) -> Tuple[Coord, ...]:
+    """The sphere-pruned table a grid's walk used to filter by."""
+    return sphere_pruned_offsets(
+        grid.dimensions, grid.reach, grid.side / grid.theta_range
+    )
 
 
 def reference_reachable_buckets(grid, base):
@@ -358,7 +423,7 @@ def reference_reachable_buckets(grid, base):
     reaches from ``base``, in table order."""
     entry = []
     cells = grid._cells
-    for offset in grid._offsets:
+    for offset in grid_offset_table(grid):
         bucket = cells.get(tuple(map(add, base, offset)))
         if bucket is not None:
             entry.append((offset, bucket))
@@ -398,6 +463,106 @@ def assert_trie_mirrors_cells(grid, bases=None) -> None:
         ], f"offsets differ from the table walk at base {base}"
         for (_, bucket), (_, wanted) in zip(walked, expected):
             assert bucket is wanted
+
+
+# ----------------------------------------------------------------------
+# The R-tree behind the neighbour-provider protocol
+# ----------------------------------------------------------------------
+
+#: The name the parity suites give :class:`RTreePointIndex` next to the
+#: registered backends.
+RTREE = "rtree"
+
+
+class RTreePointIndex:
+    """Neighbor search through the Guttman R-tree, as a test provider.
+
+    The R-tree is the Pattern Base's locational index, not a
+    ``--index-backend``; behind this adapter the provider parity and
+    oracle-stress suites keep driving its insert / delete / search
+    under churn. Objects are stored as degenerate point MBRs; a range
+    query searches the tree with the bounding box of the θr-ball and
+    refines candidates with the exact squared distance.
+    """
+
+    def __init__(self, theta_range: float, dimensions: int, max_entries: int = 8):
+        if theta_range <= 0:
+            raise ValueError("theta_range must be positive")
+        if dimensions < 1:
+            raise ValueError("dimensions must be positive")
+        self.theta_range = float(theta_range)
+        self.dimensions = int(dimensions)
+        self._tree = RTree(max_entries=max_entries)
+        self._entries: Dict[int, Tuple[MBR, StreamObject]] = {}
+        self._store = CoordStore(self.dimensions)
+        self.stats = {"queries": 0, "candidates": 0}
+
+    def insert(self, obj: StreamObject) -> None:
+        # Store first: it validates (duplicate oid, dimensionality,
+        # finiteness) and raises before the tree or the entry map is
+        # touched.
+        self._store.add(obj)
+        box = MBR.from_point(obj.coords)
+        self._tree.insert(box, obj)
+        self._entries[obj.oid] = (box, obj)
+
+    def remove(self, obj: StreamObject) -> None:
+        entry = self._entries.pop(obj.oid, None)
+        if entry is None:
+            raise KeyError(f"object {obj.oid} not present in r-tree")
+        self._tree.delete(entry[0], entry[1])
+        self._store.remove(obj.oid)
+
+    def purge_expired(self, window_index: int) -> int:
+        expired = [
+            obj
+            for _, obj in self._entries.values()
+            if obj.last_window < window_index
+        ]
+        for obj in expired:
+            self.remove(obj)
+        return len(expired)
+
+    def range_query(self, coords, exclude_oid: int = -1) -> List[StreamObject]:
+        radius = self.theta_range
+        ball = MBR(
+            tuple(value - radius for value in coords),
+            tuple(value + radius for value in coords),
+        )
+        candidates = self._tree.search(ball)
+        self.stats["queries"] += 1
+        self.stats["candidates"] += len(candidates)
+        return self._store.refine(
+            candidates, coords, radius * radius, exclude_oid
+        )
+
+    def range_query_many(self, queries) -> List[List[StreamObject]]:
+        return [
+            self.range_query(coords, exclude_oid=exclude_oid)
+            for coords, exclude_oid in queries
+        ]
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        return iter([obj for _, obj in self._entries.values()])
+
+
+def build_provider(backend: str, theta_range: float, dimensions: int):
+    """A registered backend by name, or :class:`RTreePointIndex` for
+    :data:`RTREE`."""
+    if backend == RTREE:
+        return RTreePointIndex(theta_range, dimensions)
+    return make_provider(backend, theta_range, dimensions)
+
+
+def on_backend(backend: str, theta_range: float, dimensions: int) -> dict:
+    """Constructor keywords that put a C-SGS, tracker or shared C-SGS on
+    ``backend``: the name itself, or an :class:`RTreePointIndex`."""
+    if backend == RTREE:
+        return {"provider": RTreePointIndex(theta_range, dimensions)}
+    return {"backend": backend}
 
 
 def _connection_offsets(cell):

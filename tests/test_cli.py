@@ -132,49 +132,6 @@ def test_run_empty_input(tmp_path, capsys):
     assert "empty" in capsys.readouterr().err
 
 
-def test_run_auto_backend_reports_resolution(tmp_path, capsys):
-    """--index-backend auto runs end to end and reports which concrete
-    backend the adaptive provider resolved to."""
-    stream_csv = tmp_path / "stream.csv"
-    assert main(
-        [
-            "generate",
-            "--kind",
-            "stt",
-            "--count",
-            "600",
-            "--seed",
-            "3",
-            "--out",
-            str(stream_csv),
-        ]
-    ) == 0
-    capsys.readouterr()
-    assert main(
-        [
-            "run",
-            "--input",
-            str(stream_csv),
-            "--theta-range",
-            "0.1",
-            "--theta-count",
-            "8",
-            "--win",
-            "300",
-            "--slide",
-            "150",
-            "--index-backend",
-            "auto",
-            "--max-windows",
-            "2",
-        ]
-    ) == 0
-    out = capsys.readouterr().out
-    # The STT stream is 4-D: the expensive walk resolves to the k-d tree.
-    assert "auto backend: ran on kdtree" in out
-    assert "switches" in out
-
-
 def test_match_plan_stats_and_engine_options(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
     archive = tmp_path / "history.sgsa"
@@ -408,13 +365,26 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
         ],
         ["multiplex", "--input", "s.csv", "--queries", "q.txt", "--ab"],
         ["serve", "--archive", "h.sgsa", "--mode", "thread"],
+        [
+            "run", "--input", "s.csv", "--theta-range", "0.3",
+            "--theta-count", "5", "--win", "400", "--slide", "200",
+            "--index-backend", "auto",
+        ],
+        [
+            "run", "--input", "s.csv", "--theta-range", "0.3",
+            "--theta-count", "5", "--win", "400", "--slide", "200",
+            "--index-backend", "rtree",
+        ],
     ),
-    ids=("run--refine", "multiplex--ab", "serve--mode-thread"),
+    ids=(
+        "run--refine", "multiplex--ab", "serve--mode-thread",
+        "run--index-backend-auto", "run--index-backend-rtree",
+    ),
 )
 def test_retired_path_switches_are_usage_errors(argv, capsys):
-    """The kernel arm, forced-dedicated multiplexing and the thread mode
-    are no longer user-set: argparse rejects them before any file is
-    opened."""
+    """The kernel arm, forced-dedicated multiplexing, the thread mode
+    and the adaptive and R-tree neighbour backends are no longer
+    user-set: argparse rejects them before any file is opened."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

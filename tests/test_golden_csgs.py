@@ -1,11 +1,12 @@
 """Golden-output regression: every backend × kernel arm must
-reproduce the serialized C-SGS runs byte-for-byte.
+reproduce the serialized C-SGS runs byte-for-byte (the Pattern Base's
+R-tree, through the test-side ``RTreePointIndex``, too).
 
 Each fixture under ``tests/golden/`` holds the complete window-by-window
 output — cluster memberships and SGS summaries — of a seeded
 Figure-7-style workload: ``csgs_stt_small.json`` (θr=0.1, θc=8,
 canonical on the grid backend) and ``csgs_stt_auto.json`` (θr=0.2,
-θc=5, canonically produced through ``--index-backend auto``). A
+θc=5, canonical on the k-d tree backend). A
 mismatch means the refinement kernels, the provider seam, candidate
 gathering, or the C-SGS pipeline changed observable output; regenerate
 only for intentional changes (see ``tests/golden/regen_golden.py``).
@@ -17,7 +18,7 @@ import pytest
 
 from repro.index import available_backends
 from tests.golden import workload
-from tests.helpers import KERNEL_ARMS
+from tests.helpers import KERNEL_ARMS, RTREE
 
 CASE_NAMES = tuple(workload.CASES)
 
@@ -35,7 +36,7 @@ def golden_texts():
 
 
 @pytest.mark.parametrize("arm", KERNEL_ARMS)
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", available_backends() + (RTREE,))
 @pytest.mark.parametrize("case_name", CASE_NAMES)
 def test_csgs_reproduces_golden_output(
     case_name, backend, arm, golden_texts, kernel_arm
@@ -68,14 +69,3 @@ def test_golden_fixture_is_nontrivial(case_name, golden_texts):
         for cell in summary["cells"]
     )
 
-
-def test_auto_case_actually_exercises_the_adaptive_provider():
-    """The stt_auto fixture's canonical producer is the auto backend,
-    and on this 4-D workload auto must resolve away from the plain grid
-    walk (the point of pinning a second case under it)."""
-    from repro.index import AutoProvider
-
-    case = workload.CASES["stt_auto"]
-    assert case.canonical_backend == "auto"
-    provider = AutoProvider(case.theta_range, workload.DIMENSIONS)
-    assert provider.backend_name == "kdtree"

@@ -1,9 +1,11 @@
 """Parity suite for the pluggable NeighborProvider backends.
 
-Every backend (grid, kdtree, rtree, auto) must answer exactly the same
+Both backends (grid, kdtree) must answer exactly the same
 fixed-radius neighbor queries — single and batched, static and under
 insert/remove/purge churn — and the clustering layer built on top must
 produce identical window output regardless of the backend selected.
+The Pattern Base's R-tree runs the same suite through the test-side
+``RTreePointIndex`` adapter.
 """
 
 import random
@@ -12,26 +14,29 @@ import pytest
 
 from tests.helpers import (
     KERNEL_ARMS,
+    RTREE,
+    build_provider,
     clustered_points,
     make_objects,
+    on_backend,
     stream_batches,
 )
 from repro.clustering.shared import SharedCSGS
 from repro.config import ContinuousClusteringQuery
 from repro.core.csgs import CSGS
+from repro.geometry.coordstore import CoordStore, within_sq_range
 from repro.geometry.distance import euclidean_distance
 from repro.index import (
     BACKENDS,
-    AutoProvider,
     GridIndex,
     KDTreeProvider,
-    RTreeProvider,
     available_backends,
     cell_substrate,
     make_provider,
 )
 
-BACKEND_NAMES = tuple(sorted(BACKENDS))
+#: The registered backends plus the Pattern Base's R-tree.
+BACKEND_NAMES = tuple(sorted(BACKENDS)) + (RTREE,)
 
 THETA = 0.4
 
@@ -58,14 +63,12 @@ def random_points(n, dims, seed, bound=5.0):
 
 
 def test_available_backends():
-    assert available_backends() == ("auto", "grid", "kdtree", "rtree")
+    assert available_backends() == ("grid", "kdtree")
 
 
 def test_make_provider_types():
     assert isinstance(make_provider("grid", 0.5, 2), GridIndex)
     assert isinstance(make_provider("kdtree", 0.5, 2), KDTreeProvider)
-    assert isinstance(make_provider("rtree", 0.5, 2), RTreeProvider)
-    assert isinstance(make_provider("auto", 0.5, 2), AutoProvider)
 
 
 def test_make_provider_unknown_backend():
@@ -93,7 +96,7 @@ def test_config_validates_backend():
 @pytest.mark.parametrize("dims", (2, 4))
 def test_range_query_matches_bruteforce_random(backend, dims):
     objects = make_objects(random_points(250, dims, seed=11))
-    provider = make_provider(backend, THETA, dims)
+    provider = build_provider(backend, THETA, dims)
     for obj in objects:
         provider.insert(obj)
     assert len(provider) == len(objects)
@@ -113,7 +116,7 @@ def test_range_query_matches_bruteforce_clustered(backend):
         [(1.0, 1.0), (3.0, 3.0)], per_cluster=120, noise=60, seed=5
     )
     objects = make_objects(points)
-    provider = make_provider(backend, THETA, 2)
+    provider = build_provider(backend, THETA, 2)
     for obj in objects:
         provider.insert(obj)
     for probe in objects[::7]:
@@ -129,7 +132,7 @@ def test_range_query_matches_bruteforce_clustered(backend):
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_range_query_many_matches_single(backend):
     objects = make_objects(random_points(300, 2, seed=23))
-    provider = make_provider(backend, THETA, 2)
+    provider = build_provider(backend, THETA, 2)
     for obj in objects:
         provider.insert(obj)
     queries = [(obj.coords, obj.oid) for obj in objects[:80]]
@@ -148,7 +151,7 @@ def test_backends_pairwise_identical_after_churn():
     for obj in objects:
         obj.last_window = rng.randint(2, 10)
     providers = {
-        name: make_provider(name, THETA, 2) for name in BACKEND_NAMES
+        name: build_provider(name, THETA, 2) for name in BACKEND_NAMES
     }
     for obj in objects:
         for provider in providers.values():
@@ -188,7 +191,7 @@ def test_backends_pairwise_identical_after_churn():
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_range_query_many_empty_batch(backend, arm, kernel_arm):
     with kernel_arm(arm):
-        provider = make_provider(backend, THETA, 2)
+        provider = build_provider(backend, THETA, 2)
         assert provider.range_query_many([]) == []
         for obj in make_objects(random_points(30, 2, seed=2)):
             provider.insert(obj)
@@ -203,7 +206,7 @@ def test_range_query_many_absent_probe_oid(backend, arm, kernel_arm):
     issues such queries for objects routed to a different shard)."""
     with kernel_arm(arm):
         objects = make_objects(random_points(120, 2, seed=17))
-        provider = make_provider(backend, THETA, 2)
+        provider = build_provider(backend, THETA, 2)
         for obj in objects:
             provider.insert(obj)
         probes = [(obj.coords, 10_000 + obj.oid) for obj in objects[:25]]
@@ -223,7 +226,7 @@ def test_range_query_many_mid_purge(backend, arm, kernel_arm):
         objects = make_objects(random_points(200, 2, seed=29))
         for obj in objects:
             obj.last_window = rng.randint(1, 6)
-        provider = make_provider(backend, THETA, 2)
+        provider = build_provider(backend, THETA, 2)
         for obj in objects:
             provider.insert(obj)
         for window in range(1, 8):
@@ -250,7 +253,7 @@ def test_range_query_many_after_remove_matches_single(
     with kernel_arm(arm):
         rng = random.Random(11)
         objects = make_objects(random_points(150, 2, seed=41, bound=2.0))
-        provider = make_provider(backend, THETA, 2)
+        provider = build_provider(backend, THETA, 2)
         for obj in objects:
             provider.insert(obj)
         removed = rng.sample(objects, 40)
@@ -269,7 +272,7 @@ def test_range_query_many_after_remove_matches_single(
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_remove_missing_object_raises(backend):
-    provider = make_provider(backend, THETA, 2)
+    provider = build_provider(backend, THETA, 2)
     (obj,) = make_objects([(0.0, 0.0)])
     with pytest.raises(KeyError):
         provider.remove(obj)
@@ -279,7 +282,7 @@ def test_remove_missing_object_raises(backend):
 def test_remove_then_reinsert_no_duplicates(backend):
     """A removed-then-reinserted object must be reported exactly once,
     even while the kd-tree still holds its tombstoned committed copy."""
-    provider = make_provider(backend, THETA, 2)
+    provider = build_provider(backend, THETA, 2)
     if backend == "kdtree":
         provider._min_buffer = 4  # force early commits to the tree
     objects = make_objects(random_points(40, 2, seed=31, bound=1.0))
@@ -298,6 +301,73 @@ def test_remove_then_reinsert_no_duplicates(backend):
         assert set(got) == brute_force(objects, probe.coords, THETA, probe.oid)
 
 
+# ----------------------------------------------------------------------
+# Non-finite and wrong-length input: refused or matched by nothing, the
+# same way on every kernel arm and backend
+# ----------------------------------------------------------------------
+
+NON_FINITE = (float("nan"), float("inf"), float("-inf"))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("count", (3, 60))
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+def test_non_finite_probe_matches_nothing(arm, count, bad, kernel_arm):
+    """3 and 60 candidates sit either side of ``_VECTOR_MIN_WORK``, so
+    without a forced arm the small call would take the loop kernel."""
+    assert 3 < CoordStore._VECTOR_MIN_WORK < 60
+    with kernel_arm(arm):
+        store = CoordStore(2)
+        objects = make_objects([(0.01 * i, 0.0) for i in range(count)])
+        for obj in objects:
+            store.add(obj)
+        probe = (bad, 0.0)
+        assert not within_sq_range(probe, (0.0, 0.0), 1.0)
+        assert store.refine(objects, probe, 1.0) == []
+        assert store.refine_many(store.batch(objects), [probe], 1.0) == [[]]
+        assert store.within_radius(probe, 1.0) == []
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_non_finite_insert_is_refused(backend, bad):
+    objects = make_objects(random_points(80, 2, seed=19, bound=2.0))
+    provider = build_provider(backend, THETA, 2)
+    untouched = build_provider(backend, THETA, 2)
+    for obj in objects:
+        provider.insert(obj)
+        untouched.insert(obj)
+    (stranger,) = make_objects([(bad, 0.5)])
+    stranger.oid = 999
+    with pytest.raises(ValueError, match="object 999 has a non-finite"):
+        provider.insert(stranger)
+    assert len(provider) == len(objects)
+    probes = [(obj.coords, obj.oid) for obj in objects[::4]]
+    probes.append(((0.5, 0.5), -1))
+    for (coords, exclude), got, want in zip(
+        probes,
+        provider.range_query_many(probes),
+        untouched.range_query_many(probes),
+    ):
+        assert [o.oid for o in got] == [o.oid for o in want]
+        assert [o.oid for o in provider.range_query(coords, exclude)] == [
+            o.oid for o in untouched.range_query(coords, exclude)
+        ]
+
+
+@pytest.mark.parametrize("backend", BACKEND_NAMES)
+def test_wrong_length_probe_is_a_value_error(backend):
+    """300 objects: the k-d tree answers from a built tree and a buffer."""
+    provider = build_provider(backend, THETA, 2)
+    for obj in make_objects(random_points(300, 2, seed=4)):
+        provider.insert(obj)
+    for probe in ((0.1,), (0.1, 0.1, 0.1)):
+        with pytest.raises(ValueError, match="dimension"):
+            provider.range_query(probe)
+        with pytest.raises(ValueError, match="dimension"):
+            provider.range_query_many([((0.1, 0.1), -1), (probe, -1)])
+
+
 def test_system_from_query_uses_declared_backend():
     from repro.system.framework import StreamPatternMiningSystem
 
@@ -312,114 +382,17 @@ def test_system_from_query_uses_declared_backend():
     assert outputs and system.archived_count >= 0
 
 
-# ----------------------------------------------------------------------
-# The auto backend: selection heuristic and adaptive switching
-# ----------------------------------------------------------------------
-
-
-def test_auto_initial_choice_follows_walk_cost():
-    """Cheap offset walks (low d) pick the grid outright; expensive
-    walks (4-D+: 625+ cells) start on the k-d tree."""
-    for dims in (1, 2, 3):
-        provider = AutoProvider(0.5, dims)
-        assert provider.backend_name == "grid", dims
-        assert provider.walk_cost <= 200
-    for dims in (4, 5):
-        provider = AutoProvider(0.5, dims)
-        assert provider.backend_name == "kdtree", dims
-        assert provider.walk_cost > 200
-
-
-def test_auto_provider_exposes_cell_substrate():
-    provider = AutoProvider(0.4, 4)
-    substrate = cell_substrate(provider)
-    assert substrate is provider.cells
-    objects = make_objects(random_points(50, 4, seed=5))
-    for obj in objects:
-        coord = provider.insert(obj)
-        assert coord == provider.cells.cell_coord(obj.coords)
-    assert len(provider.cells) == len(provider) == len(objects)
-    # grid is its own substrate; search-only backends have none
+def test_cell_substrate_is_the_grid_itself():
+    """The grid is its own SGS cell substrate; the search trees have none."""
     grid = make_provider("grid", 0.4, 2)
     assert cell_substrate(grid) is grid
     assert cell_substrate(make_provider("kdtree", 0.4, 2)) is None
-    assert cell_substrate(make_provider("rtree", 0.4, 2)) is None
-
-
-def test_auto_switches_to_grid_when_cells_densify():
-    """Dense 4-D cells flip the kd-tree start to the grid; answers stay
-    exact across the switch (the rebuilt backend holds the live set)."""
-    provider = AutoProvider(0.5, 4, check_interval=32, dense_occupancy=4.0)
-    assert provider.backend_name == "kdtree"
-    # Pack many objects into few cells: occupancy far above the dense
-    # threshold by the first check.
-    rng = random.Random(0)
-    objects = make_objects(
-        [
-            tuple(rng.uniform(0, 0.2) for _ in range(4))
-            for _ in range(200)
-        ]
-    )
-    for obj in objects:
-        provider.insert(obj)
-    assert provider.backend_name == "grid"
-    assert provider.switches >= 1
-    assert len(provider) == len(objects)
-    for probe in objects[:15]:
-        got = {
-            o.oid
-            for o in provider.range_query(probe.coords, exclude_oid=probe.oid)
-        }
-        assert got == brute_force(objects, probe.coords, 0.5, probe.oid)
-
-
-def test_auto_switches_back_when_cells_sparsify():
-    """Removing the dense mass drops occupancy below the sparse
-    threshold and the provider returns to the k-d tree."""
-    provider = AutoProvider(
-        0.5, 4, check_interval=16, sparse_occupancy=2.0, dense_occupancy=4.0
-    )
-    rng = random.Random(1)
-    dense = make_objects(
-        [tuple(rng.uniform(0, 0.2) for _ in range(4)) for _ in range(120)]
-    )
-    sparse = make_objects(
-        [tuple(rng.uniform(0, 40.0) for _ in range(4)) for _ in range(40)],
-    )
-    for obj in sparse:
-        obj.oid += 10_000
-    for obj in dense + sparse:
-        provider.insert(obj)
-    assert provider.backend_name == "grid"
-    for obj in dense:
-        provider.remove(obj)
-    assert provider.backend_name == "kdtree"
-    assert provider.switches >= 2
-    alive = {obj.oid for obj in provider}
-    assert alive == {obj.oid for obj in sparse}
-    for probe in sparse[:10]:
-        got = {
-            o.oid
-            for o in provider.range_query(probe.coords, exclude_oid=probe.oid)
-        }
-        assert got == brute_force(sparse, probe.coords, 0.5, probe.oid)
-
-
-def test_auto_stats_survive_switches():
-    provider = AutoProvider(0.5, 4, check_interval=32)
-    objects = make_objects(
-        [(0.01 * i, 0.0, 0.0, 0.0) for i in range(100)]
-    )
-    for obj in objects:
-        provider.insert(obj)
-        provider.range_query(obj.coords, exclude_oid=obj.oid)
-    stats = provider.stats
-    assert stats["queries"] == 100
-    assert stats["candidates"] > 0
+    assert cell_substrate(build_provider(RTREE, 0.4, 2)) is None
 
 
 def test_kdtree_provider_rebuilds_amortized():
-    provider = KDTreeProvider(THETA, 2, rebuild_fraction=0.25, min_buffer=8)
+    provider = KDTreeProvider(THETA, 2)
+    provider._min_buffer = 8
     objects = make_objects(random_points(300, 2, seed=3))
     for obj in objects:
         provider.insert(obj)
@@ -443,7 +416,9 @@ def test_kdtree_provider_rebuilds_amortized():
 
 def _csgs_trace(backend, points, theta_range=0.35, theta_count=4):
     """Full structural trace of a C-SGS run (order included)."""
-    csgs = CSGS(theta_range, theta_count, 2, backend=backend)
+    csgs = CSGS(
+        theta_range, theta_count, 2, **on_backend(backend, theta_range, 2)
+    )
     trace = []
     for batch in stream_batches(points, 150, 75):
         output = csgs.process_batch(batch)
@@ -491,7 +466,9 @@ def test_shared_csgs_identical_across_backends():
     theta_counts = (3, 6)
 
     def run(backend):
-        shared = SharedCSGS(0.35, theta_counts, 2, backend=backend)
+        shared = SharedCSGS(
+            0.35, theta_counts, 2, **on_backend(backend, 0.35, 2)
+        )
         trace = []
         for batch in stream_batches(points, 150, 75):
             outputs = shared.process_batch(batch)
@@ -510,14 +487,14 @@ def test_shared_csgs_identical_across_backends():
         return trace
 
     reference = run("grid")
-    for backend in ("kdtree", "rtree", "auto"):
+    for backend in ("kdtree", RTREE):
         assert run(backend) == reference
 
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_shared_members_share_one_cell_substrate(backend):
     """Members must not each duplicate the SGS cell bookkeeping."""
-    shared = SharedCSGS(0.35, (3, 5, 8), 2, backend=backend)
+    shared = SharedCSGS(0.35, (3, 5, 8), 2, **on_backend(backend, 0.35, 2))
     substrates = {id(member.tracker.cells) for member in shared.members.values()}
     assert substrates == {id(shared.cells)}
     providers = {id(member.tracker.provider) for member in shared.members.values()}
@@ -543,16 +520,16 @@ def test_insert_batch_matches_sequential_on_prepopulated_provider():
         tracker_with_stranger().insert_batch([newcomer])
 
 
-@pytest.mark.parametrize("backend", ("kdtree", "rtree", "auto"))
+@pytest.mark.parametrize("backend", ("kdtree", RTREE))
 def test_shared_matches_independent_runs(backend):
     """Shared execution on a non-grid backend equals independent C-SGS."""
     points = clustered_points(
         [(2.0, 2.0), (6.0, 3.5)], per_cluster=100, noise=50, seed=8
     )
     theta_counts = (3, 5)
-    shared = SharedCSGS(0.35, theta_counts, 2, backend=backend)
+    shared = SharedCSGS(0.35, theta_counts, 2, **on_backend(backend, 0.35, 2))
     independent = {
-        count: CSGS(0.35, count, 2, backend=backend)
+        count: CSGS(0.35, count, 2, **on_backend(backend, 0.35, 2))
         for count in theta_counts
     }
     for shared_batch, solo_batch in zip(

@@ -2,11 +2,13 @@
 
 ``reference_reachable_buckets`` (``tests/helpers.py``) is the old cold
 walk, verbatim: one probe of the cell map per offset of the
-sphere-pruned table. The trie walk must hand back the same buckets —
-the very list objects — under the same offsets in the same order,
-whatever births and deaths came before, and its cost must follow what
-is occupied rather than the size of the table. Costs are counted
-(dict probes, walks), never timed.
+sphere-pruned table. The trie walk, pruned by its own gap budget, must
+hand back the same buckets — the very list objects — under the same
+offsets in the same order, whatever births and deaths came before, and
+its cost must follow what is occupied rather than the size of the
+table. Above 8-D, where the table cannot be built, the linear oracle
+checks the answers. Costs are counted (dict probes, walks), never
+timed.
 """
 
 import itertools
@@ -17,7 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import assert_trie_mirrors_cells, stamped, trie_leaves
+from tests import helpers
+from tests.helpers import (
+    KERNEL_ARMS,
+    assert_trie_mirrors_cells,
+    grid_offset_table,
+    stamped,
+    trie_leaves,
+)
 from tests.test_oracle_stress import LinearOracle
 from repro.index.grid_index import GridIndex
 
@@ -148,34 +157,83 @@ def test_trie_walk_equals_table_walk_through_births_and_deaths(history):
         assert_trie_mirrors_cells(grid, _bases_to_check(grid, rng))
 
 
-@pytest.mark.parametrize("dims", (1, 2, 3, 4, 5))
-def test_walk_order_and_pruning_on_a_full_cube(dims):
+@pytest.fixture
+def offset_tables():
+    """Drop the memoized reference tables after the test: from 7-D on
+    they hold hundreds of MB (the 8-D cube is 5.8 M offsets)."""
+    yield
+    helpers._FULL_OFFSETS.clear()
+    helpers._PRUNED_OFFSETS.clear()
+
+
+@pytest.mark.parametrize("dims", (1, 2, 3, 4, 5, 6, 7, 8))
+def test_walk_order_and_pruning_on_a_full_cube(dims, offset_tables):
     """Every cell of the ``(2*reach + 3)^d`` cube around the base is
     occupied (five values per axis in 5-D, where the cube would be
-    59 049 cells): the walk returns the whole offset table, in table
-    order — and in 5-D none of the 10 712 offsets the sphere prunes."""
+    59 049 cells, and three from 6-D on): the walk returns the whole
+    offset table, in table order — and from 5-D on none of the offsets
+    the sphere prunes (10 712 of 16 807 in 5-D)."""
     grid = GridIndex(0.5, dims)
     width = grid.reach + 1
-    axis = (
-        range(-width, width + 1)
-        if dims < 5
-        else (-width, -grid.reach, 0, 1, grid.reach)
-    )
+    if dims < 5:
+        axis = range(-width, width + 1)
+    elif dims == 5:
+        axis = (-width, -grid.reach, 0, 1, grid.reach)
+    else:
+        axis = (-grid.reach, 0, grid.reach)
     for oid, cell in enumerate(itertools.product(axis, repeat=dims)):
         grid.insert(stamped(oid, [(c + 0.5) * grid.side for c in cell], 0, 9))
     base = (0,) * dims
     walked = grid._reachable_buckets(base)
     assert_trie_mirrors_cells(grid, [base])
-    in_table = set(grid._offsets)
+    table = grid_offset_table(grid)
+    in_table = set(table)
     assert [offset for offset, _ in walked] == [
         offset
         for offset in itertools.product(axis, repeat=dims)
         if offset in in_table
     ]
     if dims < 5:
-        assert len(walked) == len(grid._offsets) == (2 * grid.reach + 1) ** dims
+        assert len(walked) == len(table) == (2 * grid.reach + 1) ** dims
     else:
-        assert 0 < len(walked) < 4 ** dims  # (-3, 0, 1, 3)^5 less the pruned
+        assert 0 < len(walked) < len(axis) ** dims
+
+
+@pytest.mark.parametrize("dims", (9, 12, 16))
+@pytest.mark.parametrize("arm", KERNEL_ARMS)
+def test_grid_answers_like_the_linear_oracle_above_8d(dims, arm, kernel_arm):
+    """Where no offset table fits in memory the grid still builds and
+    answers exactly: tight clusters (many neighbours per probe, cells
+    several steps apart on a few axes) plus a uniform background."""
+    rng = random.Random(dims)
+    theta = 1.0
+    centres = [[rng.uniform(0.0, 4.0) for _ in range(dims)] for _ in range(3)]
+    with kernel_arm(arm):
+        grid = GridIndex(theta, dims)
+        oracle = LinearOracle(theta)
+        for oid in range(400):
+            if oid % 4:
+                centre = centres[oid % 3]
+                coords = tuple(rng.gauss(c, 0.15) for c in centre)
+            else:
+                coords = tuple(rng.uniform(0.0, 4.0) for _ in range(dims))
+            obj = stamped(oid, coords, 0, 9)
+            grid.insert(obj)
+            oracle.insert(obj)
+        batch = [(obj.coords, obj.oid) for obj in list(oracle.objects.values())[::3]]
+        batch += [
+            (tuple(rng.uniform(0.0, 4.0) for _ in range(dims)), -1)
+            for _ in range(2)
+        ]
+        answers = grid.range_query_many(batch)
+        neighbours = 0
+        for (coords, oid), many in zip(batch, answers):
+            want = sorted(o.oid for o in oracle.range_query(coords, oid))
+            assert sorted(o.oid for o in many) == want
+            assert sorted(o.oid for o in grid.range_query(coords, oid)) == want
+            neighbours += len(want)
+        assert neighbours > len(batch)  # the probes really have neighbours
+    assert len(GridIndex(theta, 32)._reachable_buckets((0,) * 32)) == 0
 
 
 # ----------------------------------------------------------------------

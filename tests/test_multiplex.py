@@ -31,7 +31,7 @@ from repro.multiplex import (
 from repro.streams.objects import StreamObject
 from repro.streams.windows import CountBasedWindowSpec, WindowBatch
 
-BACKENDS = ["grid", "kdtree", "auto"]
+BACKENDS = ["grid", "kdtree"]
 
 
 # ----------------------------------------------------------------------

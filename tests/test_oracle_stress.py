@@ -1,7 +1,8 @@
 """Oracle stress harness for the neighbor-search backends.
 
 Randomized, seeded insert/remove/purge/query sequences are replayed
-simultaneously against every backend and a naive linear-scan oracle
+simultaneously against every backend (and the Pattern Base's R-tree,
+through ``RTreePointIndex``) and a naive linear-scan oracle
 (the only data structure simple enough to be obviously correct), across
 1–5 dimensions and both refinement kernel arms. Any divergence —
 membership, duplicate reporting, purge counts, batched-vs-single
@@ -9,8 +10,8 @@ answers — fails with the offending seed in the test id, so a failure is
 reproducible with one pytest ``-k`` expression.
 
 This is the reusable correctness net for index-layer PRs: the
-sphere-pruned candidate gathering, the grid's coordinate trie, and
-the adaptive ``auto`` backend all landed against it, and future work on
+sphere-pruned candidate gathering, the grid's coordinate trie and its
+gap-budget walk all landed against it, and future work on
 the provider seam (sharding, multi-resolution indexes) should extend it
 rather than start over. The bucket birth / death regression tests at
 the bottom pin the one genuinely sharp edge: a purge or removal that
@@ -23,16 +24,23 @@ import random
 
 import pytest
 
-from tests.helpers import KERNEL_ARMS, assert_trie_mirrors_cells, make_objects
+from tests.helpers import (
+    KERNEL_ARMS,
+    RTREE,
+    assert_trie_mirrors_cells,
+    build_provider,
+    make_objects,
+)
 from repro.geometry.coordstore import within_sq_range
-from repro.index import BACKENDS, GridIndex, make_provider
+from repro.index import BACKENDS, GridIndex
 from repro.streams.objects import StreamObject
 
-BACKEND_NAMES = tuple(sorted(BACKENDS))
+#: The registered backends plus the Pattern Base's R-tree.
+BACKEND_NAMES = tuple(sorted(BACKENDS)) + (RTREE,)
 DIMS = (1, 2, 3, 4, 5)
 SEEDS = (0, 1, 2, 3, 4)
 #: Sequences exercised per pytest run: backends x kernel arms x dims x
-#: seeds — 200 with NumPy installed (4 * 2 * 5 * 5), 100 without.
+#: seeds — 150 with NumPy installed (3 * 2 * 5 * 5), 75 without.
 OPS_PER_SEQUENCE = 70
 
 
@@ -102,11 +110,7 @@ def run_sequence(backend, arm, dims, seed, ops=OPS_PER_SEQUENCE):
     rng = random.Random(f"{backend}/{arm}/{dims}/{seed}")
     theta = rng.uniform(0.3, 0.7)
     span = 3.0
-    provider = make_provider(backend, theta, dims)
-    if backend == "auto":
-        # Tighten the re-evaluation interval so the adaptive switch
-        # machinery actually runs inside a short sequence.
-        provider._check_interval = 8
+    provider = build_provider(backend, theta, dims)
     oracle = LinearOracle(theta)
     centers = [
         tuple(rng.uniform(0.5, span - 0.5) for _ in range(dims))
@@ -191,7 +195,7 @@ def test_randomized_sequences_match_linear_oracle(
 
 @pytest.mark.parametrize("backend", BACKEND_NAMES)
 def test_remove_missing_raises_like_oracle(backend):
-    provider = make_provider(backend, 0.5, 2)
+    provider = build_provider(backend, 0.5, 2)
     oracle = LinearOracle(0.5)
     (obj,) = make_objects([(1.0, 1.0)])
     with pytest.raises(KeyError):
@@ -311,106 +315,3 @@ def test_purge_empty_bucket_edge_randomized():
                 grid, oracle, obj.coords, obj.oid, f"window={window}"
             )
     assert emptied > 0  # the edge was really exercised
-
-
-# ----------------------------------------------------------------------
-# Occupancy-aware R-tree selection in the adaptive backend
-# ----------------------------------------------------------------------
-
-
-def _auto_provider_for_rtree(theta=0.5, dims=5):
-    """An AutoProvider tuned so its evaluation machinery runs inside a
-    short sequence: 5-D keeps the walk over budget (so the grid never
-    wins), and a tight check interval re-evaluates every few
-    mutations."""
-    from repro.index import AutoProvider
-
-    provider = AutoProvider(
-        theta,
-        dims,
-        check_interval=16,
-        rtree_occupancy=1.15,
-        rtree_churn=0.3,
-    )
-    assert provider.backend_name == "kdtree"  # 5-D starts off-grid
-    return provider
-
-
-def test_auto_switches_to_rtree_under_sparse_churn():
-    """Sparse, removal-heavy workloads flip the adaptive provider onto
-    the R-tree (in-place deletion, no tombstone rebuilds) — the switch
-    path the grid/kdtree-only heuristic never took — and every answer
-    along the way must match the linear oracle."""
-    rng = random.Random(23)
-    dims = 5
-    provider = _auto_provider_for_rtree(dims=dims)
-    oracle = LinearOracle(provider.theta_range)
-    next_oid = 0
-    visited = set()
-    span = 12.0
-    for step in range(420):
-        visited.add(provider.backend_name)
-        # Mostly uniform inserts (singleton cells) with heavy removal
-        # pressure: ~40% of mutations are deletions.
-        if rng.random() < 0.6 or len(oracle) < 4:
-            coords = tuple(rng.uniform(0, span) for _ in range(dims))
-            obj = StreamObject(next_oid, coords)
-            obj.first_window = 0
-            obj.last_window = 99
-            next_oid += 1
-            provider.insert(obj)
-            oracle.insert(obj)
-        else:
-            victim = rng.choice(list(oracle.objects.values()))
-            provider.remove(victim)
-            oracle.remove(victim)
-        if step % 7 == 0:
-            probe = tuple(rng.uniform(0, span) for _ in range(dims))
-            _check_query(provider, oracle, probe, -1, f"step={step}")
-        assert len(provider) == len(oracle)
-    assert "rtree" in visited, (
-        f"sparse churny workload never reached the R-tree "
-        f"(visited {sorted(visited)}, switches={provider.switches})"
-    )
-    # Full sweep on whatever backend the sequence ended on.
-    for obj in list(oracle.objects.values())[:25]:
-        _check_query(provider, oracle, obj.coords, obj.oid, "final sweep")
-
-
-def test_auto_rtree_hysteresis_returns_to_kdtree_when_churn_stops():
-    """Once removals stop, the half-churn hysteresis releases the
-    R-tree back to the k-d tree on a later evaluation."""
-    rng = random.Random(5)
-    dims = 5
-    provider = _auto_provider_for_rtree(dims=dims)
-    oracle = LinearOracle(provider.theta_range)
-    next_oid = 0
-    # Phase 1: sparse + churny until the R-tree is selected.
-    for _ in range(600):
-        if provider.backend_name == "rtree":
-            break
-        if rng.random() < 0.6 or len(oracle) < 4:
-            coords = tuple(rng.uniform(0, 12.0) for _ in range(dims))
-            obj = StreamObject(next_oid, coords)
-            obj.last_window = 99
-            next_oid += 1
-            provider.insert(obj)
-            oracle.insert(obj)
-        else:
-            victim = rng.choice(list(oracle.objects.values()))
-            provider.remove(victim)
-            oracle.remove(victim)
-    assert provider.backend_name == "rtree"
-    # Phase 2: insert-only traffic; churn collapses, the R-tree is let go.
-    for _ in range(200):
-        if provider.backend_name != "rtree":
-            break
-        coords = tuple(rng.uniform(0, 12.0) for _ in range(dims))
-        obj = StreamObject(next_oid, coords)
-        obj.last_window = 99
-        next_oid += 1
-        provider.insert(obj)
-        oracle.insert(obj)
-    assert provider.backend_name == "kdtree"
-    for obj in list(oracle.objects.values())[:20]:
-        _check_query(provider, oracle, obj.coords, obj.oid, "post-release")

@@ -1,23 +1,25 @@
 """Property-based cross-validation of the range-query indices, the
-sphere-pruned offset tables, and the per-tuple incremental clusterer."""
+grid's gap-budget walk, and the per-tuple incremental clusterer."""
 
+import itertools
 import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import make_objects
+from tests.helpers import (
+    grid_offset_table,
+    make_objects,
+    reference_reachable_buckets,
+    stamped,
+)
 from repro.clustering.cluster import partition_signature
 from repro.clustering.dbscan import dbscan
 from repro.clustering.inc_dbscan import IncrementalDBSCAN
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.geometry.distance import euclidean_distance
-from repro.index.grid_index import (
-    GridIndex,
-    full_offset_table,
-    sphere_pruned_offsets,
-)
+from repro.index.grid_index import GridIndex
 from repro.index.kdtree import KDTree
 
 _coords = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -51,15 +53,15 @@ def test_kdtree_and_grid_agree_with_bruteforce(points, radius):
 
 
 # ----------------------------------------------------------------------
-# Sphere-pruned offset tables: exactly the cells whose minimum distance
-# to the base cell is <= theta_range — no false drops, no readmissions
+# The gap-budget walk: exactly the cells whose minimum distance to the
+# base cell is <= theta_range — no false drops, no readmissions
 # ----------------------------------------------------------------------
 
 
 def _oracle_gap_sq(offset, side):
     """Independent box-to-box minimum gap: built from the *absolute*
     cell bounds of two SkeletalGridCells (clamp formulation), not from
-    the normalized corner arithmetic the implementation uses."""
+    the integer budget the walk carries."""
     dims = len(offset)
     base = SkeletalGridCell((0,) * dims, side, 0, CellStatus.CORE)
     other = SkeletalGridCell(offset, side, 0, CellStatus.CORE)
@@ -74,53 +76,67 @@ def _oracle_gap_sq(offset, side):
     return total
 
 
+def _occupy(grid, cells):
+    """One object at the centre of each cell; returns the grid."""
+    for oid, cell in enumerate(cells):
+        grid.insert(
+            stamped(oid, [(c + 0.5) * grid.side for c in cell], 0, 9)
+        )
+    return grid
+
+
 @given(
-    dims=st.integers(min_value=1, max_value=4),
-    reach=st.integers(min_value=1, max_value=3),
+    dims=st.integers(min_value=1, max_value=8),
     ratio=st.floats(
         min_value=0.05, max_value=2.5, allow_nan=False, allow_infinity=False
     ),
+    data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_sphere_pruned_offsets_exact(dims, reach, ratio):
-    """The pruned table holds exactly the offsets whose min cell-to-cell
-    distance is <= θr (θr = 1, side = ratio): every offset at gap <= θr
-    is present (no false drops — the correctness-critical direction),
-    and nothing beyond the documented fp slack is readmitted. Offsets
-    inside the few-ulp gray band around the boundary are legal either
-    way; the slack only ever admits cells refinement will discard."""
-    table = sphere_pruned_offsets(dims, reach, ratio)
-    table_set = set(table)
-    assert len(table_set) == len(table)
-    full = full_offset_table(dims, reach)
-    assert table_set <= set(full)
-    for offset in full:
-        gap_sq = _oracle_gap_sq(offset, ratio)
-        if gap_sq <= 1.0:
-            assert offset in table_set, (
-                f"false drop: {offset} at gap² {gap_sq}"
-            )
-        elif gap_sq > 1.0 + 1e-6:
-            assert offset not in table_set, (
+def test_walk_keeps_exactly_the_cells_within_range(dims, ratio, data):
+    """From the base cell the walk returns exactly the occupied cells
+    whose min cell-to-cell distance is <= θr (θr = ratio, side = θr/√d):
+    every cell at gap <= θr is walked (no false drops — the
+    correctness-critical direction), and nothing beyond the fp gray band
+    around the boundary is readmitted. Offsets one step past ``reach``
+    are drawn too: those cells are never walked, since a half-open cell
+    that far lies more than ``reach * side >= θr`` from the base cell
+    (the closed-box gap can equal θr exactly when d is a square)."""
+    grid = GridIndex(ratio, dims)
+    span = st.integers(min_value=-grid.reach - 1, max_value=grid.reach + 1)
+    offsets = data.draw(
+        st.lists(st.tuples(*[span] * dims), max_size=40, unique=True)
+    )
+    _occupy(grid, [(0,) * dims] + offsets)
+    walked = [offset for offset, _ in grid._reachable_buckets((0,) * dims)]
+    assert walked == sorted(set(walked))
+    sq_range = ratio * ratio
+    for offset in offsets:
+        gap_sq = _oracle_gap_sq(offset, grid.side)
+        if max(map(abs, offset)) > grid.reach:
+            assert offset not in walked, f"walked past reach: {offset}"
+        elif gap_sq <= sq_range:
+            assert offset in walked, f"false drop: {offset} at gap² {gap_sq}"
+        elif gap_sq > sq_range * (1.0 + 1e-6):
+            assert offset not in walked, (
                 f"readmitted cell: {offset} at gap² {gap_sq}"
             )
-    # Point symmetry: queries see the same table from either side.
-    for offset in table:
-        assert tuple(-delta for delta in offset) in table_set
-    # Module-level memoization: same key -> same shared object.
-    assert sphere_pruned_offsets(dims, reach, ratio) is table
+    # Point symmetry: from any walked cell the walk reaches back.
+    for offset in walked:
+        back = [o for o, _ in grid._reachable_buckets(offset)]
+        assert tuple(-delta for delta in offset) in back
 
 
 @given(
-    dims=st.integers(min_value=1, max_value=5),
+    dims=st.integers(min_value=1, max_value=8),
     theta=st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
     data=st.data(),
 )
 @settings(max_examples=50, deadline=None)
-def test_pruned_table_covers_every_neighbor_pair(dims, theta, data):
+def test_walk_covers_every_neighbor_pair(dims, theta, data):
     """Semantic no-false-drop witness under the paper's diagonal cell
-    sizing: any two points within θr of each other land in cells whose
-    offset is in the grid's pruned table."""
+    sizing: any two points within θr of each other land in cells the
+    walk from either one reaches."""
     grid = GridIndex(theta, dims)
     coord_strategy = st.floats(
         min_value=-10.0, max_value=10.0, allow_nan=False
@@ -147,27 +163,31 @@ def test_pruned_table_covers_every_neighbor_pair(dims, theta, data):
         # the pair is *not* within θr, so the coverage claim does not
         # apply — offset reach+1 implies exact distance > θr strictly.
         return
-    delta = tuple(
-        q - p for p, q in zip(grid.cell_coord(a), grid.cell_coord(b))
-    )
-    assert delta in set(grid._offsets), (
-        f"neighbor pair {a} / {b} spans offset {delta} "
-        "missing from the pruned table"
-    )
+    grid.insert(stamped(0, a, 0, 9))
+    grid.insert(stamped(1, b, 0, 9))
+    for src, dst in ((a, b), (b, a)):
+        base = grid.cell_coord(src)
+        delta = tuple(q - p for p, q in zip(base, grid.cell_coord(dst)))
+        walked = [offset for offset, _ in grid._reachable_buckets(base)]
+        assert delta in walked, (
+            f"neighbor pair {src} / {dst} spans offset {delta} "
+            "the walk does not reach"
+        )
 
 
-def test_offset_tables_shared_across_instances():
-    """Two grids with the same (d, reach, side/θr) share one memoized
-    table object, whatever the absolute θr."""
-    a = GridIndex(0.2, 4)
-    b = GridIndex(1.7, 4)
-    assert a._offsets is b._offsets
-    assert a.reach == b.reach == 2
-    # Diagonal sizing keeps the whole cube reachable through 4-D...
-    assert len(a._offsets) == 5 ** 4
-    # ...while 5-D prunes almost two thirds of it.
-    c = GridIndex(0.3, 5)
-    assert len(c._offsets) == 6095 < 7 ** 5
+def test_walk_counts_on_a_full_cube_equal_the_offset_table():
+    """With every cell of the ``(2*reach + 1)^d`` cube occupied the
+    walk returns the whole pruned table, whatever the absolute θr: all
+    625 cells through 4-D, 6095 of 16807 in 5-D."""
+    for theta, dims, count in ((0.2, 4, 625), (1.7, 4, 625), (0.3, 5, 6095)):
+        grid = GridIndex(theta, dims)
+        span = range(-grid.reach, grid.reach + 1)
+        _occupy(grid, itertools.product(span, repeat=dims))
+        base = (0,) * dims
+        walked = grid._reachable_buckets(base)
+        assert len(walked) == len(grid_offset_table(grid)) == count
+        assert walked == reference_reachable_buckets(grid, base)
+    assert count < 7 ** 5
 
 
 @st.composite
