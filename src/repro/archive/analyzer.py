@@ -100,14 +100,6 @@ class PatternAnalyzer:
             )
         self.engine = engine
 
-    @property
-    def spec(self) -> DistanceMetricSpec:
-        return self.engine.spec
-
-    @property
-    def max_alignment_expansions(self) -> int:
-        return self.engine.max_alignment_expansions
-
     def match(
         self,
         query: SGS,

@@ -1,15 +1,14 @@
 """The Pattern Archiver (Section 6): selection + resolution control.
 
 Decides *which* freshly extracted clusters enter the Pattern Base and
-*at which resolution* they are stored. Selection policies implement the
-mechanisms Section 6.2 lists (archive everything, sampling, feature
-filters); resolution selection is budget- and accuracy-aware via the
-deterministic cell-count prediction of Section 6.1.
+*at which resolution* they are stored. Selection is an
+:class:`ArchivePolicy` (archive everything by default); resolution
+selection is budget- and accuracy-aware via the deterministic
+cell-count prediction of Section 6.1.
 """
 
 from __future__ import annotations
 
-import random
 from typing import List, Optional
 
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
@@ -31,34 +30,6 @@ class ArchiveAllPolicy(ArchivePolicy):
 
     def admit(self, sgs: SGS, full_size: int) -> bool:
         return True
-
-
-class SamplingPolicy(ArchivePolicy):
-    """Archive each cluster independently with probability ``rate``."""
-
-    def __init__(self, rate: float, seed: Optional[int] = 11):
-        if not 0 <= rate <= 1:
-            raise ValueError("rate must be in [0, 1]")
-        self.rate = rate
-        self._rng = random.Random(seed)
-
-    def admit(self, sgs: SGS, full_size: int) -> bool:
-        return self._rng.random() < self.rate
-
-
-class FeatureFilterPolicy(ArchivePolicy):
-    """Archive only clusters reaching a population and/or volume floor
-    (Section 6.2's feature-selection mechanism)."""
-
-    def __init__(self, min_population: int = 0, min_volume: int = 0):
-        self.min_population = min_population
-        self.min_volume = min_volume
-
-    def admit(self, sgs: SGS, full_size: int) -> bool:
-        return (
-            full_size >= self.min_population
-            and sgs.volume >= self.min_volume
-        )
 
 
 class PatternArchiver:

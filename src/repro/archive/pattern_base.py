@@ -263,10 +263,6 @@ class PatternBase:
         planners consult its extents and telemetry)."""
         return self._features
 
-    def locational_index(self) -> RTree:
-        """The locational R-tree index (read-only use)."""
-        return self._locational
-
     # ------------------------------------------------------------------
     # The inverted cell-signature index
     # ------------------------------------------------------------------

@@ -39,7 +39,6 @@ rebuilds signatures from the stored summaries.
 
 from __future__ import annotations
 
-import io
 import os
 import struct
 import tempfile
@@ -232,10 +231,3 @@ def _load_inverted_section(
             cells_by_level[level] = cells
         index.restore_signatures(pattern_id, cells_by_level, dims)
     base.attach_inverted(index)
-
-
-def roundtrip_bytes(base) -> bytes:
-    """Serialize an archive to bytes (convenience for tests/tools)."""
-    buffer = io.BytesIO()
-    dump_pattern_base(base, buffer)
-    return buffer.getvalue()

@@ -88,32 +88,3 @@ def dbscan(
             clusters[cluster_id].edge_objects.append(obj)
 
     return clusters
-
-
-def classify_objects(
-    objects: Sequence[StreamObject],
-    theta_range: float,
-    theta_count: int,
-) -> Dict[int, str]:
-    """Return {oid: 'core' | 'edge' | 'noise'} for a static object set."""
-    objects = list(objects)
-    if not objects:
-        return {}
-    index = GridIndex(theta_range, objects[0].dimensions)
-    index.bulk_load(objects)
-    result: Dict[int, str] = {}
-    neighbor_lists = {
-        obj.oid: index.range_query(obj.coords, exclude_oid=obj.oid)
-        for obj in objects
-    }
-    core = {
-        oid for oid, nbs in neighbor_lists.items() if len(nbs) >= theta_count
-    }
-    for obj in objects:
-        if obj.oid in core:
-            result[obj.oid] = "core"
-        elif any(nb.oid in core for nb in neighbor_lists[obj.oid]):
-            result[obj.oid] = "edge"
-        else:
-            result[obj.oid] = "noise"
-    return result

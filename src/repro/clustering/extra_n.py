@@ -21,7 +21,7 @@ a from-scratch DBSCAN over the window contents.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set
+from typing import Dict, List, Set
 
 from repro.clustering.cluster import Cluster
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
@@ -146,12 +146,6 @@ class ExtraN:
         for obj in batch.new_objects:
             self.tracker.insert(obj)
         return self._emit(batch.index)
-
-    def process(
-        self, batches: Iterable[WindowBatch]
-    ) -> Iterator[List[Cluster]]:
-        for batch in batches:
-            yield self.process_batch(batch)
 
     def _emit(self, window: int) -> List[Cluster]:
         view = self._views.get(window)

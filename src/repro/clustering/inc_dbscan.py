@@ -24,7 +24,7 @@ therefore does none of the deletion work this algorithm must do.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.clustering.cluster import Cluster
 from repro.index.provider import NeighborProvider, resolve_provider
@@ -229,12 +229,6 @@ class IncrementalDBSCAN:
         for obj in batch.new_objects:
             self.insert(obj)
         return self.clusters(batch.index)
-
-    def process(
-        self, batches: Iterable[WindowBatch]
-    ) -> Iterator[List[Cluster]]:
-        for batch in batches:
-            yield self.process_batch(batch)
 
     def clusters(self, window_index: int = -1) -> List[Cluster]:
         """Materialize the current clusters in full representation."""

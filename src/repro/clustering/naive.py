@@ -8,7 +8,7 @@ lifespan-based incremental computation buys.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import List
 
 from repro.clustering.cluster import Cluster
 from repro.clustering.dbscan import dbscan
@@ -33,13 +33,3 @@ class NaiveWindowClusterer:
         return dbscan(
             self._buffer, self.theta_range, self.theta_count, window
         )
-
-    def process(
-        self, batches: Iterable[WindowBatch]
-    ) -> Iterator[List[Cluster]]:
-        for batch in batches:
-            yield self.process_batch(batch)
-
-    @property
-    def buffer_size(self) -> int:
-        return len(self._buffer)

@@ -34,7 +34,7 @@ cell lifespans, and output (tested equal to an independent C-SGS run).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.csgs import CSGS, WindowOutput
 from repro.index.grid_index import CellMap
@@ -90,8 +90,6 @@ class SharedCSGS:
             provider, backend, theta_range, dimensions
         )
         self.provider = provider
-        # Backward-compatible alias: the provider used to always be a grid.
-        self.grid = provider
         # One SGS cell substrate for all members: an injected CellMap
         # (maintained here, purged by window stamps — the coordinator-fed
         # mode's arrangement), the provider itself when it is one (the
@@ -202,9 +200,3 @@ class SharedCSGS:
         for obj, _, known in batched_neighborhoods(self.provider, new_objects):
             self.ingest(obj, known)
         return self.emit(batch.index)
-
-    def process(
-        self, batches: Iterable[WindowBatch]
-    ) -> Iterator[Dict[int, WindowOutput]]:
-        for batch in batches:
-            yield self.process_batch(batch)

@@ -13,6 +13,7 @@ describe a workload once and hand it to the framework:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -81,8 +82,8 @@ class ContinuousClusteringQuery:
     store: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.theta_range <= 0:
-            raise ValueError("theta_range must be positive")
+        if not (math.isfinite(self.theta_range) and self.theta_range > 0):
+            raise ValueError("theta_range must be positive and finite")
         if self.theta_count < 1:
             raise ValueError("theta_count must be at least 1")
         if self.dimensions < 1:

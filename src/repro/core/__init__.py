@@ -4,7 +4,7 @@ from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.csgs import CSGS, WindowOutput
 from repro.core.features import ClusterFeatures
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
-from repro.core.multires import coarsen_sgs, resolution_ladder
+from repro.core.multires import coarsen_sgs
 from repro.core.sgs import SGS
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "SkeletalGridCell",
     "WindowOutput",
     "coarsen_sgs",
-    "resolution_ladder",
 ]

@@ -21,12 +21,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import math
 import struct
 from operator import add, sub
 from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
-
-from repro.index.grid_index import min_cell_gap_sq
 
 Coord = Tuple[int, ...]
 
@@ -174,43 +171,6 @@ class SkeletalGridCell:
     def density(self) -> float:
         """Objects per unit volume inside this cell (Lemma 4.4)."""
         return self.population / self.cell_volume()
-
-    def min_gap_to(self, other: "SkeletalGridCell") -> float:
-        """Minimum distance between points of this cell and ``other``.
-
-        Both cells must share the side length (one SGS level); the gap
-        is the corner-to-corner :func:`~repro.index.grid_index.min_cell_gap_sq`
-        — the same geometry the sphere-pruned offset tables are built
-        from — and is 0.0 for touching or overlapping cells.
-        """
-        if other.side_length != self.side_length:
-            raise ValueError("cells must share a side length")
-        if other.dimensions != self.dimensions:
-            raise ValueError("cells must share dimensionality")
-        delta = tuple(
-            b - a for a, b in zip(self.location, other.location)
-        )
-        return math.sqrt(min_cell_gap_sq(delta, self.side_length))
-
-    def may_connect(
-        self, other: "SkeletalGridCell", theta_range: float
-    ) -> bool:
-        """Whether the two cells *could* host directly connected core
-        objects: some point pair, one per cell, within θr (boundary
-        inclusive). Necessary for any connection of Definition 4.4 —
-        cells failing this can never appear in each other's connection
-        vectors, which is exactly the sphere-pruning predicate of the
-        grid's offset tables. Compared in squared space (no sqrt round
-        trip) so boundary pairs agree with that predicate."""
-        if other.side_length != self.side_length:
-            raise ValueError("cells must share a side length")
-        if other.dimensions != self.dimensions:
-            raise ValueError("cells must share dimensionality")
-        delta = tuple(
-            b - a for a, b in zip(self.location, other.location)
-        )
-        gap_sq = min_cell_gap_sq(delta, self.side_length)
-        return gap_sq <= theta_range * theta_range
 
     def __repr__(self) -> str:
         return (

@@ -77,7 +77,6 @@ class CSGS:
         theta_range: float,
         theta_count: int,
         dimensions: int,
-        grid=None,
         manage_grid: bool = True,
         provider=None,
         backend=None,
@@ -92,7 +91,6 @@ class CSGS:
             dimensions,
             on_insert=self._handle_insert,
             on_extension=self._handle_extension,
-            grid=grid,
             manage_grid=manage_grid,
             provider=provider,
             backend=backend,

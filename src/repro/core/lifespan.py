@@ -51,7 +51,7 @@ producing output identical to object-at-a-time insertion.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.index.grid_index import CellMap
 from repro.index.provider import (
@@ -87,16 +87,6 @@ class ObjectState:
     def oid(self) -> int:
         return self.obj.oid
 
-    @property
-    def last_window(self) -> int:
-        return self.obj.last_window
-
-    def alive_in(self, window_index: int) -> bool:
-        return self.obj.last_window >= window_index
-
-    def is_core_in(self, window_index: int) -> bool:
-        return self.core_until >= window_index
-
     def compute_core_until(self, window_index: int, theta_count: int) -> int:
         """Recompute the core-career end from the neighbor histogram.
 
@@ -119,25 +109,6 @@ class ObjectState:
             if remaining <= 0:
                 return min(key, self.obj.last_window)
         return NEVER_CORE
-
-    def is_edge_in(self, window_index: int) -> bool:
-        """True when the object is an edge object in ``window_index``.
-
-        Observation 5.4: an object is an edge object after (or instead of)
-        its core career while at least one of its non-core-career
-        neighbors is still a core object. Expired entries are pruned
-        lazily here.
-        """
-        if self.core_until >= window_index:
-            return False
-        live = [
-            nb
-            for nb in self.noncore_neighbors
-            if nb.obj.last_window >= window_index
-        ]
-        if len(live) != len(self.noncore_neighbors):
-            self.noncore_neighbors = live
-        return any(nb.core_until >= window_index for nb in live)
 
     def attached_cores_in(self, window_index: int) -> List["ObjectState"]:
         """The core objects this (edge) object is attached to at a window."""
@@ -181,7 +152,6 @@ class NeighborhoodTracker:
         dimensions: int,
         on_insert: Optional[InsertCallback] = None,
         on_extension: Optional[ExtensionCallback] = None,
-        grid: Optional[NeighborProvider] = None,
         manage_grid: bool = True,
         provider: Optional[NeighborProvider] = None,
         backend: Optional[str] = None,
@@ -195,18 +165,8 @@ class NeighborhoodTracker:
         self.dimensions = int(dimensions)
         # A provider may be shared across trackers (multi-query
         # execution); then exactly one owner manages insert/remove on it.
-        # ``grid`` is the historical name for the same parameter.
-        if provider is not None and grid is not None:
-            raise ValueError("pass either provider or grid, not both")
-        provider = resolve_provider(
-            provider if provider is not None else grid,
-            backend,
-            theta_range,
-            dimensions,
-        )
+        provider = resolve_provider(provider, backend, theta_range, dimensions)
         self.provider = provider
-        # Backward-compatible alias: the provider used to always be a grid.
-        self.grid = provider
         # The SGS cell substrate: an externally shared CellMap (its
         # owner maintains it), the provider itself (the grid *is* a
         # CellMap), or a bare CellMap this tracker maintains. Consumers
@@ -416,15 +376,6 @@ class NeighborhoodTracker:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-
-    def alive_states(self) -> Iterator[ObjectState]:
-        return iter(self.states.values())
-
-    def alive_objects(self) -> List[StreamObject]:
-        return [state.obj for state in self.states.values()]
-
-    def state_of(self, oid: int) -> ObjectState:
-        return self.states[oid]
 
     def state_sizes(self) -> Dict[str, int]:
         """Entry counts of the per-object meta-data (for memory models);

@@ -13,7 +13,7 @@ Level n-1 cells into one coarser skeletal grid cell, in a single scan:
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import Dict, Set
 
 from repro.core.cells import Coord, block_neighbors, connection_block
 from repro.core.sgs import SGS
@@ -82,21 +82,6 @@ def coarsen_sgs(sgs: SGS, factor: int = 3) -> SGS:
         cluster_id=sgs.cluster_id,
         window_index=sgs.window_index,
     )
-
-
-def resolution_ladder(sgs: SGS, factor: int = 3, levels: int = 2) -> List[SGS]:
-    """Return ``[level0, level1, ..., level_n]`` (n = ``levels``).
-
-    Level 0 is the input (Basic SGS); each further level is built by
-    :func:`coarsen_sgs`. The ladder is what the budget-aware Pattern
-    Archiver chooses from.
-    """
-    if levels < 0:
-        raise ValueError("levels must be non-negative")
-    ladder = [sgs]
-    for _ in range(levels):
-        ladder.append(coarsen_sgs(ladder[-1], factor))
-    return ladder
 
 
 def cells_needed_at_level(sgs: SGS, factor: int, level: int) -> int:

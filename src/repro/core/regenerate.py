@@ -22,23 +22,6 @@ from repro.streams.objects import StreamObject
 Point = Tuple[float, ...]
 
 
-def regenerate_points(sgs: SGS, seed: Optional[int] = 0) -> List[Point]:
-    """Draw ``population`` points uniformly inside every skeletal cell."""
-    rng = random.Random(seed)
-    points: List[Point] = []
-    for cell in sgs.cells.values():
-        lows = cell.lows()
-        highs = cell.highs()
-        for _ in range(cell.population):
-            points.append(
-                tuple(
-                    rng.uniform(low, high)
-                    for low, high in zip(lows, highs)
-                )
-            )
-    return points
-
-
 def regenerate_cluster(
     sgs: SGS, seed: Optional[int] = 0, start_oid: int = 0
 ) -> Cluster:

@@ -14,8 +14,7 @@ and the fidelity helpers of Lemmas 4.3–4.5 are for people and tests.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.core.cells import (
     CellStatus,
@@ -152,13 +151,6 @@ class SGS:
             [(max(axis) + 1) * side for axis in axes],
         )
 
-    def density_of_region(self, locations: Sequence[Coord]) -> float:
-        """Exact density of the sub-region covered by ``locations``
-        (Lemma 4.4: populations are exact and cells do not overlap)."""
-        total_population = sum(self.rows[loc][1] for loc in locations)
-        cell_volume = self.side_length ** self.dimensions
-        return total_population / (len(locations) * cell_volume)
-
     # ------------------------------------------------------------------
     # Connectivity helpers
     # ------------------------------------------------------------------
@@ -175,32 +167,6 @@ class SGS:
             for location, (is_core, _, block) in rows.items()
             if is_core
         }
-
-    def core_path_length(self, start: Coord, goal: Coord) -> Optional[int]:
-        """Length (in hops) of the shortest core-cell path, or None.
-
-        Used by the Lemma 4.5 fidelity tests: a connected core-object path
-        of n objects implies a core-cell path of at most n cells.
-        """
-        if start == goal:
-            return 0
-        adjacency = self.core_graph()
-        if start not in adjacency or goal not in adjacency:
-            return None
-        frontier = [start]
-        distance = {start: 0}
-        while frontier:
-            next_frontier: List[Coord] = []
-            for node in frontier:
-                for neighbor in adjacency[node]:
-                    if neighbor in distance:
-                        continue
-                    distance[neighbor] = distance[node] + 1
-                    if neighbor == goal:
-                        return distance[neighbor]
-                    next_frontier.append(neighbor)
-            frontier = next_frontier
-        return None
 
     def is_connected(self) -> bool:
         """True when the core cells form one connected component and every
@@ -230,17 +196,6 @@ class SGS:
     # ------------------------------------------------------------------
     # Fidelity (Lemma 4.3)
     # ------------------------------------------------------------------
-
-    def max_location_error(self, member_coords: Iterable[Tuple[float, ...]]) -> float:
-        """Upper bound on the distance from any covered-space point to the
-        nearest cluster member: the cell diagonal (== θr at level 0)."""
-        del member_coords  # the bound is structural, not data dependent
-        return self.side_length * math.sqrt(self.dimensions)
-
-    def covers_point(self, point: Sequence[float]) -> bool:
-        """True when ``point`` falls into one of the skeletal grid cells."""
-        coord = tuple(int(math.floor(value / self.side_length)) for value in point)
-        return coord in self.rows
 
     def __len__(self) -> int:
         return len(self.rows)

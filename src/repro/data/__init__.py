@@ -2,12 +2,10 @@
 
 from repro.data.gmti import GMTIStream
 from repro.data.stt import STTStream
-from repro.data.synthetic import DriftingBlobStream, static_blobs, uniform_noise
+from repro.data.synthetic import DriftingBlobStream
 
 __all__ = [
     "DriftingBlobStream",
     "GMTIStream",
     "STTStream",
-    "static_blobs",
-    "uniform_noise",
 ]

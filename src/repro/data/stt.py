@@ -85,10 +85,6 @@ class STTStream:
             volume = round(volume / self.volume_lot) * self.volume_lot
         return price, volume
 
-    @property
-    def dimensions(self) -> int:
-        return 4
-
     def _spawn_burst(self) -> _Burst:
         rng = self._rng
         length = max(200, int(rng.expovariate(1.0 / self.mean_burst_length)))

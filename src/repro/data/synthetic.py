@@ -8,42 +8,11 @@ These produce raw coordinate tuples; wrap them in
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.streams.objects import StreamObject
 
 Point = Tuple[float, ...]
-
-
-def static_blobs(
-    centers: Sequence[Point],
-    points_per_blob: int,
-    std: float = 0.3,
-    seed: Optional[int] = 0,
-) -> List[Point]:
-    """Gaussian blobs around fixed centers (for static-set unit tests)."""
-    rng = random.Random(seed)
-    points: List[Point] = []
-    for center in centers:
-        for _ in range(points_per_blob):
-            points.append(
-                tuple(rng.gauss(c, std) for c in center)
-            )
-    return points
-
-
-def uniform_noise(
-    n: int,
-    lows: Point,
-    highs: Point,
-    seed: Optional[int] = 0,
-) -> List[Point]:
-    """Uniform background noise inside a box."""
-    rng = random.Random(seed)
-    return [
-        tuple(rng.uniform(low, high) for low, high in zip(lows, highs))
-        for _ in range(n)
-    ]
 
 
 class DriftingBlobStream:

@@ -1,7 +1,6 @@
 """Evaluation substrate: byte-cost models, oracle judge, harness utils."""
 
 from repro.eval.memory import (
-    compression_rate,
     crd_bytes,
     full_representation_bytes,
     rsp_bytes,
@@ -11,7 +10,6 @@ from repro.eval.memory import (
 from repro.eval.oracle import oracle_similarity
 
 __all__ = [
-    "compression_rate",
     "crd_bytes",
     "full_representation_bytes",
     "oracle_similarity",

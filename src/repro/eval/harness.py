@@ -1,4 +1,4 @@
-"""Shared experiment-harness utilities: timing and table rendering.
+"""Shared experiment-harness utilities: number formatting and table rendering.
 
 Every bench prints the rows/series the corresponding paper artifact
 reports, via these fixed-width tables, so ``bench_output.txt`` is
@@ -7,18 +7,7 @@ directly comparable against EXPERIMENTS.md.
 
 from __future__ import annotations
 
-import time
-from typing import Callable, List, Optional, Sequence
-
-
-def time_callable(fn: Callable[[], object], repeats: int = 1) -> float:
-    """Best-of-``repeats`` wall time of ``fn`` in seconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+from typing import List, Sequence
 
 
 def fmt_seconds(seconds: float) -> str:
@@ -68,26 +57,3 @@ class Table:
                 " | ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
             )
         return "\n".join(lines)
-
-    def print(self) -> None:
-        print()
-        print(self.render())
-        print()
-
-
-def print_series(title: str, xs: Sequence[object], ys: Sequence[object], x_label: str = "x", y_label: str = "y") -> None:
-    """Print an (x, y) series as the two rows a paper figure plots."""
-    table = Table(title, [x_label] + [str(x) for x in xs])
-    table.add_row(y_label, *[str(y) for y in ys])
-    table.print()
-
-
-def geometric_mean(values: Sequence[float]) -> Optional[float]:
-    if not values:
-        return None
-    product = 1.0
-    for value in values:
-        if value <= 0:
-            return None
-        product *= value
-    return product ** (1.0 / len(values))

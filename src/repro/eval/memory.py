@@ -108,14 +108,3 @@ def extra_n_state_bytes(extra_n) -> int:
     return tracker_state_bytes(sizes, extra_n.dimensions) + (
         sizes["view_entries"] * 8
     )
-
-
-def compression_rate(sgs: SGS, cluster: Cluster) -> float:
-    """Fraction of the full representation's bytes that SGS saves.
-
-    Section 8.2 reports ~98% on average at the finest resolution.
-    """
-    full = full_representation_bytes(cluster, sgs.dimensions)
-    if full <= 0:
-        return 0.0
-    return 1.0 - sgs_bytes(sgs) / full

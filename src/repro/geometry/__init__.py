@@ -8,7 +8,6 @@ from repro.geometry.coordstore import (
     within_sq_range,
 )
 from repro.geometry.distance import (
-    chebyshev_distance,
     euclidean_distance,
     squared_euclidean_distance,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "CandidateBatch",
     "CoordStore",
     "canonical_sq_dist",
-    "chebyshev_distance",
     "euclidean_distance",
     "squared_euclidean_distance",
     "within_sq_range",

@@ -47,7 +47,7 @@ scans), so consumers observe byte-identical output from either path.
 from __future__ import annotations
 
 from math import isfinite
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.streams.objects import StreamObject
 
@@ -164,17 +164,6 @@ class CoordStore:
 
     def __contains__(self, oid: int) -> bool:
         return oid in self._row_of
-
-    def row_of(self, oid: int) -> int:
-        return self._row_of[oid]
-
-    def get(self, oid: int) -> Optional[StreamObject]:
-        row = self._row_of.get(oid)
-        return None if row is None else self._objs[row]
-
-    def objects(self) -> Iterator[StreamObject]:
-        """Live objects in row (insertion) order."""
-        return (obj for obj in self._objs if obj is not None)
 
     def add(self, obj: StreamObject) -> int:
         """Append one object's coordinates; returns its row index."""
@@ -452,10 +441,6 @@ class CoordStore:
             self._objs[start:stop], probe, sq_range, exclude_oid
         )
 
-    def span_objects(self, start: int, stop: int) -> List[StreamObject]:
-        """Live objects of a contiguous row span, in row order."""
-        return [obj for obj in self._objs[start:stop] if obj is not None]
-
     def within_radius(
         self,
         probe: Sequence[float],
@@ -476,39 +461,3 @@ class CoordStore:
                     result.append(obj)
             return result
         return self._refine_scalar(self._objs, probe, sq_range, exclude_oid)
-
-    def pairwise_within(
-        self, oids: Sequence[int], sq_range: float
-    ) -> List[Tuple[int, int]]:
-        """All oid pairs (in given-order position ``i < j``) within range.
-
-        Boundary-inclusive, canonical summation; KeyError for absent or
-        tombstoned oids.
-        """
-        oids = list(oids)
-        k = len(oids)
-        if k < 2:
-            return []
-        rows = [self._row_of[oid] for oid in oids]
-        if self._vector:
-            idx = _np.fromiter(rows, dtype=_np.intp, count=k)
-            col = self._cols[0][idx]
-            diff = col[:, None] - col[None, :]
-            acc = diff * diff
-            for j in range(1, self.dimensions):
-                col = self._cols[j][idx]
-                diff = col[:, None] - col[None, :]
-                acc += diff * diff
-            mask = _np.triu(acc <= sq_range, k=1)
-            ii, jj = _np.nonzero(mask)
-            return [
-                (oids[i], oids[j]) for i, j in zip(ii.tolist(), jj.tolist())
-            ]
-        objs = [self._objs[row] for row in rows]
-        result = []
-        for i in range(k):
-            a = objs[i].coords
-            for j in range(i + 1, k):
-                if within_sq_range(a, objs[j].coords, sq_range):
-                    result.append((oids[i], oids[j]))
-        return result

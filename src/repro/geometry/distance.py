@@ -31,12 +31,3 @@ def squared_euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
 def euclidean_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Return the Euclidean (L2) distance between two points."""
     return math.sqrt(squared_euclidean_distance(a, b))
-
-
-def chebyshev_distance(a: Sequence[float], b: Sequence[float]) -> float:
-    """Return the Chebyshev (L-infinity) distance between two points."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"dimension mismatch: {len(a)} vs {len(b)}"
-        )
-    return max(abs(ai - bi) for ai, bi in zip(a, b))

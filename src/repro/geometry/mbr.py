@@ -31,11 +31,6 @@ class MBR:
         self.highs: Tuple[float, ...] = tuple(highs)
 
     @classmethod
-    def from_point(cls, point: Sequence[float]) -> "MBR":
-        """Return a degenerate MBR covering a single point."""
-        return cls(tuple(point), tuple(point))
-
-    @classmethod
     def from_points(cls, points: Iterable[Sequence[float]]) -> "MBR":
         """Return the tightest MBR covering ``points`` (must be non-empty)."""
         iterator = iter(points)
@@ -53,25 +48,12 @@ class MBR:
                     highs[i] = value
         return cls(lows, highs)
 
-    @property
-    def dimensions(self) -> int:
-        return len(self.lows)
-
     def volume(self) -> float:
         """Return the d-dimensional volume (product of side lengths)."""
         result = 1.0
         for low, high in zip(self.lows, self.highs):
             result *= high - low
         return result
-
-    def margin(self) -> float:
-        """Return the sum of side lengths (used by R-tree heuristics)."""
-        return sum(high - low for low, high in zip(self.lows, self.highs))
-
-    def center(self) -> Tuple[float, ...]:
-        return tuple(
-            (low + high) / 2.0 for low, high in zip(self.lows, self.highs)
-        )
 
     def union(self, other: "MBR") -> "MBR":
         """Return the smallest MBR covering both operands."""
@@ -89,14 +71,6 @@ class MBR:
                 return False
         return True
 
-    def contains_point(self, point: Sequence[float]) -> bool:
-        if len(point) != self.dimensions:
-            raise ValueError("dimension mismatch")
-        for low, high, value in zip(self.lows, self.highs, point):
-            if value < low or value > high:
-                return False
-        return True
-
     def contains(self, other: "MBR") -> bool:
         """Return True when ``other`` lies entirely inside this MBR."""
         for low_a, high_a, low_b, high_b in zip(
@@ -109,18 +83,6 @@ class MBR:
     def enlargement(self, other: "MBR") -> float:
         """Return the volume increase of union(self, other) over self."""
         return self.union(other).volume() - self.volume()
-
-    def overlap_volume(self, other: "MBR") -> float:
-        """Return the volume of the intersection (0.0 when disjoint)."""
-        result = 1.0
-        for low_a, high_a, low_b, high_b in zip(
-            self.lows, self.highs, other.lows, other.highs
-        ):
-            side = min(high_a, high_b) - max(low_a, low_b)
-            if side < 0:
-                return 0.0
-            result *= side
-        return result
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MBR):

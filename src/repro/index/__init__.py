@@ -13,7 +13,6 @@ from repro.index.grid_index import (
     CellMap,
     GridIndex,
     cell_side_for_range,
-    min_cell_gap_sq,
 )
 from repro.index.kdtree import KDTree
 from repro.index.provider import (
@@ -39,5 +38,4 @@ __all__ = [
     "cell_side_for_range",
     "cell_substrate",
     "make_provider",
-    "min_cell_gap_sq",
 ]

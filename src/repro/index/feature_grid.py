@@ -23,7 +23,7 @@ count candidates, so query planners can report index effort.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 Coord = Tuple[int, ...]
 
@@ -230,7 +230,3 @@ class FeatureGridIndex:
 
     def __len__(self) -> int:
         return self._size
-
-    def items(self) -> Iterator[Tuple[Tuple[float, ...], Any]]:
-        for bucket in self._cells.values():
-            yield from bucket

@@ -54,21 +54,6 @@ def cell_side_for_range(theta_range: float, dimensions: int) -> float:
 OFFSET_PRUNE_EPS = 1e-9
 
 
-def min_cell_gap_sq(offset: Sequence[int], side: float) -> float:
-    """Minimum squared distance between two grid cells ``offset`` apart.
-
-    Cells are closed axis-aligned cubes of the given ``side``; the
-    minimum is attained corner-to-corner, ``(|delta| - 1) * side`` per
-    dimension with a nonzero delta (0.0 for touching/overlapping cells).
-    """
-    sq = 0.0
-    for delta in offset:
-        if delta:
-            gap = (abs(delta) - 1) * side
-            sq += gap * gap
-    return sq
-
-
 class CellMap:
     """The θr-sized cell decomposition of the data space (SGS substrate).
 

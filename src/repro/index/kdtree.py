@@ -19,14 +19,9 @@ ball.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional, Sequence, Union
 
-from repro.geometry.coordstore import (
-    HAVE_NUMPY,
-    CoordStore,
-    canonical_sq_dist,
-)
+from repro.geometry.coordstore import HAVE_NUMPY, CoordStore
 from repro.streams.objects import StreamObject
 
 
@@ -133,36 +128,3 @@ class KDTree:
             if delta >= -radius:  # right slab (coords >= split) reachable
                 stack.append(node.right)
         return result
-
-    def nearest(
-        self, coords: Sequence[float], exclude_oid: int = -1
-    ) -> Optional[StreamObject]:
-        """Nearest stored object to ``coords`` (None when empty)."""
-        best: Optional[StreamObject] = None
-        best_sq = math.inf
-
-        def visit(node: _Node) -> None:
-            nonlocal best, best_sq
-            if node is None:
-                return
-            if type(node) is _Leaf:
-                for obj in self._store.span_objects(node.start, node.stop):
-                    if obj.oid == exclude_oid:
-                        continue
-                    sq = canonical_sq_dist(coords, obj.coords)
-                    if sq < best_sq:
-                        best_sq = sq
-                        best = obj
-                return
-            delta = coords[node.axis] - node.split
-            near, far = (
-                (node.left, node.right)
-                if delta <= 0
-                else (node.right, node.left)
-            )
-            visit(near)
-            if delta * delta < best_sq:
-                visit(far)
-
-        visit(self._root)
-        return best

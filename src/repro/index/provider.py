@@ -38,7 +38,7 @@ from typing import (
     runtime_checkable,
 )
 
-from repro.geometry.coordstore import CoordStore, within_sq_range
+from repro.geometry.coordstore import CoordStore
 from repro.index.grid_index import CellMap, GridIndex
 from repro.index.kdtree import KDTree
 from repro.streams.objects import StreamObject
@@ -46,12 +46,6 @@ from repro.streams.objects import StreamObject
 #: One batched query: the probe coordinates and the oid to exclude
 #: (typically the probe object itself, already inserted).
 Query = Tuple[Sequence[float], int]
-
-#: Backward-compatible alias. Exact refinement — squared distance
-#: <= sq_range, boundary inclusive, canonical summation order — lives in
-#: :mod:`repro.geometry.coordstore`; every backend refines through the
-#: same kernels and the parity suite pins the agreement.
-_within_sq_range = within_sq_range
 
 
 @runtime_checkable

@@ -8,7 +8,7 @@ candidates without scanning the archive.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.geometry.mbr import MBR
 
@@ -206,20 +206,6 @@ class RTree:
                     if entry_box.intersects(box):
                         stack.append(child)
         return result
-
-    def search_point(self, point: Tuple[float, ...]) -> List[Any]:
-        """Return values of entries whose MBR contains the point."""
-        return self.search(MBR.from_point(point))
-
-    def items(self) -> Iterator[Tuple[MBR, Any]]:
-        """Iterate over all (MBR, value) leaf entries."""
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if node.leaf:
-                yield from node.entries
-            else:
-                stack.extend(child for _, child in node.entries)
 
     # ------------------------------------------------------------------
     # Deletion

@@ -173,9 +173,6 @@ class QueryRegistry:
         with self._lock:
             return [self._queries[qid] for qid in sorted(self._queries)]
 
-    def in_state(self, state: str) -> List[RegisteredQuery]:
-        return [h for h in self.snapshot() if h.state == state]
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._queries)

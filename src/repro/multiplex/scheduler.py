@@ -39,7 +39,7 @@ candidate ``(object, squared distance)`` pairs:
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.config import ContinuousClusteringQuery
 from repro.clustering.shared import SharedCSGS
@@ -443,6 +443,35 @@ class SlideScheduler:
     # Stream driving (incremental windowing over the aligned slide)
     # ------------------------------------------------------------------
 
+    def _slide_of(
+        self, obj: StreamObject, arrival: int, open_slide: Optional[int]
+    ) -> int:
+        """The slide bucket of the ``arrival``-th object while
+        ``open_slide`` is the pending slide (``None`` when none is); a
+        ValueError when that bucket belongs to an already closed slide."""
+        bucket = self._base_spec.slide_bucket(obj, arrival)
+        floor = (self._next_index or 0) if open_slide is None else open_slide
+        if bucket < floor:
+            raise ValueError(
+                "stream is not ordered: object belongs to an already "
+                f"closed slide ({bucket} < {floor})"
+            )
+        return bucket
+
+    def check_order(self, objects: Sequence[StreamObject]) -> None:
+        """Raise what :meth:`feed` would raise on ``objects`` for their
+        slide order, without admitting any of them: a batch refused here
+        leaves the run exactly as it was."""
+        if self._base_spec is None:
+            raise ValueError(
+                "register at least one query before feeding the stream"
+            )
+        open_slide = None if self._current is None else self._current.index
+        for arrival, obj in enumerate(objects, self._arrival_index):
+            # Admitted, the object's slide is the pending one: no bucket
+            # below the floor gets this far.
+            open_slide = self._slide_of(obj, arrival, open_slide)
+
     def feed(
         self, source: Iterable[StreamObject]
     ) -> List[Tuple[int, Dict[int, WindowOutput]]]:
@@ -452,28 +481,20 @@ class SlideScheduler:
         windows closed by this call; a final partial slide stays pending
         until more objects arrive (or :meth:`flush` forces it).
         """
-        spec = self._base_spec
-        if spec is None:
+        if self._base_spec is None:
             raise ValueError(
                 "register at least one query before feeding the stream"
             )
         results: List[Tuple[int, Dict[int, WindowOutput]]] = []
         for obj in source:
-            bucket = spec.slide_bucket(obj, self._arrival_index)
+            bucket = self._slide_of(
+                obj,
+                self._arrival_index,
+                None if self._current is None else self._current.index,
+            )
             self._arrival_index += 1
             if self._current is None:
-                floor = self._next_index or 0
-                if bucket < floor:
-                    raise ValueError(
-                        "stream is not ordered: object belongs to an "
-                        f"already closed slide ({bucket} < {floor})"
-                    )
                 self._current = WindowBatch(index=bucket)
-            if bucket < self._current.index:
-                raise ValueError(
-                    "stream is not ordered: object belongs to an already "
-                    f"closed slide ({bucket} < {self._current.index})"
-                )
             while bucket > self._current.index:
                 closing = self._current
                 self._current = WindowBatch(index=closing.index + 1)

@@ -165,21 +165,6 @@ class EngineStats:
             return 0.0
         return self.refined / self.archive_size
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "archive": self.archive_size,
-            **self.plan,
-            "screened": self.screened,
-            "feature_filtered": self.feature_filtered,
-            "coarse_evaluated": self.coarse_evaluated,
-            "coarse_rejected": self.coarse_rejected,
-            "coarse_fast_accepted": self.coarse_fast_accepted,
-            "coarse_screen": self.coarse_screen,
-            "refined": self.refined,
-            "matches": self.matches,
-        }
-
-
 class MatchEngine:
     """Filter-and-refine retrieval over one Pattern Base.
 

@@ -357,10 +357,6 @@ class InvertedCellIndex:
     def pattern_ids(self) -> Iterator[int]:
         return iter(self._signatures.keys())
 
-    def posting_list_count(self, level: int) -> int:
-        """Number of distinct occupied cells at a rung (telemetry)."""
-        return len(self._postings[level])
-
     def __contains__(self, pattern_id: int) -> bool:
         return pattern_id in self._signatures
 

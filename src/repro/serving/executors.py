@@ -354,11 +354,6 @@ class ProcessExecutor(ShardExecutor):
         ``replicas=1``)."""
         return [rep.process.pid for group in self._groups for rep in group]
 
-    def replica_pids(self) -> List[List[int]]:
-        return [
-            [rep.process.pid for rep in group] for group in self._groups
-        ]
-
     def replica_liveness(self) -> List[List[bool]]:
         return [
             [rep is not None and rep.alive for rep in group]

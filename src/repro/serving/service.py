@@ -327,7 +327,7 @@ class MatchService:
                 win=int(payload["win"]),
                 slide=int(payload["slide"]),
             )
-        except (TypeError, ValueError) as error:
+        except (TypeError, ValueError, OverflowError) as error:
             raise ServiceError(f"bad query parameters: {error}") from None
 
     def _archive_sink(self, handle, output) -> None:
@@ -444,6 +444,13 @@ class MatchService:
                 raise
             except (TypeError, ValueError) as error:
                 raise ServiceError(f"bad stream objects: {error}") from None
+            # A late object refuses its whole batch here: feed would
+            # already have admitted (and closed slides for) the objects
+            # before it.
+            try:
+                self._scheduler.check_order(objects)
+            except ValueError as error:
+                raise ServiceError(str(error)) from None
             self._stream_oid += len(objects)
             try:
                 windows = self._scheduler.feed(objects)

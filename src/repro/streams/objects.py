@@ -57,18 +57,6 @@ class StreamObject:
     def dimensions(self) -> int:
         return len(self.coords)
 
-    def lifespan_from(self, window_index: int) -> int:
-        """Number of windows (current included) the object still lives in.
-
-        This is Observation 5.2 of the paper expressed against the stamped
-        window range: an object alive in window ``W_n`` participates in
-        windows ``W_n .. W_n + lifespan - 1``.
-        """
-        return self.last_window - window_index + 1
-
-    def alive_in(self, window_index: int) -> bool:
-        return self.first_window <= window_index <= self.last_window
-
     def __repr__(self) -> str:
         return (
             f"StreamObject(oid={self.oid}, coords={self.coords}, "

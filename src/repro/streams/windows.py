@@ -34,6 +34,8 @@ class WindowSpec:
     """
 
     def __init__(self, win: float, slide: float):
+        if not (math.isfinite(win) and math.isfinite(slide)):
+            raise ValueError("win and slide must be finite")
         if win <= 0 or slide <= 0:
             raise ValueError("win and slide must be positive")
         ratio = win / slide
@@ -54,9 +56,10 @@ class CountBasedWindowSpec(WindowSpec):
     """Count-based window: ``win`` and ``slide`` are tuple counts."""
 
     def __init__(self, win: int, slide: int):
+        super().__init__(win, slide)
         if int(win) != win or int(slide) != slide:
             raise ValueError("count-based win/slide must be integers")
-        super().__init__(int(win), int(slide))
+        self.win, self.slide = int(win), int(slide)
 
     def slide_bucket(self, obj: StreamObject, arrival_index: int) -> int:
         return arrival_index // int(self.slide)

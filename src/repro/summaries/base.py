@@ -8,7 +8,7 @@ its summaries fall out of the extraction itself.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List
+from typing import Any
 
 from repro.clustering.cluster import Cluster
 
@@ -21,6 +21,3 @@ class ClusterSummarizer:
 
     def summarize(self, cluster: Cluster) -> Any:
         raise NotImplementedError
-
-    def summarize_all(self, clusters: Iterable[Cluster]) -> List[Any]:
-        return [self.summarize(cluster) for cluster in clusters]

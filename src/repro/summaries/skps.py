@@ -39,10 +39,6 @@ class SkPS:
     def size(self) -> int:
         return len(self.points)
 
-    def degree(self, index: int) -> int:
-        return sum(1 for a, b in self.edges if a == index or b == index)
-
-
 class SkPSSummarizer(ClusterSummarizer):
     """Greedy (MG-style) connected-dominating-set summarization."""
 

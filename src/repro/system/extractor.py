@@ -48,11 +48,6 @@ class PatternExtractor:
             backend=index_backend,
         )
 
-    @property
-    def algorithm(self) -> CSGS:
-        """The underlying C-SGS instance (for instrumentation)."""
-        return self._csgs
-
     def run(
         self,
         source: Iterable[StreamObject],

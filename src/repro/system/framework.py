@@ -10,27 +10,25 @@
   the filter-and-refine retrieval engine of :mod:`repro.retrieval`).
 
 Typical use: construct, :meth:`run` (or :meth:`run_steps` to observe
-windows as they complete), then submit :meth:`match` queries — or full
-:class:`~repro.retrieval.queries.MatchQuery` objects via
-:meth:`match_query` / batched :meth:`match_many` — against the
-accumulated stream history.
+windows as they complete), then submit :meth:`match` queries against
+the accumulated stream history; :attr:`engine` serves full
+:class:`~repro.retrieval.queries.MatchQuery` objects.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 from repro.archive.analyzer import MatchResult, MatchStats, PatternAnalyzer
 from repro.archive.archiver import ArchivePolicy, PatternArchiver
 from repro.archive.pattern_base import PatternBase
-from repro.config import ClusterMatchingQuery, ContinuousClusteringQuery
+from repro.config import ContinuousClusteringQuery
 from repro.core.csgs import WindowOutput
 from repro.core.sgs import SGS
 from repro.matching.metric import DistanceMetricSpec
 from repro.multiplex.registry import RegisteredQuery, Sink
 from repro.multiplex.scheduler import SlideScheduler
-from repro.retrieval.engine import EngineStats, MatchEngine
-from repro.retrieval.queries import MatchQuery
+from repro.retrieval.engine import MatchEngine
 from repro.retrieval.shards import ShardedPatternBase
 from repro.streams.objects import StreamObject
 from repro.streams.windows import WindowSpec
@@ -221,34 +219,6 @@ class StreamPatternMiningSystem:
     ) -> "tuple[List[MatchResult], MatchStats]":
         """Submit a Cluster Matching Query (Figure 3) for any SGS."""
         return self.analyzer.match(query, threshold, top_k=top_k, spec=spec)
-
-    def match_query(
-        self, query: MatchQuery
-    ) -> Tuple[List[MatchResult], EngineStats]:
-        """Execute a full retrieval-engine query (window / feature
-        constraints, per-query coarse level) against the history."""
-        return self.engine.match(query)
-
-    def match_many(
-        self, queries: Sequence[MatchQuery]
-    ) -> List[Tuple[List[MatchResult], EngineStats]]:
-        """Batched matching: one shared candidate gather per entry index
-        (see :meth:`repro.retrieval.engine.MatchEngine.match_many`)."""
-        return self.engine.match_many(queries)
-
-    def matching_query_for(
-        self, sgs: SGS, declared: ClusterMatchingQuery
-    ) -> MatchQuery:
-        """Bind a declarative :class:`ClusterMatchingQuery` (Figure 3 /
-        the parser's GIVEN–SELECT template) to a concrete query SGS."""
-        return MatchQuery(
-            sgs=sgs,
-            threshold=declared.sim_threshold,
-            top_k=declared.top_k,
-            metric=declared.metric,
-            window_range=declared.window_range,
-            coarse_level=declared.coarse_level,
-        )
 
     @property
     def archived_count(self) -> int:

@@ -148,15 +148,3 @@ class ClusterTracker:
                 self.history.setdefault(track_id, []).append(record)
         self._previous = new_previous
         return results
-
-    @property
-    def active_tracks(self) -> List[int]:
-        return sorted(self._previous)
-
-    def track_length(self, track_id: int) -> int:
-        """Number of live observations (excluding the DISAPPEARED mark)."""
-        return sum(
-            1
-            for record in self.history.get(track_id, [])
-            if record.event is not TrackEvent.DISAPPEARED
-        )

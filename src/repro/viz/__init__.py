@@ -1,5 +1,5 @@
 """Lightweight terminal visualization (ViStream stand-in)."""
 
-from repro.viz.ascii_art import render_sgs, render_window
+from repro.viz.ascii_art import render_sgs
 
-__all__ = ["render_sgs", "render_window"]
+__all__ = ["render_sgs"]

@@ -10,7 +10,7 @@ connectivity, and density distribution at sub-region granularity.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
 from repro.core.sgs import SGS
 
@@ -57,16 +57,3 @@ def render_sgs(sgs: SGS, border: bool = True) -> str:
         bottom = "└" + "─" * width + "┘"
         rows = [top] + ["│" + row + "│" for row in rows] + [bottom]
     return "\n".join(rows)
-
-
-def render_window(summaries: Iterable[SGS], border: bool = True) -> str:
-    """Render all clusters of one window, labeled, one after another."""
-    blocks = []
-    for sgs in summaries:
-        header = (
-            f"cluster {sgs.cluster_id} (window {sgs.window_index}): "
-            f"{len(sgs)} cells, {sgs.core_count} core, "
-            f"population {sgs.population}"
-        )
-        blocks.append(header + "\n" + render_sgs(sgs, border=border))
-    return "\n\n".join(blocks)

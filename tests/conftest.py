@@ -40,8 +40,8 @@ def kernel_arm():
     work size (``_VECTOR_MIN_WORK``) and per store from whether NumPy
     imported — so the fixture moves what the store observes: the
     threshold to ``inf`` / ``0``, and for the scalar arm the module's
-    NumPy handle as well (``sq_dists_to`` and ``pairwise_within`` have no
-    size dispatch; a store built inside the block keeps no columns).
+    NumPy handle as well (``sq_dists_to`` has no size dispatch; a store
+    built inside the block keeps no columns).
     Stores built under ``"scalar"`` stay scalar after the block exits.
     """
 

@@ -34,7 +34,7 @@ from typing import Dict, List
 
 from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import load_pattern_base, roundtrip_bytes
+from repro.archive.persistence import load_pattern_base
 from repro.core.csgs import CSGS
 from repro.data.stt import STTStream
 from repro.matching.metric import DistanceMetricSpec
@@ -46,7 +46,7 @@ from repro.retrieval import (
 )
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
-from tests.helpers import on_backend
+from tests.helpers import on_backend, roundtrip_bytes
 
 DIMENSIONS = 4
 

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import io
 import itertools
+import math
 import random
 import struct
 from operator import add, sub
@@ -20,6 +22,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
+from repro.archive.archiver import ArchivePolicy
+from repro.archive.persistence import dump_pattern_base
 from repro.clustering.cluster import Cluster
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus, SkeletalGridCell
@@ -31,7 +35,7 @@ from repro.core.serialize import sgs_to_dict
 from repro.core.sgs import SGS
 from repro.geometry.coordstore import CoordStore
 from repro.geometry.mbr import MBR
-from repro.index.grid_index import Coord, OFFSET_PRUNE_EPS, min_cell_gap_sq
+from repro.index.grid_index import Coord, GridIndex, OFFSET_PRUNE_EPS
 from repro.index.provider import make_provider
 from repro.index.rtree import RTree
 from repro.matching.alignment import _centroid_shift, _neighbor_shifts
@@ -357,6 +361,21 @@ class ReferenceLadderEngine(MatchEngine):
 # a time. The >255 refusal is the one place the encoders differ on
 # purpose: this one lets ``struct.error`` escape.
 
+def min_cell_gap_sq(offset: Sequence[int], side: float) -> float:
+    """Minimum squared distance between two grid cells ``offset`` apart.
+
+    Cells are closed axis-aligned cubes of the given ``side``; the
+    minimum is attained corner-to-corner, ``(|delta| - 1) * side`` per
+    dimension with a nonzero delta (0.0 for touching/overlapping cells).
+    """
+    sq = 0.0
+    for delta in offset:
+        if delta:
+            gap = (abs(delta) - 1) * side
+            sq += gap * gap
+    return sq
+
+
 _FULL_OFFSETS: Dict[Tuple[int, int], Tuple[Coord, ...]] = {}
 _PRUNED_OFFSETS: Dict[Tuple[int, int, float], Tuple[Coord, ...]] = {}
 
@@ -502,7 +521,7 @@ class RTreePointIndex:
         # finiteness) and raises before the tree or the entry map is
         # touched.
         self._store.add(obj)
-        box = MBR.from_point(obj.coords)
+        box = MBR.from_points([obj.coords])
         self._tree.insert(box, obj)
         self._entries[obj.oid] = (box, obj)
 
@@ -1070,3 +1089,61 @@ def cell_constructions():
         yield built
     finally:
         SkeletalGridCell.__init__ = real
+
+
+# ----------------------------------------------------------------------
+# Static oracles and test tools the program itself never calls
+# ----------------------------------------------------------------------
+
+
+def classify_objects(
+    objects: Sequence[StreamObject],
+    theta_range: float,
+    theta_count: int,
+) -> Dict[int, str]:
+    """Return {oid: 'core' | 'edge' | 'noise'} for a static object set."""
+    objects = list(objects)
+    if not objects:
+        return {}
+    index = GridIndex(theta_range, objects[0].dimensions)
+    index.bulk_load(objects)
+    result: Dict[int, str] = {}
+    neighbor_lists = {
+        obj.oid: index.range_query(obj.coords, exclude_oid=obj.oid)
+        for obj in objects
+    }
+    core = {
+        oid for oid, nbs in neighbor_lists.items() if len(nbs) >= theta_count
+    }
+    for obj in objects:
+        if obj.oid in core:
+            result[obj.oid] = "core"
+        elif any(nb.oid in core for nb in neighbor_lists[obj.oid]):
+            result[obj.oid] = "edge"
+        else:
+            result[obj.oid] = "noise"
+    return result
+
+
+def covers_point(sgs: SGS, point: Sequence[float]) -> bool:
+    """True when ``point`` falls into one of the skeletal grid cells."""
+    coord = tuple(int(math.floor(value / sgs.side_length)) for value in point)
+    return coord in sgs.rows
+
+
+def roundtrip_bytes(base) -> bytes:
+    """Serialize an archive to bytes (convenience for tests/tools)."""
+    buffer = io.BytesIO()
+    dump_pattern_base(base, buffer)
+    return buffer.getvalue()
+
+
+class MinPopulationPolicy(ArchivePolicy):
+    """Admits only clusters of at least ``min_population`` members: a
+    stand-in selection policy for tests of the archiver's policy seam."""
+
+    def __init__(self, min_population: int):
+        self.min_population = min_population
+
+    def admit(self, sgs: SGS, full_size: int) -> bool:
+        return full_size >= self.min_population

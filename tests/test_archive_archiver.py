@@ -2,13 +2,8 @@
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
-from repro.archive.archiver import (
-    ArchiveAllPolicy,
-    FeatureFilterPolicy,
-    PatternArchiver,
-    SamplingPolicy,
-)
+from tests.helpers import MinPopulationPolicy, clustered_points, stream_batches
+from repro.archive.archiver import ArchiveAllPolicy, PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.core.csgs import CSGS
 from repro.eval.memory import sgs_cell_bytes
@@ -32,35 +27,6 @@ def test_archive_all():
         total += len(archiver.archive_output(output))
     assert total == len(base)
     assert total == sum(len(o.clusters) for o in _outputs())
-
-
-def test_sampling_policy_archives_subset():
-    base_all = PatternBase()
-    base_half = PatternBase()
-    all_archiver = PatternArchiver(base_all)
-    half_archiver = PatternArchiver(base_half, policy=SamplingPolicy(0.5, seed=3))
-    for output in _outputs():
-        all_archiver.archive_output(output)
-        half_archiver.archive_output(output)
-    assert 0 < len(base_half) < len(base_all)
-
-
-def test_sampling_rate_bounds():
-    with pytest.raises(ValueError):
-        SamplingPolicy(1.5)
-    assert SamplingPolicy(0.0).admit is not None
-
-
-def test_feature_filter_policy():
-    base = PatternBase()
-    archiver = PatternArchiver(
-        base, policy=FeatureFilterPolicy(min_population=50, min_volume=10)
-    )
-    for output in _outputs():
-        archiver.archive_output(output)
-    for pattern in base.all_patterns():
-        assert pattern.full_size >= 50
-        assert pattern.sgs.volume >= 10
 
 
 def test_fixed_coarse_level():
@@ -107,7 +73,7 @@ def test_budget_aware_keeps_level0_when_it_fits():
 def test_rejected_by_policy_returns_none():
     base = PatternBase()
     archiver = PatternArchiver(
-        base, policy=FeatureFilterPolicy(min_population=10**9)
+        base, policy=MinPopulationPolicy(10**9)
     )
     sgs = _outputs()[-1].summaries[0]
     assert archiver.archive_sgs(sgs, full_size=5) is None

@@ -1,12 +1,13 @@
-"""Unit tests for archive retention and deduplication."""
+"""Evicting archived patterns keeps every index and cache consistent.
 
-import pytest
+Eviction is ``PatternBase.remove`` on the oldest patterns: the feature
+grid, the R-tree, the inverted postings and every engine's ladder cache
+must forget an evicted pattern at once.
+"""
 
 from tests.helpers import clustered_points, stream_batches
-from repro.archive.maintenance import RetentionManager
 from repro.archive.pattern_base import PatternBase
 from repro.core.csgs import CSGS
-from repro.eval.memory import sgs_bytes
 
 
 def _summaries(seed=1):
@@ -22,63 +23,22 @@ def _summaries(seed=1):
     return result
 
 
-def test_capacity_enforced_evicts_oldest():
-    base = PatternBase()
-    manager = RetentionManager(base, max_patterns=5)
-    for sgs, size in _summaries():
-        manager.add(sgs, size)
-    assert len(base) == 5
-    assert manager.evicted > 0
-    windows = [p.window_index for p in base.all_patterns()]
-    all_windows = [sgs.window_index for sgs, _ in _summaries()]
-    # Only the newest windows survive.
-    assert min(windows) >= sorted(set(all_windows))[-4]
-
-
-def test_byte_budget_enforced():
-    base = PatternBase()
-    summaries = _summaries(seed=2)
-    budget = sum(sgs_bytes(sgs) for sgs, _ in summaries[:4])
-    manager = RetentionManager(base, max_bytes=budget)
-    for sgs, size in summaries:
-        manager.add(sgs, size)
-    assert base.summary_bytes() <= budget
-
-
-def test_dedup_drops_near_duplicates():
-    base = PatternBase()
-    manager = RetentionManager(base, dedup_threshold=0.05)
-    summaries = _summaries(seed=3)
-    sgs, size = summaries[0]
-    first = manager.add(sgs, size)
-    assert first is not None
-    again = manager.add(sgs, size)
-    assert again is None
-    assert manager.deduplicated == 1
-    assert len(base) == 1
-
-
-def test_dedup_respects_window_gap():
-    base = PatternBase()
-    manager = RetentionManager(
-        base, dedup_threshold=0.05, dedup_window_gap=1
-    )
-    summaries = _summaries(seed=4)
-    # The same cluster persists across windows; far-apart windows are
-    # re-admitted even when the summary barely changed.
-    admitted = 0
-    for sgs, size in summaries:
-        if manager.add(sgs, size) is not None:
-            admitted += 1
-    assert 0 < admitted < len(summaries)
+def _admit(base, sgs, size, capacity):
+    """Archive one summary, then evict oldest-window patterns until at
+    most ``capacity`` remain."""
+    base.add(sgs, size)
+    while len(base) > capacity:
+        oldest = min(
+            base.all_patterns(), key=lambda p: (p.window_index, p.pattern_id)
+        )
+        base.remove(oldest.pattern_id)
 
 
 def test_indices_consistent_after_eviction():
     base = PatternBase()
-    manager = RetentionManager(base, max_patterns=3)
-    summaries = _summaries(seed=5)
-    for sgs, size in summaries:
-        manager.add(sgs, size)
+    for sgs, size in _summaries(seed=5):
+        _admit(base, sgs, size, capacity=3)
+    assert len(base) == 3
     # Every surviving pattern is still reachable through both indices.
     for pattern in base.all_patterns():
         assert pattern in base.overlapping(pattern.mbr)
@@ -88,39 +48,28 @@ def test_indices_consistent_after_eviction():
         assert pattern in base.in_feature_ranges(lows, highs)
 
 
-def test_validation():
-    with pytest.raises(ValueError):
-        RetentionManager(PatternBase(), max_patterns=0)
-    with pytest.raises(ValueError):
-        RetentionManager(PatternBase(), max_bytes=0)
-    with pytest.raises(ValueError):
-        RetentionManager(PatternBase(), dedup_threshold=1.5)
-
-
 def test_eviction_invalidates_engine_caches():
-    """Regression: maintenance eviction must flow through to matching
-    engines — the evicted pattern's cached ladders and posting lists
-    are dropped immediately, so no stale cache can resurrect it.
-    (Before the removal-listener seam, a long-lived engine kept the
-    dead pattern's ladders until an amortized sweep much later.)"""
+    """Regression: eviction must flow through to matching engines — the
+    evicted pattern's cached ladders and posting lists are dropped
+    immediately, so no stale cache can resurrect it. (Before the
+    removal-listener seam, a long-lived engine kept the dead pattern's
+    ladders until an amortized sweep much later.)"""
     from repro.retrieval import MatchEngine, MatchQuery
 
     base = PatternBase(inverted_levels=(1,))
-    manager = RetentionManager(base, max_patterns=4)
     summaries = _summaries(seed=6)
     engine = MatchEngine(base, use_inverted=False, min_coarse_cells=1)
     inverted_engine = MatchEngine(base)
     for sgs, size in summaries[:6]:
-        manager.add(sgs, size)
+        _admit(base, sgs, size, capacity=4)
     # Build ladder caches (both engines) over the current archive.
     query = MatchQuery(sgs=summaries[0][0], threshold=0.9, coarse_level=1)
     engine.match(query)
     cached_ids = {key[0] for key in engine._ladders}
     assert cached_ids, "test needs cached ladders to evict from"
-    # Admit more patterns: the retention manager evicts the oldest.
+    # Admit more patterns: the oldest are evicted.
     for sgs, size in summaries[6:]:
-        manager.add(sgs, size)
-    assert manager.evicted > 0
+        _admit(base, sgs, size, capacity=4)
     evicted_ids = cached_ids - {p.pattern_id for p in base.all_patterns()}
     assert evicted_ids, "eviction must have hit a cached pattern"
     index = base.inverted_index()

@@ -4,14 +4,10 @@ import io
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import clustered_points, roundtrip_bytes, stream_batches
 from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import (
-    dump_pattern_base,
-    load_pattern_base,
-    roundtrip_bytes,
-)
+from repro.archive.persistence import dump_pattern_base, load_pattern_base
 from repro.core.csgs import CSGS
 from repro.matching.metric import DistanceMetricSpec
 

@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import clustered_points, roundtrip_bytes, stream_batches
 from tests.golden.workload import (
     MATCH_PATH,
     SHARDED_MATCH_PATH,
@@ -19,7 +19,7 @@ from tests.golden.workload import (
     run_sharded_match_trace,
 )
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
-from repro.archive.persistence import load_pattern_base, roundtrip_bytes
+from repro.archive.persistence import load_pattern_base
 from repro.archive.store import (
     BUSY_TIMEOUT_MS,
     DEFAULT_CACHE_PATTERNS,

@@ -26,14 +26,11 @@ import pytest
 from tests.helpers import (
     clustered_points,
     reference_sgs_from_bytes,
+    roundtrip_bytes,
     stream_batches,
 )
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import (
-    dump_pattern_base,
-    load_pattern_base,
-    roundtrip_bytes,
-)
+from repro.archive.persistence import dump_pattern_base, load_pattern_base
 from repro.core.csgs import CSGS
 from repro.core.serialize import sgs_from_bytes, sgs_to_bytes
 

@@ -2,9 +2,9 @@
 
 import random
 
-from tests.helpers import clustered_points, make_objects
+from tests.helpers import classify_objects, clustered_points, make_objects
 from repro.clustering.cluster import partition_signature
-from repro.clustering.dbscan import classify_objects, dbscan
+from repro.clustering.dbscan import dbscan
 from repro.geometry.distance import euclidean_distance
 
 

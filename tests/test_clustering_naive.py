@@ -23,7 +23,7 @@ def test_buffer_respects_window():
     naive = NaiveWindowClusterer(0.35, 5)
     for batch in stream_batches(points, 100, 50):
         naive.process_batch(batch)
-        assert naive.buffer_size <= 100
+        assert len(naive._buffer) <= 100
 
 
 def test_empty_batch():

@@ -45,8 +45,8 @@ def test_one_range_query_per_object_total():
 
 def test_shared_grid_is_single_instance():
     shared = SharedCSGS(0.35, (3, 5), 2)
-    grids = {id(member.tracker.grid) for member in shared.members.values()}
-    assert grids == {id(shared.grid)}
+    grids = {id(member.tracker.provider) for member in shared.members.values()}
+    assert grids == {id(shared.provider)}
 
 
 def test_validation():
@@ -62,7 +62,7 @@ def test_shared_tracker_requires_injected_neighbors():
     from repro.streams.objects import StreamObject
 
     grid = GridIndex(0.5, 2)
-    tracker = NeighborhoodTracker(0.5, 3, 2, grid=grid, manage_grid=False)
+    tracker = NeighborhoodTracker(0.5, 3, 2, provider=grid, manage_grid=False)
     obj = StreamObject(0, (0.0, 0.0))
     obj.first_window = 0
     obj.last_window = 5
@@ -85,4 +85,4 @@ def test_expiration_shared():
     assert outputs[2].clusters and outputs[4].clusters
     empty = shared.process_batch(WindowBatch(index=2))
     assert all(not out.clusters for out in empty.values())
-    assert len(shared.grid) == 0
+    assert len(shared.provider) == 0

@@ -60,35 +60,3 @@ def test_dimensions():
 def test_status_enum_values():
     assert CellStatus.CORE.value == "core"
     assert CellStatus.EDGE.value == "edge"
-
-
-def test_min_gap_to_touching_and_distant_cells():
-    base = SkeletalGridCell((0, 0), 1.0, 1, CellStatus.CORE)
-    touching = SkeletalGridCell((1, 1), 1.0, 1, CellStatus.CORE)
-    assert base.min_gap_to(touching) == 0.0
-    assert base.min_gap_to(base) == 0.0
-    far = SkeletalGridCell((3, 0), 1.0, 1, CellStatus.CORE)
-    assert far.min_gap_to(base) == pytest.approx(2.0)
-    diagonal = SkeletalGridCell((2, 2), 1.0, 1, CellStatus.CORE)
-    assert base.min_gap_to(diagonal) == pytest.approx(2 ** 0.5)
-    # Symmetric in both arguments.
-    assert base.min_gap_to(diagonal) == diagonal.min_gap_to(base)
-
-
-def test_min_gap_to_rejects_mismatched_cells():
-    base = SkeletalGridCell((0, 0), 1.0, 1, CellStatus.CORE)
-    with pytest.raises(ValueError):
-        base.min_gap_to(SkeletalGridCell((0, 0), 0.5, 1, CellStatus.CORE))
-    with pytest.raises(ValueError):
-        base.min_gap_to(SkeletalGridCell((0, 0, 0), 1.0, 1, CellStatus.CORE))
-
-
-def test_may_connect_is_the_sphere_pruning_predicate():
-    """Boundary inclusive: cells exactly θr apart may connect — the same
-    predicate the grid's pruned offset tables are built from."""
-    base = SkeletalGridCell((0, 0), 1.0, 1, CellStatus.CORE)
-    diagonal = SkeletalGridCell((2, 2), 1.0, 1, CellStatus.CORE)
-    gap = base.min_gap_to(diagonal)
-    assert base.may_connect(diagonal, gap)
-    assert not base.may_connect(diagonal, gap - 1e-9)
-    assert base.may_connect(SkeletalGridCell((1, 0), 1.0, 1, CellStatus.CORE), 1e-12)

@@ -18,7 +18,9 @@ from tests.helpers import (
     career_state,
     career_streams,
     cell_constructions,
+    classify_objects,
     clustered_points,
+    covers_point,
     lifespan_maps,
     on_backend,
     record_extensions,
@@ -31,7 +33,7 @@ from tests.helpers import (
     window_output_dict,
 )
 from repro.clustering.cluster import partition_signature
-from repro.clustering.dbscan import classify_objects, dbscan
+from repro.clustering.dbscan import dbscan
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus
 from repro.core.csgs import CSGS
@@ -111,7 +113,7 @@ def test_sgs_cell_statuses_match_object_careers():
         buffer = [o for o in buffer if o.last_window >= batch.index]
         buffer.extend(batch.new_objects)
         labels = classify_objects(buffer, theta_range, theta_count)
-        grid = csgs.tracker.grid
+        grid = csgs.tracker.provider
         for sgs in output.summaries:
             for cell in sgs.cells.values():
                 objs = grid.objects_in_cell(cell.location)
@@ -134,7 +136,7 @@ def test_lemma_4_2_edge_cell_population_below_theta_count():
     for batch in stream_batches(points, 250, 50):
         output = csgs.process_batch(batch)
         for sgs in output.summaries:
-            grid = csgs.tracker.grid
+            grid = csgs.tracker.provider
             for location, (is_core, _, _) in sgs.rows.items():
                 if is_core:
                     continue
@@ -153,7 +155,7 @@ def test_sgs_population_counts_cluster_members():
             ) or sgs.population == cluster.size
             # Every member must fall into a cell of the summary.
             for obj in cluster.members:
-                assert sgs.covers_point(obj.coords)
+                assert covers_point(sgs, obj.coords)
 
 
 def test_summaries_are_connected():

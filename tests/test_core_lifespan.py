@@ -78,7 +78,7 @@ def test_noncore_list_bounded_by_theta_count():
     for i in range(300):
         coords = (rng.uniform(0, 2), rng.uniform(0, 2))
         tracker.insert(_obj(i, coords, 0, rng.randint(0, 20)))
-    for state in tracker.alive_states():
+    for state in tracker.states.values():
         live = [
             nb
             for nb in state.noncore_neighbors
@@ -113,7 +113,7 @@ def test_careers_match_bruteforce_over_windows():
                 and euclidean_distance(obj.coords, other.coords)
                 <= theta_range
             )
-            state = tracker.state_of(obj.oid)
+            state = tracker.states[obj.oid]
             is_core_incremental = state.core_until >= window
             assert is_core_incremental == (count >= theta_count), (
                 f"window {window} oid {obj.oid}: brute {count} vs "
@@ -157,8 +157,13 @@ def test_edge_career_matches_bruteforce():
                 for other in alive
                 if other.oid != obj.oid
             )
-            state = tracker.state_of(obj.oid)
-            assert state.is_edge_in(window) == is_edge_brute
+            # Observation 5.4: an edge object is a non-core object still
+            # attached to a live core object; C-SGS reads it this way.
+            state = tracker.states[obj.oid]
+            is_edge = state.core_until < window and bool(
+                state.attached_cores_in(window)
+            )
+            assert is_edge == is_edge_brute
 
 
 def test_expiration_needs_no_maintenance():
@@ -168,9 +173,9 @@ def test_expiration_needs_no_maintenance():
     expired = tracker.advance_to(2)
     assert expired == 1
     assert len(tracker) == 1
-    state = tracker.state_of(1)
+    state = tracker.states[1]
     # Neighbor expired at window 1, so object 1 is not core at window 2.
-    assert not state.is_core_in(2)
+    assert state.core_until < 2
 
 
 def test_advance_backwards_rejected():
@@ -190,13 +195,13 @@ def test_insert_expired_object_rejected():
 def test_one_range_query_per_insert():
     calls = {"n": 0}
     tracker = NeighborhoodTracker(1.0, 2, 2)
-    original = tracker.grid.range_query
+    original = tracker.provider.range_query
 
     def counting(*args, **kwargs):
         calls["n"] += 1
         return original(*args, **kwargs)
 
-    tracker.grid.range_query = counting
+    tracker.provider.range_query = counting
     for i in range(50):
         tracker.insert(_obj(i, (0.01 * i, 0.0), 0, 10))
     assert calls["n"] == 50
@@ -224,14 +229,13 @@ def test_saturated_careers_are_final(stream):
             tracker.advance_to(window)
         else:
             tracker.insert(_obj(oid, op[1], window, window + op[2]))
-        for state in tracker.alive_states():
-            if state.core_until == state.last_window:
+        for state in tracker.states.values():
+            if state.core_until == state.obj.last_window:
                 assert saturated.setdefault(state.oid, state.core_until) == (
                     state.core_until
                 )
                 assert state.neighbor_hist is None
                 assert state.noncore_neighbors == []
-                assert not state.is_edge_in(window)
             else:
                 assert state.oid not in saturated
                 assert state.neighbor_hist is not None
@@ -309,4 +313,4 @@ def test_unknown_injected_neighbor_refused_before_any_mutation(backend):
     } == populations
     # The same insert with a resolvable list goes through.
     state = tracker.insert(_obj(5, (0.1, 0.1), 3, 6), [kept])
-    assert state.core_until == 6 and tracker.state_of(2).core_until == 6
+    assert state.core_until == 6 and tracker.states[2].core_until == 6

@@ -2,14 +2,10 @@
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import clustered_points, covers_point, stream_batches
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.csgs import CSGS
-from repro.core.multires import (
-    cells_needed_at_level,
-    coarsen_sgs,
-    resolution_ladder,
-)
+from repro.core.multires import cells_needed_at_level, coarsen_sgs
 from repro.core.sgs import SGS
 
 
@@ -23,15 +19,23 @@ def _extracted_sgs():
     return max(output.summaries, key=len)
 
 
+def _ladder(sgs, factor, levels):
+    """``[sgs, coarsen(sgs), ...]``: ``levels`` coarsenings deep."""
+    ladder = [sgs]
+    for _ in range(levels):
+        ladder.append(coarsen_sgs(ladder[-1], factor))
+    return ladder
+
+
 def test_population_conserved_across_levels():
     sgs = _extracted_sgs()
-    for level in resolution_ladder(sgs, factor=3, levels=3):
+    for level in _ladder(sgs, factor=3, levels=3):
         assert level.population == sgs.population
 
 
 def test_cell_count_decreases():
     sgs = _extracted_sgs()
-    ladder = resolution_ladder(sgs, factor=3, levels=2)
+    ladder = _ladder(sgs, factor=3, levels=2)
     assert len(ladder[1]) <= len(ladder[0])
     assert len(ladder[2]) <= len(ladder[1])
     assert len(ladder[2]) >= 1
@@ -66,7 +70,7 @@ def test_coverage_preserved():
     coarse = coarsen_sgs(sgs, factor=3)
     # Every fine cell's center lies in some coarse cell of the summary.
     for cell in sgs.cells.values():
-        assert coarse.covers_point(cell.center())
+        assert covers_point(coarse, cell.center())
 
 
 def test_coarse_connectivity_preserved():
@@ -98,7 +102,7 @@ def test_cells_needed_prediction_matches_reality():
     sgs = _extracted_sgs()
     for level in (1, 2):
         predicted = cells_needed_at_level(sgs, 3, level)
-        actual = resolution_ladder(sgs, 3, level)[-1]
+        actual = _ladder(sgs, 3, level)[-1]
         assert predicted == len(actual)
 
 
@@ -106,7 +110,5 @@ def test_validation():
     sgs = _extracted_sgs()
     with pytest.raises(ValueError):
         coarsen_sgs(sgs, factor=1)
-    with pytest.raises(ValueError):
-        resolution_ladder(sgs, levels=-1)
     with pytest.raises(ValueError):
         cells_needed_at_level(coarsen_sgs(sgs, 3), 3, 0)

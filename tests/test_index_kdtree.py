@@ -63,32 +63,10 @@ def test_boundary_inclusive():
     assert len(tree.range_query((0.0, 0.0), 4.999)) == 1
 
 
-def test_nearest_matches_bruteforce():
-    objects = _random_objects(300, seed=5)
-    tree = KDTree(objects, 2)
-    rng = random.Random(6)
-    for _ in range(30):
-        probe = (rng.uniform(0, 5), rng.uniform(0, 5))
-        expected = min(
-            objects, key=lambda o: euclidean_distance(o.coords, probe)
-        )
-        got = tree.nearest(probe)
-        assert euclidean_distance(got.coords, probe) == pytest.approx(
-            euclidean_distance(expected.coords, probe)
-        )
-
-
-def test_nearest_with_exclusion():
-    objects = make_objects([(0.0, 0.0), (1.0, 0.0)])
-    tree = KDTree(objects, 2)
-    assert tree.nearest((0.1, 0.0), exclude_oid=0).oid == 1
-
-
 def test_empty_tree():
     tree = KDTree([], 2)
     assert len(tree) == 0
     assert tree.range_query((0.0, 0.0), 1.0) == []
-    assert tree.nearest((0.0, 0.0)) is None
 
 
 def test_duplicates():

@@ -375,7 +375,7 @@ def test_system_from_query_uses_declared_backend():
         0.4, 3, 2, 100, 50, index_backend="kdtree"
     )
     system = StreamPatternMiningSystem.from_query(query)
-    provider = system.extractor.algorithm.tracker.provider
+    provider = system.extractor._csgs.tracker.provider
     assert isinstance(provider, KDTreeProvider)
     objects = make_objects(random_points(150, 2, seed=1), last_window=3)
     outputs = system.run(objects, max_windows=2)

@@ -44,16 +44,8 @@ def test_search_matches_bruteforce_after_many_inserts():
 def test_search_point():
     tree = RTree()
     tree.insert(MBR((0.0, 0.0), (2.0, 2.0)), "x")
-    assert tree.search_point((1.0, 1.0)) == ["x"]
-    assert tree.search_point((3.0, 3.0)) == []
-
-
-def test_items_iterates_all_entries():
-    rng = random.Random(1)
-    tree = RTree(max_entries=4)
-    for i in range(100):
-        tree.insert(_random_box(rng), i)
-    assert sorted(value for _, value in tree.items()) == list(range(100))
+    assert tree.search(MBR.from_points([(1.0, 1.0)])) == ["x"]
+    assert tree.search(MBR.from_points([(3.0, 3.0)])) == []
 
 
 def test_delete_existing_entry():

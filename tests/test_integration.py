@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from tests.helpers import roundtrip_bytes
 from repro import (
     CSGS,
     ContinuousClusteringQuery,
@@ -26,7 +27,7 @@ from repro import (
     sgs_from_bytes,
     sgs_to_bytes,
 )
-from repro.archive.persistence import load_pattern_base, roundtrip_bytes
+from repro.archive.persistence import load_pattern_base
 from repro.clustering.dbscan import dbscan
 from repro.eval.oracle import oracle_similarity
 from repro.matching.cell_match import cell_level_distance

@@ -4,15 +4,8 @@ import pytest
 
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.sgs import SGS
-from repro.eval.harness import print_series
 from repro.matching.alignment import anytime_alignment_search
 from repro.matching.metric import DistanceMetricSpec
-
-
-def test_print_series(capsys):
-    print_series("demo", [1, 2, 3], [4.0, 5.0, 6.0], "n", "t")
-    out = capsys.readouterr().out
-    assert "demo" in out and "4.0" in out
 
 
 def test_single_cell_sgs_matching():
@@ -51,10 +44,3 @@ def test_cell_status_roundtrip_via_value():
     assert CellStatus("edge") is CellStatus.EDGE
     with pytest.raises(ValueError):
         CellStatus("noise")
-
-
-def test_sgs_density_of_region_single_cell():
-    sgs = SGS.from_cells([SkeletalGridCell((2, 2), 0.5, 8, CellStatus.CORE)], 0.5)
-    assert sgs.density_of_region([(2, 2)]) == pytest.approx(8 / 0.25)
-    with pytest.raises(KeyError):
-        sgs.density_of_region([(0, 0)])

@@ -352,7 +352,6 @@ def test_registry_lifecycle_and_ids():
         registry.unregister(99)
     with pytest.raises(KeyError):
         registry.get(99)
-    assert [h.id for h in registry.in_state(PENDING)] == [2]
     assert [entry["id"] for entry in registry.describe()] == [1, 2]
 
 
@@ -506,6 +505,16 @@ def test_service_register_stream_unregister():
             )
         with pytest.raises(ServiceError, match="register needs"):
             service.register_query({"theta_range": 1.0})
+        # A non-finite parameter was admitted (θr: every later batch then
+        # answered 500) or was a 500 itself (win, slide, θc); each is a
+        # typed 400 that registers nothing.
+        good = {"theta_range": 5.0, "theta_count": 3, "win": 120, "slide": 40}
+        for bad in (math.nan, math.inf, -math.inf):
+            for field in good:
+                for kind in ({}, {"time_based": True}):
+                    payload = dict(good, **kind, **{field: bad})
+                    with pytest.raises(ServiceError, match="bad query param"):
+                        service.register_query(payload)
         with pytest.raises(ServiceError):
             service.stream({"objects": "nope"})
 
@@ -552,14 +561,23 @@ def test_service_register_stream_unregister():
         service.close()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+#: ``DETECT`` on time-based windows: 12 s windows sliding by 4 s.
+TIMED_DETECT = DETECT.replace(
+    "win = 120 AND slide = 40", "win = 12s AND slide = 4s"
+)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "late"])
 def test_non_finite_stream_batch_is_refused_whole(bad):
     """Regression pin: ``[[NaN, 1.0], [1.0, 2.0]]`` was acked
     (``{"accepted": 2}``) and the grid then refused the *next* batch,
     whose objects were lost. A non-finite coordinate or timestamp is a
     typed 400 for its own batch, none of whose objects are admitted:
     the next valid batch closes exactly the windows of a service that
-    never saw the bad one."""
+    never saw the bad one. ``"late"`` pins the same for a time-based
+    batch ``[13.0, 14.0, 1.0]`` after one ending at t = 9.5: its refusal
+    used to come after 13.0 and 14.0 were admitted and window 2 was
+    closed and archived, its result lost."""
     from repro.core.serialize import sgs_to_bytes
     from repro.serving.service import ServiceError
 
@@ -567,16 +585,40 @@ def test_non_finite_stream_batch_is_refused_whole(bad):
     try:
         for service in (clean, dirty):
             service.register_query(
-                {"query": DETECT, "dimensions": 2, "archive": True}
+                {
+                    "query": TIMED_DETECT if bad == "late" else DETECT,
+                    "dimensions": 2,
+                    "archive": True,
+                }
             )
-        with pytest.raises(ServiceError, match="bad stream objects"):
-            dirty.stream({"objects": [[bad, 1.0], [1.0, 2.0]]})
-        with pytest.raises(ServiceError, match="bad stream objects"):
-            dirty.stream({"objects": [[1.0, 2.0]], "timestamps": [bad]})
-        batch = {"objects": [list(c) for c in POINTS[: SLIDE * 3]], "flush": True}
+        if bad == "late":
+
+            def timed(start, stop):
+                return {
+                    "objects": [list(c) for c in POINTS[start:stop]],
+                    "timestamps": [i / 10 for i in range(start, stop)],
+                }
+
+            for service in (clean, dirty):
+                service.stream(timed(0, 96))
+            with pytest.raises(ServiceError, match="stream is not ordered"):
+                dirty.stream(
+                    {
+                        "objects": [list(c) for c in POINTS[:3]],
+                        "timestamps": [13.0, 14.0, 1.0],
+                    }
+                )
+            batch, windows = dict(timed(96, SLIDE * 5), flush=True), [2, 3, 4]
+        else:
+            with pytest.raises(ServiceError, match="bad stream objects"):
+                dirty.stream({"objects": [[bad, 1.0], [1.0, 2.0]]})
+            with pytest.raises(ServiceError, match="bad stream objects"):
+                dirty.stream({"objects": [[1.0, 2.0]], "timestamps": [bad]})
+            objects = [list(c) for c in POINTS[: SLIDE * 3]]
+            batch, windows = {"objects": objects, "flush": True}, [0, 1, 2]
         answer = dirty.stream(batch)
         assert answer == clean.stream(batch)
-        assert [w["window"] for w in answer["windows"]] == [0, 1, 2]
+        assert [w["window"] for w in answer["windows"]] == windows
         assert [
             (p.pattern_id, sgs_to_bytes(p.sgs)) for p in dirty.base.all_patterns()
         ] == [(p.pattern_id, sgs_to_bytes(p.sgs)) for p in clean.base.all_patterns()]

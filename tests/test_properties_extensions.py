@@ -6,14 +6,14 @@ import io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import stream_batches
+from tests.helpers import covers_point, roundtrip_bytes, stream_batches
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import load_pattern_base, roundtrip_bytes
+from repro.archive.persistence import load_pattern_base
 from repro.clustering.cluster import partition_signature
 from repro.clustering.shared import SharedCSGS
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.csgs import CSGS, WindowOutput
-from repro.core.regenerate import regenerate_points
+from repro.core.regenerate import regenerate_cluster
 from repro.core.serialize import sgs_from_bytes, sgs_from_json, sgs_to_bytes, sgs_to_json
 from repro.core.sgs import SGS
 from repro.tracking.tracker import ClusterTracker, TrackEvent
@@ -116,10 +116,14 @@ def test_pattern_base_persistence_roundtrip(summaries):
 @given(random_sgs())
 @settings(max_examples=40, deadline=None)
 def test_regenerated_points_respect_summary(sgs):
-    points = regenerate_points(sgs, seed=1)
-    assert len(points) == sgs.population
-    for point in points[:50]:
-        assert sgs.covers_point(point)
+    # Lemma 4.3: every regenerated member lies inside a skeletal cell, in
+    # a core cell exactly when it is a core object.
+    cluster = regenerate_cluster(sgs, seed=1)
+    assert cluster.size == sgs.population
+    for obj in cluster.core_objects[:25] + cluster.edge_objects[:25]:
+        assert covers_point(sgs, obj.coords)
+        cell = tuple(int(v // sgs.side_length) for v in obj.coords)
+        assert sgs.cells[cell].is_core == (obj in cluster.core_objects)
 
 
 # ---------------------------------------------------------------------------

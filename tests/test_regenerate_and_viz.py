@@ -2,13 +2,13 @@
 
 import pytest
 
-from tests.helpers import clustered_points, stream_batches
+from tests.helpers import clustered_points, covers_point, stream_batches
 from repro.core.cells import CellStatus, SkeletalGridCell
 from repro.core.csgs import CSGS
-from repro.core.regenerate import regenerate_cluster, regenerate_points
+from repro.core.regenerate import regenerate_cluster
 from repro.core.sgs import SGS
 from repro.eval.oracle import oracle_similarity
-from repro.viz.ascii_art import render_sgs, render_window
+from repro.viz.ascii_art import render_sgs
 
 
 def _extracted(seed=1):
@@ -26,16 +26,20 @@ def _extracted(seed=1):
 # ---------------------------------------------------------------------------
 
 
+def _regenerated_points(sgs, seed):
+    return [obj.coords for obj in regenerate_cluster(sgs, seed=seed).members]
+
+
 def test_regenerated_population_matches():
     _, sgs = _extracted()
-    points = regenerate_points(sgs, seed=2)
+    points = _regenerated_points(sgs, seed=2)
     assert len(points) == sgs.population
 
 
 def test_regenerated_points_inside_cells():
     _, sgs = _extracted()
-    for point in regenerate_points(sgs, seed=3):
-        assert sgs.covers_point(point)
+    for point in _regenerated_points(sgs, seed=3):
+        assert covers_point(sgs, point)
 
 
 def test_regenerated_cluster_statuses():
@@ -61,8 +65,8 @@ def test_regenerated_cluster_resembles_original():
 
 def test_regeneration_deterministic():
     _, sgs = _extracted()
-    assert regenerate_points(sgs, seed=6) == regenerate_points(sgs, seed=6)
-    assert regenerate_points(sgs, seed=6) != regenerate_points(sgs, seed=7)
+    assert _regenerated_points(sgs, seed=6) == _regenerated_points(sgs, seed=6)
+    assert _regenerated_points(sgs, seed=6) != _regenerated_points(sgs, seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +96,6 @@ def test_render_dimensions_and_symbols():
 def test_render_with_border():
     art = render_sgs(_tiny_sgs())
     assert art.startswith("┌") and art.endswith("┘")
-
-
-def test_render_window_labels():
-    art = render_window([_tiny_sgs()])
-    assert "cluster 4" in art and "window 2" in art
 
 
 def test_render_rejects_non_2d():

@@ -14,6 +14,7 @@ candidates on a repeated panel, and no stored-resolution summary held
 behind the store's bounded LRU.
 """
 
+import dataclasses
 import os
 import random
 import tempfile
@@ -80,7 +81,7 @@ def _observed(outcome):
             (r.pattern.pattern_id, r.distance, tuple(r.alignment))
             for r in results
         ],
-        stats.as_dict(),
+        dataclasses.asdict(stats),
     )
 
 

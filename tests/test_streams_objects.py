@@ -25,17 +25,6 @@ def test_window_membership_defaults_unset():
     assert obj.first_window == -1 and obj.last_window == -1
 
 
-def test_lifespan_and_alive():
-    obj = StreamObject(0, (0.0,))
-    obj.first_window = 3
-    obj.last_window = 7
-    assert obj.lifespan_from(3) == 5
-    assert obj.lifespan_from(7) == 1
-    assert obj.lifespan_from(8) == 0
-    assert obj.alive_in(3) and obj.alive_in(7)
-    assert not obj.alive_in(2) and not obj.alive_in(8)
-
-
 def test_payload_carried():
     payload = {"speed": 42}
     assert StreamObject(0, (0.0,), payload=payload).payload is payload

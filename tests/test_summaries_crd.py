@@ -53,10 +53,3 @@ def test_degenerate_single_point():
 def test_empty_cluster_rejected():
     with pytest.raises(ValueError):
         CRDSummarizer().summarize(Cluster(0, [], []))
-
-
-def test_summarize_all():
-    clusters = [_cluster([(0.0, 0.0)]), _cluster([(5.0, 5.0)])]
-    crds = CRDSummarizer().summarize_all(clusters)
-    assert len(crds) == 2
-    assert crds[1].centroid == (5.0, 5.0)

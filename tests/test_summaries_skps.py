@@ -69,14 +69,6 @@ def test_edges_connect_actual_neighbors():
         assert euclidean_distance(skps.points[a], skps.points[b]) <= 0.4 + 1e-9
 
 
-def test_degree():
-    points = clustered_points([(2.0, 2.0)], per_cluster=60, seed=6)
-    cluster = _extract_cluster(points)
-    skps = SkPSSummarizer(0.4).summarize(cluster)
-    total_degree = sum(skps.degree(i) for i in range(skps.size))
-    assert total_degree == 2 * len(skps.edges)
-
-
 def test_validation():
     with pytest.raises(ValueError):
         SkPSSummarizer(0.0)

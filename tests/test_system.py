@@ -1,8 +1,10 @@
 """Integration tests for the Pattern Extractor and the full framework."""
 
+import math
+
 import pytest
 
-from repro.archive.archiver import FeatureFilterPolicy
+from tests.helpers import MinPopulationPolicy, covers_point
 from repro.config import ContinuousClusteringQuery
 from repro.data.synthetic import DriftingBlobStream
 from repro.matching.metric import DistanceMetricSpec
@@ -38,7 +40,7 @@ def test_full_and_summarized_representations_aligned():
         for cluster, sgs in zip(output.clusters, output.summaries):
             assert sgs.population == cluster.size
             for obj in cluster.members:
-                assert sgs.covers_point(obj.coords)
+                assert covers_point(sgs, obj.coords)
 
 
 def test_system_archives_while_running():
@@ -71,7 +73,7 @@ def test_system_with_archive_policy():
         5,
         2,
         CountBasedWindowSpec(500, 100),
-        archive_policy=FeatureFilterPolicy(min_population=40),
+        archive_policy=MinPopulationPolicy(40),
     )
     system.run(_stream())
     for pattern in system.pattern_base.all_patterns():
@@ -143,6 +145,20 @@ def test_query_spec_constructors():
         ContinuousClusteringQuery.count_based(-1.0, 5, 2, 500, 100)
     with pytest.raises(ValueError):
         ContinuousClusteringQuery.count_based(0.3, 0, 2, 500, 100)
+    # A non-finite θr used to construct (and poison every later batch);
+    # a non-finite win or slide raised OverflowError, not ValueError.
+    for bad in (math.nan, math.inf, -math.inf):
+        for args in (
+            (bad, 5, 2, 60, 10),
+            (0.3, 5, 2, bad, 10),
+            (0.3, 5, 2, 60, bad),
+        ):
+            for build in (
+                ContinuousClusteringQuery.count_based,
+                ContinuousClusteringQuery.time_based,
+            ):
+                with pytest.raises(ValueError, match="finite"):
+                    build(*args)
     # Replication knobs: positive, and incompatible with the
     # single-copy serial mode.
     with pytest.raises(ValueError):

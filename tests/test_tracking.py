@@ -44,7 +44,10 @@ def test_emerge_then_survive():
     )
     assert second[0].event is TrackEvent.SURVIVED
     assert second[0].track_id == track
-    assert tracker.track_length(track) == 2
+    assert [r.event for r in tracker.history[track]] == [
+        TrackEvent.EMERGED,
+        TrackEvent.SURVIVED,
+    ]
 
 
 def test_two_independent_tracks():
@@ -68,7 +71,8 @@ def test_disappearance():
     assert second[0].event is TrackEvent.DISAPPEARED
     assert second[0].track_id == track
     assert second[0].sgs is None
-    assert tracker.active_tracks == []
+    # No live track is left to disappear again.
+    assert tracker.observe(_output(2)) == []
 
 
 def test_merge_detected():
