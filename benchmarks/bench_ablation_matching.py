@@ -18,7 +18,6 @@ from common import (
     report,
     stt_points,
 )
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.pattern_base import PatternBase
 from repro.eval.harness import Table, fmt_seconds
 from repro.matching.alignment import (
@@ -26,6 +25,7 @@ from repro.matching.alignment import (
     exhaustive_alignment_search,
 )
 from repro.matching.metric import DistanceMetricSpec
+from repro.retrieval.engine import MatchEngine
 
 THETA_RANGE, THETA_COUNT = 0.1, 8
 SLIDE = 500
@@ -57,13 +57,13 @@ def _setup():
 
 def _filter_and_refine() -> tuple:
     state = _setup()
-    analyzer = PatternAnalyzer(
+    engine = MatchEngine(
         state["base"], DistanceMetricSpec(), max_alignment_expansions=16
     )
     start = time.perf_counter()
     refined = 0
     for query in state["queries"]:
-        _, stats = analyzer.match(query, THRESHOLD)
+        _, stats = engine.match_sgs(query, THRESHOLD)
         refined += stats.refined
     return (time.perf_counter() - start) / len(state["queries"]), refined
 

@@ -33,7 +33,6 @@ from common import (
     report,
     stt_points,
 )
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.pattern_base import PatternBase
 from repro.core.cells import SkeletalGridCell
 from repro.core.sgs import SGS
@@ -49,6 +48,7 @@ from repro.matching.crd_match import crd_distance
 from repro.matching.graph_edit import graph_edit_distance
 from repro.matching.metric import DistanceMetricSpec
 from repro.matching.subset_match import subset_match_distance
+from repro.retrieval.engine import MatchEngine
 from repro.summaries.crd import CRD, CRDSummarizer
 from repro.summaries.rsp import RSP, RSPSummarizer
 from repro.summaries.skps import SkPS, SkPSSummarizer
@@ -230,7 +230,7 @@ def _time_queries(fn, queries) -> float:
 
 def _sgs_query_time(size: int, collect_stats=None) -> float:
     state = _setup()
-    analyzer = PatternAnalyzer(
+    engine = MatchEngine(
         state["bases"][size],
         DistanceMetricSpec(),
         max_alignment_expansions=6,
@@ -240,7 +240,7 @@ def _sgs_query_time(size: int, collect_stats=None) -> float:
         queries = queries[:3]
 
     def run(query):
-        results, stats = analyzer.match(query, THRESHOLD, top_k=3)
+        results, stats = engine.match_sgs(query, THRESHOLD, top_k=3)
         if collect_stats is not None:
             collect_stats.append(stats)
         return results

@@ -21,7 +21,6 @@ from common import (
     report,
     stt_points,
 )
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.pattern_base import PatternBase
 from repro.eval.harness import Table
 from repro.eval.oracle import oracle_similarity
@@ -30,6 +29,7 @@ from repro.matching.crd_match import crd_distance
 from repro.matching.graph_edit import graph_edit_distance
 from repro.matching.metric import DistanceMetricSpec
 from repro.matching.subset_match import subset_match_distance
+from repro.retrieval.engine import MatchEngine
 from repro.summaries.crd import CRDSummarizer
 from repro.summaries.rsp import RSPSummarizer
 from repro.summaries.skps import SkPSSummarizer
@@ -74,7 +74,7 @@ def _setup():
     for cluster, sgs in archive:
         pattern = base.add(sgs, cluster.size)
         pattern_to_cluster[pattern.pattern_id] = cluster
-    analyzer = PatternAnalyzer(
+    engine = MatchEngine(
         base, DistanceMetricSpec(), max_alignment_expansions=16
     )
 
@@ -85,7 +85,7 @@ def _setup():
     _state.update(
         archive=archive,
         queries=queries,
-        analyzer=analyzer,
+        engine=engine,
         pattern_to_cluster=pattern_to_cluster,
         archived_crd=archived_crd,
         archived_rsp=archived_rsp,
@@ -99,7 +99,7 @@ def _setup():
 
 def _top3_clusters_sgs(query_cluster, query_sgs):
     state = _setup()
-    results, _ = state["analyzer"].match(query_sgs, threshold=1.0, top_k=TOP_K)
+    results, _ = state["engine"].match_sgs(query_sgs, threshold=1.0, top_k=TOP_K)
     return [
         state["pattern_to_cluster"][r.pattern.pattern_id] for r in results
     ]

@@ -19,13 +19,13 @@ from common import (
     report,
     stt_points,
 )
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.core.multires import coarsen_sgs
 from repro.eval.harness import Table, fmt_bytes, fmt_seconds
 from repro.eval.oracle import oracle_similarity
 from repro.matching.metric import DistanceMetricSpec
+from repro.retrieval.engine import MatchEngine
 
 THETA_RANGE, THETA_COUNT = 0.1, 8
 SLIDE = 500
@@ -61,10 +61,10 @@ def _setup():
         for cluster, sgs in archive:
             pattern = archiver.archive_sgs(sgs, cluster.size)
             pattern_to_cluster[pattern.pattern_id] = cluster
-        analyzer = PatternAnalyzer(
+        engine = MatchEngine(
             base, DistanceMetricSpec(), max_alignment_expansions=16
         )
-        levels[level] = (base, analyzer, pattern_to_cluster)
+        levels[level] = (base, engine, pattern_to_cluster)
     _state.update(levels=levels, queries=queries)
     return _state
 
@@ -72,7 +72,7 @@ def _setup():
 def _query_level(level: int):
     """Run all queries at one level; returns (avg_time, avg_similarity)."""
     state = _setup()
-    base, analyzer, pattern_to_cluster = state["levels"][level]
+    base, engine, pattern_to_cluster = state["levels"][level]
     total_time = 0.0
     similarities = []
     for query_cluster, query_sgs in state["queries"]:
@@ -80,7 +80,7 @@ def _query_level(level: int):
         for _ in range(level):
             query = coarsen_sgs(query, FACTOR)
         start = time.perf_counter()
-        results, _ = analyzer.match(query, threshold=1.0, top_k=3)
+        results, _ = engine.match_sgs(query, threshold=1.0, top_k=3)
         total_time += time.perf_counter() - start
         for result in results:
             match_cluster = pattern_to_cluster[result.pattern.pattern_id]

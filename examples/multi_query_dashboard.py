@@ -22,8 +22,8 @@ from pathlib import Path
 from repro import GMTIStream, parse_query
 from repro.archive.pattern_base import PatternBase
 from repro.archive.persistence import dump_pattern_base, load_pattern_base
-from repro.archive.analyzer import PatternAnalyzer
 from repro.clustering.shared import SharedCSGS
+from repro.retrieval.engine import MatchEngine
 from repro.streams.windows import Windower
 
 QUERY_TEXTS = [
@@ -84,11 +84,11 @@ with tempfile.TemporaryDirectory() as tmp:
         "GIVEN DensityBasedClusters C SELECT DensityBasedClusters FROM "
         "History WHERE Distance <= 0.35 TOP 3"
     )
-    analyzer = PatternAnalyzer(reloaded, matching.metric)
+    engine = MatchEngine(reloaded, matching.metric)
     newest = max(
         reloaded.all_patterns(), key=lambda p: p.window_index
     )
-    results, stats = analyzer.match(
+    results, stats = engine.match_sgs(
         newest.sgs, matching.sim_threshold, top_k=matching.top_k
     )
     print(

@@ -52,7 +52,7 @@ if last_output and last_output.summaries:
     )
     results, stats = system.match(to_be_matched, threshold=0.25, top_k=5)
     print(
-        f"index candidates: {stats.index_candidates}, refined: "
+        f"index candidates: {stats.gathered}, refined: "
         f"{stats.refined} ({stats.refine_fraction:.1%} of archive), "
         f"matches: {stats.matches}"
     )

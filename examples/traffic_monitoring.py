@@ -82,7 +82,7 @@ if interesting:
     ]
     print(
         f"\nsimilar past congestion patterns for the newest one "
-        f"(checked {stats.index_candidates} candidates, refined "
+        f"(checked {stats.gathered} candidates, refined "
         f"{stats.refined}):"
     )
     if prior:

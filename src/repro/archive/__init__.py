@@ -1,15 +1,12 @@
-"""Pattern archival and matching: Archiver, Pattern Base, Analyzer."""
+"""Pattern archival: Archiver and Pattern Base (matching lives in
+:mod:`repro.retrieval`)."""
 
-from repro.archive.analyzer import MatchResult, MatchStats, PatternAnalyzer
 from repro.archive.archiver import ArchiveAllPolicy, PatternArchiver
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
 
 __all__ = [
     "ArchiveAllPolicy",
     "ArchivedPattern",
-    "MatchResult",
-    "MatchStats",
-    "PatternAnalyzer",
     "PatternArchiver",
     "PatternBase",
 ]

@@ -62,7 +62,6 @@ __all__ = [
     "STORE_BACKENDS",
     "open_store",
     "parse_store_spec",
-    "validate_store_spec",
 ]
 
 #: The supported store backends (spec prefixes).
@@ -123,13 +122,6 @@ def parse_store_spec(spec: str) -> Tuple[str, Optional[str], Dict[str, int]]:
             if options["cache"] < 1:
                 raise ValueError("store cache size must be positive")
     return ("sqlite", path, options)
-
-
-def validate_store_spec(spec: Optional[str]) -> Optional[str]:
-    """Validate a store spec (``None`` means the default memory store)."""
-    if spec is not None:
-        parse_store_spec(spec)
-    return spec
 
 
 def open_store(spec: Optional[str]) -> "PatternStore":

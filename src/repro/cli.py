@@ -11,11 +11,14 @@ Subcommands:
 * ``multiplex`` — run a queries file multiplexed and report the sharing
   structure: θr rung placement, cohorts, one-pass substrate counters;
 * ``match`` — load a persisted Pattern Base and run a Cluster Matching
-  Query for a pattern id or an SGS JSON file;
+  Query for a pattern id or an SGS JSON file on one in-process
+  :class:`~repro.retrieval.engine.MatchEngine`;
 * ``serve`` — keep a persisted Pattern Base resident behind a JSON-over-
   HTTP service (``/ingest``, ``/match``, ``/match_many``, ``/stats``,
-  ``/healthz``), with the deployment mode — in-process serial or
-  process-per-shard workers — selected by ``--mode``;
+  ``/healthz``). It is the only command that shards the archive
+  (``--shards`` / ``--shard-key``) and picks a deployment mode —
+  in-process serial or process-per-shard workers (``--mode``,
+  ``--replicas``);
 * ``show`` — render an archived pattern as ASCII art (2-D only).
 
 Examples::
@@ -54,13 +57,7 @@ from repro.data.stt import STTStream
 from repro.data.synthetic import DriftingBlobStream
 from repro.index.provider import available_backends
 from repro.matching.metric import DistanceMetricSpec
-from repro.retrieval import (
-    MatchEngine,
-    MatchQuery,
-    PARTITION_KEYS,
-    ShardedMatchEngine,
-    ShardedPatternBase,
-)
+from repro.retrieval import MatchEngine, MatchQuery, PARTITION_KEYS
 from repro.serving import MODES
 from repro.streams.objects import StreamObject
 from repro.streams.windows import CountBasedWindowSpec, TimeBasedWindowSpec
@@ -169,19 +166,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.time_based:
-        window = TimeBasedWindowSpec(args.win, args.slide)
-    else:
-        window = CountBasedWindowSpec(int(args.win), int(args.slide))
-    system = StreamPatternMiningSystem(
-        args.theta_range, args.theta_count, dimensions, window,
-        archive_level=args.level,
-        index_backend=args.index_backend,
-        match_inverted_levels=(
-            _parse_inverted_levels(args.inverted_levels) or None
-        ),
-        store=args.store,
-    )
+    try:
+        if args.time_based:
+            window = TimeBasedWindowSpec(args.win, args.slide)
+        else:
+            window = CountBasedWindowSpec(args.win, args.slide)
+        system = StreamPatternMiningSystem(
+            args.theta_range, args.theta_count, dimensions, window,
+            archive_level=args.level,
+            index_backend=args.index_backend,
+            match_inverted_levels=(
+                _parse_inverted_levels(args.inverted_levels) or None
+            ),
+            store=args.store,
+        )
+    except ValueError as error:
+        print(f"invalid query: {error}", file=sys.stderr)
+        return 1
     try:
         for output in system.run_steps(
             objects, max_windows=args.max_windows
@@ -391,16 +392,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         # Legacy (v1/v2) archive, or one persisted with different
         # rungs: rebuild the inverted index at the requested rungs.
         base.enable_inverted(inverted_levels)
-    if args.shards > 1 or args.mode or args.replicas > 1:
-        sharded = ShardedPatternBase.from_base(
-            base, args.shards, args.shard_key
-        )
-        engine = ShardedMatchEngine(
-            sharded, _metric_from_args(args), mode=args.mode,
-            replicas=args.replicas,
-        )
-    else:
-        engine = MatchEngine(base, _metric_from_args(args))
+    engine = MatchEngine(base, _metric_from_args(args))
     try:
         query = MatchQuery(
             sgs=query_sgs,
@@ -416,16 +408,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
     try:
         results, stats = engine.match(query)
     finally:
-        engine.close()
         base.close()
-    shard_note = ""
-    if args.shards > 1:
-        entries = "+".join(stats.plan.get("entries", []))
-        shard_note = f" shards={args.shards}({entries})"
-    if stats.coarse_screen:
-        shard_note += f" coarse_screen={stats.coarse_screen}"
+    screen_note = (
+        f" coarse_screen={stats.coarse_screen}" if stats.coarse_screen else ""
+    )
     print(
-        f"archive {len(base)}: plan entry={stats.entry}{shard_note} "
+        f"archive {len(base)}: plan entry={stats.entry}{screen_note} "
         f"gathered={stats.gathered} screened={stats.screened} "
         f"coarse_rejected={stats.coarse_rejected} "
         f"refined={stats.refined} matches={stats.matches}"
@@ -602,30 +590,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict matching to archived windows LO..HI (inclusive)",
     )
     match.add_argument(
-        "--shards", type=int, default=1,
-        help="partition the loaded archive into this many shards and "
-        "fan the query out per shard (merged deterministically)",
-    )
-    match.add_argument(
-        "--shard-key", choices=PARTITION_KEYS, default="window",
-        help="partition key: window span or feature-grid region",
-    )
-    match.add_argument(
         "--inverted-levels", default=None, metavar="L1,L2",
         help="serve the coarse screen from the inverted cell-signature "
         "index at these rungs (rebuilt if the archive file predates "
         "format v3 or was persisted with different rungs)",
-    )
-    match.add_argument(
-        "--mode", choices=MODES, default=None,
-        help="deployment mode of the sharded execution (serial / "
-        "process); default: serial, or process with --replicas > 1",
-    )
-    match.add_argument(
-        "--replicas", type=int, default=1,
-        help="process-worker replicas per shard (implies --mode "
-        "process): reads route round-robin across live replicas and "
-        "fail over to a sibling when a worker dies mid-task",
     )
     match.set_defaults(func=_cmd_match)
 

@@ -14,19 +14,28 @@ describe a workload once and hand it to the framework:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
-from repro.archive.store import validate_store_spec
 from repro.index.provider import validate_backend
 from repro.matching.metric import DistanceMetricSpec
-from repro.retrieval.shards import validate_partition_key
-from repro.serving.executors import validate_mode
 from repro.streams.windows import (
     CountBasedWindowSpec,
     TimeBasedWindowSpec,
     WindowSpec,
 )
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as an ``int``: integral floats pass, but a bool or a
+    fractional number is refused (``int()`` would truncate it)."""
+    integral = isinstance(value, numbers.Integral) or (
+        isinstance(value, float) and value.is_integer()
+    )
+    if isinstance(value, bool) or not integral:
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -36,15 +45,6 @@ class ContinuousClusteringQuery:
     ``index_backend`` selects the neighbor-search backend the query
     executes against (``grid`` / ``kdtree``; see
     :mod:`repro.index.provider`).
-
-    The serving-side knobs shape the archive the query accumulates:
-    ``match_shards`` > 1 partitions the Pattern Base (by
-    ``match_shard_key``: ``window`` span or ``feature`` grid region)
-    and fans matching queries out per shard;
-    ``match_inverted_levels`` maintains the inverted cell-signature
-    index at those coarse rungs during archival, so coarse screening
-    runs on posting lists instead of per-pattern ladder walks (see
-    :mod:`repro.retrieval.inverted` / :mod:`repro.retrieval.shards`).
     """
 
     theta_range: float
@@ -52,64 +52,15 @@ class ContinuousClusteringQuery:
     dimensions: int
     window: WindowSpec
     index_backend: str = "grid"
-    #: Matching-engine configuration threaded to the system's
-    #: :class:`~repro.retrieval.engine.MatchEngine` (coarse entry level
-    #: of the multi-resolution refiner; alignment-search budget).
-    match_coarse_level: int = 0
-    match_max_expansions: int = 32
-    #: Archive partitioning for the serving side: number of shards and
-    #: the partition key (``window`` / ``feature``).
-    match_shards: int = 1
-    match_shard_key: str = "window"
-    #: Deployment mode of the sharded execution (``serial`` /
-    #: ``process``; ``None`` = serial, or process when
-    #: ``match_replicas`` > 1 — see :mod:`repro.serving`). Only
-    #: meaningful with ``match_shards`` > 1.
-    match_mode: Optional[str] = None
-    #: Process-worker replicas per shard (> 1 implies
-    #: ``match_mode="process"``): reads route round-robin across live
-    #: replicas and fail over to a sibling when a worker dies
-    #: mid-task, instead of stalling on a respawn.
-    match_replicas: int = 1
-    #: Coarse rungs of the inverted cell-signature index maintained
-    #: during archival (empty = no inverted index).
-    match_inverted_levels: Tuple[int, ...] = ()
-    #: Where the archived patterns live (see
-    #: :mod:`repro.archive.store`): ``None``/``"memory"`` keeps the
-    #: in-process dict; ``"sqlite:PATH"`` archives crash-safely to a
-    #: disk-backed SQLite-WAL store, committing each pattern before
-    #: the archival is acknowledged.
-    store: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta_range) and self.theta_range > 0):
             raise ValueError("theta_range must be positive and finite")
-        if self.theta_count < 1:
-            raise ValueError("theta_count must be at least 1")
-        if self.dimensions < 1:
-            raise ValueError("dimensions must be at least 1")
-        if self.match_coarse_level < 0:
-            raise ValueError("match_coarse_level must be non-negative")
-        if self.match_max_expansions < 1:
-            raise ValueError("match_max_expansions must be positive")
-        if self.match_shards < 1:
-            raise ValueError("match_shards must be positive")
-        validate_partition_key(self.match_shard_key)
-        if self.match_mode is not None:
-            validate_mode(self.match_mode)
-        if self.match_replicas < 1:
-            raise ValueError("match_replicas must be positive")
-        if self.match_replicas > 1 and self.match_mode == "serial":
-            raise ValueError(
-                "match_replicas > 1 needs match_mode 'process' (or "
-                "unset, which then implies it)"
-            )
-        self.match_inverted_levels = tuple(
-            int(level) for level in self.match_inverted_levels
-        )
-        if any(level < 1 for level in self.match_inverted_levels):
-            raise ValueError("match_inverted_levels must all be >= 1")
-        validate_store_spec(self.store)
+        for name in ("theta_count", "dimensions"):
+            value = as_integer(name, getattr(self, name))
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+            setattr(self, name, value)
         validate_backend(self.index_backend)
 
     @classmethod

@@ -21,10 +21,11 @@ The Pattern Base stores summarized clusters behind two feature indices
   (:class:`~repro.retrieval.shards.ShardedPatternBase` /
   :class:`~repro.retrieval.shards.ShardedMatchEngine`): plan per
   shard, fan ``match_many`` out across shards, merge
-  deterministically.
+  deterministically. Only ``repro serve`` (:mod:`repro.serving`)
+  shards an archive.
 
-``repro.archive.analyzer.PatternAnalyzer`` is a thin façade over this
-package; new callers should use :class:`MatchEngine` directly.
+:class:`MatchEngine` is Figure 4's Pattern Analyzer: the mining
+systems, ``repro match`` and the benchmarks call it directly.
 """
 
 from repro.retrieval.engine import EngineStats, MatchEngine, MatchResult

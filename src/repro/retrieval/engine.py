@@ -104,30 +104,6 @@ class MatchResult:
     alignment: tuple
 
 
-def compose_query(
-    engine,
-    sgs: SGS,
-    threshold: float,
-    top_k: Optional[int] = None,
-    spec: Optional[DistanceMetricSpec] = None,
-    coarse_level: Optional[int] = None,
-    window_range: Optional[Tuple[int, int]] = None,
-) -> MatchQuery:
-    """Build a :class:`MatchQuery` from parts, filling the metric and
-    coarse entry level from an engine's defaults (shared by the plain
-    and sharded engines' ``match_sgs`` wrappers)."""
-    return MatchQuery(
-        sgs=sgs,
-        threshold=threshold,
-        top_k=top_k,
-        metric=spec if spec is not None else engine.spec,
-        window_range=window_range,
-        coarse_level=(
-            engine.coarse_level if coarse_level is None else coarse_level
-        ),
-    )
-
-
 @dataclass
 class EngineStats:
     """Per-query execution accounting, phase by phase."""
@@ -291,18 +267,6 @@ class MatchEngine:
         """Total coarser levels currently materialized (telemetry)."""
         return sum(len(rungs) for _, rungs in self._ladders.values())
 
-    def close(self) -> None:
-        """Release owned resources — nothing for the in-process engine;
-        present so a single-shard engine and the sharded facade (whose
-        executor may hold worker processes) share one
-        lifecycle surface."""
-
-    def __enter__(self) -> "MatchEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     def _maybe_prune_ladders(self) -> None:
         """Drop ladders of patterns evicted from the base.
 
@@ -390,9 +354,15 @@ class MatchEngine:
         """Convenience wrapper: build the :class:`MatchQuery` from parts
         (engine defaults fill the metric and coarse level)."""
         return self.match(
-            compose_query(
-                self, sgs, threshold, top_k, spec, coarse_level,
-                window_range,
+            MatchQuery(
+                sgs=sgs,
+                threshold=threshold,
+                top_k=top_k,
+                metric=spec if spec is not None else self.spec,
+                window_range=window_range,
+                coarse_level=(
+                    self.coarse_level if coarse_level is None else coarse_level
+                ),
             )
         )
 

@@ -58,7 +58,6 @@ from repro.retrieval.engine import (
     EngineStats,
     MatchEngine,
     MatchResult,
-    compose_query,
 )
 from repro.retrieval.inverted import InvertedCellIndex
 from repro.retrieval.queries import MatchQuery
@@ -591,22 +590,6 @@ class ShardedMatchEngine:
         """One query against every shard; merged deterministically."""
         per_shard = self._executor.match(query)
         return self._merge_results(per_shard, query, self.parallel)
-
-    def match_sgs(
-        self,
-        sgs: SGS,
-        threshold: float,
-        top_k: Optional[int] = None,
-        spec: Optional[DistanceMetricSpec] = None,
-        coarse_level: Optional[int] = None,
-        window_range: Optional[Tuple[int, int]] = None,
-    ) -> Tuple[List[MatchResult], EngineStats]:
-        return self.match(
-            compose_query(
-                self, sgs, threshold, top_k, spec, coarse_level,
-                window_range,
-            )
-        )
 
     def match_many(
         self, queries: Sequence[MatchQuery]

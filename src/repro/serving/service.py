@@ -47,11 +47,7 @@ from repro.streams.objects import StreamObject
 from repro.retrieval.engine import EngineStats, MatchResult
 from repro.retrieval.queries import MatchQuery
 from repro.retrieval.shards import ShardedMatchEngine, ShardedPatternBase
-from repro.serving.wire import (
-    metric_from_wire,
-    metric_to_wire,
-    stats_to_wire,
-)
+from repro.serving.wire import metric_to_wire, query_from_wire, stats_to_wire
 
 __all__ = ["MatchService", "ServiceError"]
 
@@ -180,56 +176,8 @@ class MatchService:
         return self.engine.mode
 
     def _parse_query(self, data: Dict[str, object]) -> MatchQuery:
-        if not isinstance(data, dict):
-            raise ServiceError("query must be a JSON object")
-        for field in ("sgs", "threshold"):
-            if field not in data:
-                raise ServiceError(f"query is missing {field!r}")
-        window_range = data.get("window_range")
-        feature_ranges = data.get("feature_ranges")
-        top_k = data.get("top_k")
         try:
-            if top_k is not None and (
-                isinstance(top_k, bool) or not isinstance(top_k, int)
-            ):
-                raise ValueError(f"top_k must be an integer, not {top_k!r}")
-            if feature_ranges is not None and not (
-                isinstance(feature_ranges, dict)
-                and all(
-                    isinstance(span, (list, tuple)) and len(span) == 2
-                    for span in feature_ranges.values()
-                )
-            ):
-                raise ValueError(
-                    "feature_ranges must map feature names to [lo, hi] pairs"
-                )
-            metric = (
-                metric_from_wire(data["metric"])
-                if data.get("metric") is not None
-                else self.engine.spec
-            )
-            return MatchQuery(
-                sgs=sgs_from_dict(data["sgs"]),
-                threshold=float(data["threshold"]),
-                top_k=top_k,
-                metric=metric,
-                window_range=(
-                    (int(window_range[0]), int(window_range[1]))
-                    if window_range is not None
-                    else None
-                ),
-                feature_ranges=(
-                    {
-                        str(name): (float(span[0]), float(span[1]))
-                        for name, span in feature_ranges.items()
-                    }
-                    if feature_ranges
-                    else None
-                ),
-                coarse_level=int(data.get("coarse_level", 0)),
-            )
-        except ServiceError:
-            raise
+            return query_from_wire(data, default_metric=self.engine.spec)
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(f"bad query: {error}") from None
 
@@ -290,13 +238,13 @@ class MatchService:
         self, payload: Dict[str, object], dimensions: int
     ) -> ContinuousClusteringQuery:
         if "query" in payload:
-            from repro.query.parser import QueryParseError, parse_query
+            from repro.query.parser import parse_query
 
             try:
                 query = parse_query(
                     str(payload["query"]), dimensions=dimensions
                 )
-            except QueryParseError as error:
+            except (TypeError, ValueError) as error:
                 raise ServiceError(str(error)) from None
             if not isinstance(query, ContinuousClusteringQuery):
                 raise ServiceError(
@@ -314,7 +262,7 @@ class MatchService:
             if payload.get("time_based"):
                 return ContinuousClusteringQuery.time_based(
                     float(payload["theta_range"]),
-                    int(payload["theta_count"]),
+                    payload["theta_count"],
                     dimensions,
                     win=float(payload["win"]),
                     slide=float(payload["slide"]),
@@ -322,10 +270,10 @@ class MatchService:
                 )
             return ContinuousClusteringQuery.count_based(
                 float(payload["theta_range"]),
-                int(payload["theta_count"]),
+                payload["theta_count"],
                 dimensions,
-                win=int(payload["win"]),
-                slide=int(payload["slide"]),
+                win=payload["win"],
+                slide=payload["slide"],
             )
         except (TypeError, ValueError, OverflowError) as error:
             raise ServiceError(f"bad query parameters: {error}") from None
@@ -348,32 +296,36 @@ class MatchService:
         """
         if not isinstance(payload, dict):
             raise ServiceError("register_query expects a JSON object")
-        with self._lock:
-            if self._scheduler is None:
-                if "dimensions" not in payload:
-                    raise ServiceError(
-                        'the first registered query must declare '
-                        '"dimensions"'
-                    )
-                try:
-                    self._scheduler = SlideScheduler(
-                        int(payload["dimensions"]),
-                        factor=float(payload.get("factor", 2.0)),
-                    )
-                except (TypeError, ValueError) as error:
-                    raise ServiceError(str(error)) from None
+        # A new run's scheduler is kept only once its first query
+        # registers, so a refused first registration fixes no
+        # dimensionality. A set scheduler is never replaced: reading it
+        # unlocked only orders this request before a concurrent first one.
+        running = self._scheduler
+        fresh = None
+        if "dimensions" in payload:
+            dimensions = payload["dimensions"]
+        elif running is not None:
+            dimensions = running.dimensions
+        else:
+            raise ServiceError(
+                'the first registered query must declare "dimensions"'
+            )
+        query = self._parse_clustering_query(payload, dimensions)
+        if running is None:
             try:
-                dimensions = int(
-                    payload.get("dimensions", self._scheduler.dimensions)
+                fresh = SlideScheduler(
+                    query.dimensions, factor=float(payload.get("factor", 2.0))
                 )
             except (TypeError, ValueError) as error:
                 raise ServiceError(str(error)) from None
-            query = self._parse_clustering_query(payload, dimensions)
-            sink = self._archive_sink if payload.get("archive") else None
+        sink = self._archive_sink if payload.get("archive") else None
+        with self._lock:
+            scheduler = self._scheduler or fresh
             try:
-                handle = self._scheduler.register(query, sink=sink)
+                handle = scheduler.register(query, sink=sink)
             except ValueError as error:
                 raise ServiceError(str(error)) from None
+            self._scheduler = scheduler
             self._counters["register_query"] += 1
             return {"query": handle.describe()}
 

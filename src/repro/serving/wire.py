@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.archive.pattern_base import ArchivedPattern
+from repro.config import as_integer
 from repro.core.serialize import sgs_from_dict, sgs_to_dict
 from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval.engine import EngineStats, MatchResult
@@ -75,16 +76,51 @@ def query_to_wire(query: MatchQuery) -> Dict[str, object]:
     }
 
 
-def query_from_wire(data: Dict[str, object]) -> MatchQuery:
-    window_range = data.get("window_range")
+def query_from_wire(
+    data: Dict[str, object],
+    default_metric: Optional[DistanceMetricSpec] = None,
+) -> MatchQuery:
+    """Parse a wire query strictly: a field of the wrong type or shape,
+    or a fractional ``coarse_level`` / ``window_range`` bound, raises
+    ``TypeError`` / ``ValueError`` / ``KeyError`` instead of being
+    coerced. ``default_metric`` stands in for an absent ``metric``."""
+    if not isinstance(data, dict):
+        raise TypeError("query must be a JSON object")
+    for name in ("sgs", "threshold"):
+        if name not in data:
+            raise ValueError(f"query is missing {name!r}")
+    top_k = data.get("top_k")
+    if top_k is not None and (
+        isinstance(top_k, bool) or not isinstance(top_k, int)
+    ):
+        raise ValueError(f"top_k must be an integer, not {top_k!r}")
     feature_ranges = data.get("feature_ranges")
+    if feature_ranges is not None and not (
+        isinstance(feature_ranges, dict)
+        and all(
+            isinstance(span, (list, tuple)) and len(span) == 2
+            for span in feature_ranges.values()
+        )
+    ):
+        raise ValueError(
+            "feature_ranges must map feature names to [lo, hi] pairs"
+        )
+    window_range = data.get("window_range")
+    metric = data.get("metric")
+    if metric is None and default_metric is None:
+        raise ValueError("query is missing 'metric'")
     return MatchQuery(
         sgs=sgs_from_dict(data["sgs"]),
         threshold=float(data["threshold"]),
-        top_k=data.get("top_k"),
-        metric=metric_from_wire(data["metric"]),
+        top_k=top_k,
+        metric=(
+            metric_from_wire(metric) if metric is not None else default_metric
+        ),
         window_range=(
-            (int(window_range[0]), int(window_range[1]))
+            (
+                as_integer("window_range", window_range[0]),
+                as_integer("window_range", window_range[1]),
+            )
             if window_range is not None
             else None
         ),
@@ -96,7 +132,7 @@ def query_from_wire(data: Dict[str, object]) -> MatchQuery:
             if feature_ranges
             else None
         ),
-        coarse_level=int(data.get("coarse_level", 0)),
+        coarse_level=as_integer("coarse_level", data.get("coarse_level", 0)),
     )
 
 

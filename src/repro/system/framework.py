@@ -6,20 +6,22 @@
   representation per window);
 * the **Pattern Archiver** (selective archival, resolution choice);
 * the **Pattern Base** (dual feature indices);
-* the **Pattern Analyzer / Match Engine** (Cluster Matching Queries —
-  the filter-and-refine retrieval engine of :mod:`repro.retrieval`).
+* the **Pattern Analyzer** (Cluster Matching Queries): the
+  filter-and-refine :class:`~repro.retrieval.engine.MatchEngine` of
+  :mod:`repro.retrieval`.
 
 Typical use: construct, :meth:`run` (or :meth:`run_steps` to observe
 windows as they complete), then submit :meth:`match` queries against
 the accumulated stream history; :attr:`engine` serves full
-:class:`~repro.retrieval.queries.MatchQuery` objects.
+:class:`~repro.retrieval.queries.MatchQuery` objects. Shards,
+deployment modes and replicas belong to ``repro serve``
+(:mod:`repro.serving`), not to these systems.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.archive.analyzer import MatchResult, MatchStats, PatternAnalyzer
 from repro.archive.archiver import ArchivePolicy, PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.config import ContinuousClusteringQuery
@@ -28,23 +30,10 @@ from repro.core.sgs import SGS
 from repro.matching.metric import DistanceMetricSpec
 from repro.multiplex.registry import RegisteredQuery, Sink
 from repro.multiplex.scheduler import SlideScheduler
-from repro.retrieval.engine import MatchEngine
-from repro.retrieval.shards import ShardedPatternBase
+from repro.retrieval.engine import EngineStats, MatchEngine, MatchResult
 from repro.streams.objects import StreamObject
 from repro.streams.windows import WindowSpec
 from repro.system.extractor import PatternExtractor
-
-
-class _ArchiveThroughEngine:
-    """The archiver-facing ``add`` surface of a sharded match engine:
-    archival routed through :meth:`ShardedMatchEngine.ingest` updates
-    both the in-process base and any executor-held shard copies."""
-
-    def __init__(self, engine):
-        self._engine = engine
-
-    def add(self, sgs: SGS, full_size: int):
-        return self._engine.ingest(sgs, full_size)
 
 
 class StreamPatternMiningSystem:
@@ -61,13 +50,7 @@ class StreamPatternMiningSystem:
         archive_level: int = 0,
         archive_byte_budget: Optional[int] = None,
         index_backend: Optional[str] = None,
-        match_coarse_level: Optional[int] = None,
-        match_max_expansions: Optional[int] = None,
-        match_shards: Optional[int] = None,
-        match_shard_key: Optional[str] = None,
         match_inverted_levels: Optional[Sequence[int]] = None,
-        match_mode: Optional[str] = None,
-        match_replicas: Optional[int] = None,
         store: Optional[str] = None,
     ):
         self.extractor = PatternExtractor(
@@ -77,81 +60,19 @@ class StreamPatternMiningSystem:
             window_spec,
             index_backend=index_backend,
         )
-        shards = 1 if match_shards is None else int(match_shards)
-        shard_key = "window" if match_shard_key is None else match_shard_key
-        replicas = 1 if match_replicas is None else int(match_replicas)
         inverted_levels = (
             tuple(match_inverted_levels) if match_inverted_levels else None
         )
-        # An explicit deployment mode forces the sharded serving path
-        # even over a single shard — the executor seam still applies
-        # (e.g. match_mode="process" serves from one worker, and
-        # match_replicas > 1 serves from a replicated worker group).
-        if shards > 1 or match_mode is not None or replicas > 1:
-            if store is not None:
-                # The durable store stays the system of record; shard
-                # layout is a serving-time choice on top of it (reopen
-                # loads any patterns it already holds).
-                origin = PatternBase(
-                    inverted_levels=inverted_levels, store=store
-                )
-                self.pattern_base = ShardedPatternBase.from_base(
-                    origin, shards, shard_key,
-                    inverted_levels=inverted_levels,
-                )
-            else:
-                self.pattern_base = ShardedPatternBase(
-                    shards, shard_key, inverted_levels=inverted_levels
-                )
-        else:
-            self.pattern_base = PatternBase(
-                inverted_levels=inverted_levels, store=store
-            )
-        # The analyzer builds the engine matching the base: a
-        # ShardedMatchEngine over a partitioned archive (with the
-        # requested deployment mode — see repro.serving), a plain
-        # MatchEngine otherwise.
-        expansions = (
-            32 if match_max_expansions is None else match_max_expansions
+        self.pattern_base = PatternBase(
+            inverted_levels=inverted_levels, store=store
         )
-        coarse = 0 if match_coarse_level is None else match_coarse_level
-        prebuilt = None
-        archive_target = self.pattern_base
-        if isinstance(self.pattern_base, ShardedPatternBase):
-            from repro.retrieval.shards import ShardedMatchEngine
-
-            prebuilt = ShardedMatchEngine(
-                self.pattern_base,
-                spec=metric,
-                max_alignment_expansions=expansions,
-                coarse_level=coarse,
-                mode=match_mode,
-                replicas=replicas,
-            )
-            # Archival must flow through the facade so executors that
-            # keep their own shard copies (process workers) hear about
-            # every new pattern, not just the in-process base.
-            archive_target = _ArchiveThroughEngine(prebuilt)
         self.archiver = PatternArchiver(
-            archive_target,
+            self.pattern_base,
             policy=archive_policy,
             level=archive_level,
             byte_budget_per_cluster=archive_byte_budget,
         )
-        self.analyzer = PatternAnalyzer(
-            self.pattern_base,
-            metric,
-            max_alignment_expansions=expansions,
-            coarse_level=coarse,
-            engine=prebuilt,
-        )
-
-    @property
-    def engine(self) -> MatchEngine:
-        """The matching-query engine serving this system's archive (a
-        :class:`~repro.retrieval.shards.ShardedMatchEngine` when the
-        archive is partitioned)."""
-        return self.analyzer.engine
+        self.engine = MatchEngine(self.pattern_base, spec=metric)
 
     @classmethod
     def from_query(
@@ -162,27 +83,14 @@ class StreamPatternMiningSystem:
         """Build a system from a declarative query (Figure 2 template).
 
         Consumes every field of the query — θr, θc, dimensions, window
-        spec, ``index_backend``, and the matching-engine
-        configuration (``match_coarse_level`` /
-        ``match_max_expansions``) — so both the extraction pipeline and
-        the retrieval engine run exactly what the query declares.
-        Remaining keyword arguments (metric, archive policy, …) pass
-        through to the constructor; explicit non-None keywords override
-        the query's fields.
+        spec and ``index_backend`` — so the extraction pipeline runs
+        exactly what the query declares. Remaining keyword arguments
+        (metric, archive policy, store, …) pass through to the
+        constructor; an explicit non-None ``index_backend`` overrides
+        the query's.
         """
-        for name in (
-            "index_backend",
-            "match_coarse_level",
-            "match_max_expansions",
-            "match_shards",
-            "match_shard_key",
-            "match_inverted_levels",
-            "match_mode",
-            "match_replicas",
-            "store",
-        ):
-            if kwargs.get(name) is None:
-                kwargs[name] = getattr(query, name)
+        if kwargs.get("index_backend") is None:
+            kwargs["index_backend"] = query.index_backend
         return cls(
             query.theta_range,
             query.theta_count,
@@ -216,24 +124,18 @@ class StreamPatternMiningSystem:
         threshold: float,
         top_k: Optional[int] = None,
         spec: Optional[DistanceMetricSpec] = None,
-    ) -> "tuple[List[MatchResult], MatchStats]":
+    ) -> Tuple[List[MatchResult], EngineStats]:
         """Submit a Cluster Matching Query (Figure 3) for any SGS."""
-        return self.analyzer.match(query, threshold, top_k=top_k, spec=spec)
+        return self.engine.match_sgs(query, threshold, top_k=top_k, spec=spec)
 
     @property
     def archived_count(self) -> int:
         return len(self.pattern_base)
 
     def close(self) -> None:
-        """Release the match engine's executor (shard worker
-        processes, if any) and the archive's backing store; idempotent,
-        and a no-op for the plain in-process, in-memory setup."""
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-        base_close = getattr(self.pattern_base, "close", None)
-        if base_close is not None:
-            base_close()
+        """Release the archive's backing store; idempotent, and a no-op
+        for the in-memory store."""
+        self.pattern_base.close()
 
     def __enter__(self) -> "StreamPatternMiningSystem":
         return self
@@ -251,7 +153,7 @@ class MultiplexedMiningSystem:
     (:mod:`repro.multiplex.registry`), a slide scheduler answers every
     batch with one shared range-query pass
     (:mod:`repro.multiplex.scheduler`), and a single Pattern
-    Base / Archiver / Analyzer serves the accumulated archive across all
+    Base / Archiver / MatchEngine serves the accumulated archive across all
     of them. Queries opting into archival (``archive=True``) feed their
     window outputs through the shared archiver; every query's output is
     still byte-identical to a dedicated independent run.
@@ -265,8 +167,6 @@ class MultiplexedMiningSystem:
         archive_level: int = 0,
         archive_byte_budget: Optional[int] = None,
         factor: float = 2.0,
-        match_coarse_level: Optional[int] = None,
-        match_max_expansions: Optional[int] = None,
         match_inverted_levels: Optional[Sequence[int]] = None,
         store: Optional[str] = None,
     ):
@@ -284,20 +184,7 @@ class MultiplexedMiningSystem:
             level=archive_level,
             byte_budget_per_cluster=archive_byte_budget,
         )
-        self.analyzer = PatternAnalyzer(
-            self.pattern_base,
-            metric,
-            max_alignment_expansions=(
-                32 if match_max_expansions is None else match_max_expansions
-            ),
-            coarse_level=(
-                0 if match_coarse_level is None else match_coarse_level
-            ),
-        )
-
-    @property
-    def engine(self) -> MatchEngine:
-        return self.analyzer.engine
+        self.engine = MatchEngine(self.pattern_base, spec=metric)
 
     def register(
         self,
@@ -336,9 +223,9 @@ class MultiplexedMiningSystem:
         threshold: float,
         top_k: Optional[int] = None,
         spec: Optional[DistanceMetricSpec] = None,
-    ) -> "tuple[List[MatchResult], MatchStats]":
+    ) -> Tuple[List[MatchResult], EngineStats]:
         """A Cluster Matching Query against the shared archive."""
-        return self.analyzer.match(query, threshold, top_k=top_k, spec=spec)
+        return self.engine.match_sgs(query, threshold, top_k=top_k, spec=spec)
 
     @property
     def archived_count(self) -> int:
@@ -350,12 +237,7 @@ class MultiplexedMiningSystem:
         return stats
 
     def close(self) -> None:
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
-        base_close = getattr(self.pattern_base, "close", None)
-        if base_close is not None:
-            base_close()
+        self.pattern_base.close()
 
     def __enter__(self) -> "MultiplexedMiningSystem":
         return self

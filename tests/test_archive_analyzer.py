@@ -1,14 +1,15 @@
-"""Unit tests for the Pattern Analyzer (filter-and-refine matching)."""
+"""The Pattern Analyzer of Figure 4: filter-and-refine matching through
+``MatchEngine.match_sgs``."""
 
 import pytest
 
 from tests.helpers import clustered_points, stream_batches
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
 from repro.core.csgs import CSGS
 from repro.matching.alignment import anytime_alignment_search
 from repro.matching.metric import DistanceMetricSpec
+from repro.retrieval.engine import MatchEngine
 
 
 def _populated_base(seed=1):
@@ -30,9 +31,9 @@ def _populated_base(seed=1):
 
 def test_self_match_found_with_zero_distance():
     base, last = _populated_base()
-    analyzer = PatternAnalyzer(base)
+    engine = MatchEngine(base)
     query = max(last.summaries, key=len)
-    results, stats = analyzer.match(query, threshold=0.3)
+    results, stats = engine.match_sgs(query, threshold=0.3)
     assert results, "the archived copy of the query must match"
     assert results[0].distance == pytest.approx(0.0, abs=1e-9)
     assert stats.matches == len(results)
@@ -40,9 +41,9 @@ def test_self_match_found_with_zero_distance():
 
 def test_results_sorted_and_within_threshold():
     base, last = _populated_base()
-    analyzer = PatternAnalyzer(base)
+    engine = MatchEngine(base)
     query = last.summaries[0]
-    results, _ = analyzer.match(query, threshold=0.5)
+    results, _ = engine.match_sgs(query, threshold=0.5)
     distances = [r.distance for r in results]
     assert distances == sorted(distances)
     assert all(d <= 0.5 for d in distances)
@@ -50,10 +51,10 @@ def test_results_sorted_and_within_threshold():
 
 def test_top_k_truncates():
     base, last = _populated_base()
-    analyzer = PatternAnalyzer(base)
+    engine = MatchEngine(base)
     query = last.summaries[0]
-    all_results, _ = analyzer.match(query, threshold=0.6)
-    top3, _ = analyzer.match(query, threshold=0.6, top_k=3)
+    all_results, _ = engine.match_sgs(query, threshold=0.6)
+    top3, _ = engine.match_sgs(query, threshold=0.6, top_k=3)
     assert len(top3) == min(3, len(all_results))
     assert [r.pattern.pattern_id for r in top3] == [
         r.pattern.pattern_id for r in all_results[:3]
@@ -62,11 +63,11 @@ def test_top_k_truncates():
 
 def test_filter_reduces_refined_candidates():
     base, last = _populated_base()
-    analyzer = PatternAnalyzer(base)
+    engine = MatchEngine(base)
     query = last.summaries[0]
-    _, stats = analyzer.match(query, threshold=0.15)
+    _, stats = engine.match_sgs(query, threshold=0.15)
     assert stats.archive_size == len(base)
-    assert stats.refined <= stats.index_candidates <= stats.archive_size
+    assert stats.refined <= stats.gathered <= stats.archive_size
     # With a tight threshold the filter must drop a real fraction.
     assert stats.refined < stats.archive_size
 
@@ -80,11 +81,11 @@ def test_filter_never_drops_true_matches():
 
     base, last = _populated_base()
     spec = DistanceMetricSpec()
-    analyzer = PatternAnalyzer(base, spec)
+    engine = MatchEngine(base, spec)
     query = last.summaries[0]
     query_features = ClusterFeatures.from_sgs(query)
     threshold = 0.25
-    results, _ = analyzer.match(query, threshold=threshold)
+    results, _ = engine.match_sgs(query, threshold=threshold)
     found = {r.pattern.pattern_id for r in results}
     for pattern in base.all_patterns():
         coarse = cluster_feature_distance(
@@ -105,10 +106,10 @@ def test_filter_never_drops_true_matches():
 def test_position_sensitive_uses_locational_index():
     base, last = _populated_base()
     spec = DistanceMetricSpec(position_sensitive=True)
-    analyzer = PatternAnalyzer(base, spec)
+    engine = MatchEngine(base, spec)
     query = last.summaries[0]
-    results, stats = analyzer.match(query, threshold=0.4)
-    assert stats.index_candidates <= stats.archive_size
+    results, stats = engine.match_sgs(query, threshold=0.4)
+    assert stats.gathered <= stats.archive_size
     for result in results:
         assert result.pattern.mbr.intersects(query.mbr())
         assert result.alignment == (0, 0)
@@ -116,15 +117,15 @@ def test_position_sensitive_uses_locational_index():
 
 def test_refine_fraction_property():
     base, last = _populated_base()
-    analyzer = PatternAnalyzer(base)
-    _, stats = analyzer.match(last.summaries[0], threshold=0.2)
+    engine = MatchEngine(base)
+    _, stats = engine.match_sgs(last.summaries[0], threshold=0.2)
     assert 0.0 <= stats.refine_fraction <= 1.0
 
 
 def test_empty_base_returns_nothing():
-    analyzer = PatternAnalyzer(PatternBase())
+    engine = MatchEngine(PatternBase())
     _, last = _populated_base()
-    results, stats = analyzer.match(last.summaries[0], threshold=0.5)
+    results, stats = engine.match_sgs(last.summaries[0], threshold=0.5)
     assert results == []
     assert stats.archive_size == 0
     assert stats.refine_fraction == 0.0

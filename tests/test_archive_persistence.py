@@ -5,11 +5,11 @@ import io
 import pytest
 
 from tests.helpers import clustered_points, roundtrip_bytes, stream_batches
-from repro.archive.analyzer import PatternAnalyzer
 from repro.archive.pattern_base import PatternBase
 from repro.archive.persistence import dump_pattern_base, load_pattern_base
 from repro.core.csgs import CSGS
 from repro.matching.metric import DistanceMetricSpec
+from repro.retrieval.engine import MatchEngine
 
 
 def _populated(seed=1):
@@ -53,8 +53,8 @@ def test_loaded_base_answers_queries_identically():
     loaded = load_pattern_base(io.BytesIO(roundtrip_bytes(base)))
     spec = DistanceMetricSpec()
     query = last.summaries[0]
-    original_results, _ = PatternAnalyzer(base, spec).match(query, 0.3)
-    loaded_results, _ = PatternAnalyzer(loaded, spec).match(query, 0.3)
+    original_results, _ = MatchEngine(base, spec).match_sgs(query, 0.3)
+    loaded_results, _ = MatchEngine(loaded, spec).match_sgs(query, 0.3)
     assert [
         (r.pattern.pattern_id, round(r.distance, 9)) for r in original_results
     ] == [
@@ -138,7 +138,7 @@ def test_unknown_version_rejected():
 def test_engine_caches_survive_reload():
     """The ladder hints written by a matching engine re-warm a fresh
     engine over the reloaded archive."""
-    from repro.retrieval import MatchEngine, MatchQuery
+    from repro.retrieval import MatchQuery
 
     base, last = _populated(seed=8)
     engine = MatchEngine(base, min_coarse_cells=1)

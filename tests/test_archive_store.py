@@ -27,7 +27,6 @@ from repro.archive.store import (
     SqliteStore,
     open_store,
     parse_store_spec,
-    validate_store_spec,
 )
 from repro.core.csgs import CSGS
 from repro.core.features import ClusterFeatures
@@ -79,13 +78,6 @@ def test_parse_store_spec_forms():
 def test_bad_store_specs_rejected(spec):
     with pytest.raises(ValueError):
         parse_store_spec(spec)
-
-
-def test_validate_store_spec_passes_none_through():
-    assert validate_store_spec(None) is None
-    assert validate_store_spec("memory") == "memory"
-    with pytest.raises(ValueError):
-        validate_store_spec("bogus")
 
 
 def test_open_store_backends(tmp_path):

@@ -212,13 +212,9 @@ def test_match_reports_invalid_query_cleanly(tmp_path, capsys):
     assert "invalid matching query" in capsys.readouterr().err
 
 
-def test_run_persists_inverted_index_and_match_serves_sharded(
-    tmp_path, capsys
-):
-    """End to end through the new serving flags: `run --inverted-levels`
-    persists a v3 archive whose index `match` reuses, and
-    `--shards`/`--shard-key` fan the query out with identical answers
-    to the single-shard invocation."""
+def test_run_persists_inverted_index_that_match_reuses(tmp_path, capsys):
+    """`run --inverted-levels` persists a v3 archive whose index
+    `match` screens with instead of rebuilding it."""
     stream_csv = tmp_path / "stream.csv"
     archive = tmp_path / "history.sgsa"
     main(["generate", "--count", "1500", "--seed", "4", "--out",
@@ -237,26 +233,40 @@ def test_run_persists_inverted_index_and_match_serves_sharded(
     index = load_pattern_base(str(archive)).inverted_index()
     assert index is not None and index.levels == (1,)
 
-    single_args = [
-        "match", "--archive", str(archive), "--pattern", "0",
-        "--threshold", "0.6", "--top", "5", "--coarse-level", "1",
-        "--inverted-levels", "1",
-    ]
-    assert main(single_args) == 0
-    single_out = capsys.readouterr().out
     assert main(
-        single_args + ["--shards", "2", "--shard-key", "feature"]
+        [
+            "match", "--archive", str(archive), "--pattern", "0",
+            "--threshold", "0.6", "--top", "5", "--coarse-level", "1",
+            "--inverted-levels", "1",
+        ]
     ) == 0
-    sharded_out = capsys.readouterr().out
-    assert "shards=2" in sharded_out
-    # Identical ranked matches, line for line.
-    single_matches = [
-        line for line in single_out.splitlines() if line.startswith("#")
-    ]
-    sharded_matches = [
-        line for line in sharded_out.splitlines() if line.startswith("#")
-    ]
-    assert single_matches == sharded_matches
+    out = capsys.readouterr().out
+    assert "coarse_screen=inverted" in out
+    assert any(line.startswith("#1: pattern") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "theta_range, win, slide",
+    [("0.3", "120.7", "40"), ("0.3", "121.5", "40.5"), ("-1", "120", "40")],
+)
+def test_run_refuses_an_invalid_query_cleanly(
+    tmp_path, capsys, theta_range, win, slide
+):
+    """Regression pin: `run --win 120.7 --slide 40` ran as win 120,
+    truncated by ``int()``, and a negative θr ended in a traceback. An
+    invalid query is refused, with a message, before any window runs."""
+    stream_csv = tmp_path / "stream.csv"
+    main(["generate", "--count", "300", "--out", str(stream_csv)])
+    capsys.readouterr()
+    assert main(
+        [
+            "run", "--input", str(stream_csv), "--theta-range", theta_range,
+            "--theta-count", "5", "--win", win, "--slide", slide,
+        ]
+    ) == 1
+    captured = capsys.readouterr()
+    assert "invalid query" in captured.err
+    assert "window 0" not in captured.out
 
 
 def test_one_shot_match_hydrates_only_what_it_refines(
@@ -365,6 +375,7 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
         ],
         ["multiplex", "--input", "s.csv", "--queries", "q.txt", "--ab"],
         ["serve", "--archive", "h.sgsa", "--mode", "thread"],
+        ["match", "--archive", "h.sgsa", "--pattern", "0", "--shards", "2"],
         [
             "run", "--input", "s.csv", "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
@@ -378,13 +389,15 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
     ),
     ids=(
         "run--refine", "multiplex--ab", "serve--mode-thread",
+        "match--shards",
         "run--index-backend-auto", "run--index-backend-rtree",
     ),
 )
 def test_retired_path_switches_are_usage_errors(argv, capsys):
-    """The kernel arm, forced-dedicated multiplexing, the thread mode
-    and the adaptive and R-tree neighbour backends are no longer
-    user-set: argparse rejects them before any file is opened."""
+    """The kernel arm, forced-dedicated multiplexing, the thread mode,
+    the adaptive and R-tree neighbour backends and sharding outside
+    `repro serve` are no longer user-set: argparse rejects them before
+    any file is opened."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

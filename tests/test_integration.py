@@ -44,13 +44,13 @@ def test_full_pipeline_2d_blobs():
     # Persist, reload, and match in a "new session".
     blob = roundtrip_bytes(system.pattern_base)
     reloaded = load_pattern_base(io.BytesIO(blob))
-    from repro.archive.analyzer import PatternAnalyzer
+    from repro.retrieval.engine import MatchEngine
 
-    analyzer = PatternAnalyzer(reloaded)
+    engine = MatchEngine(reloaded)
     target = max(
         (sgs for output in outputs for sgs in output.summaries), key=len
     )
-    results, stats = analyzer.match(target, threshold=0.2, top_k=3)
+    results, stats = engine.match_sgs(target, threshold=0.2, top_k=3)
     assert results and results[0].distance == pytest.approx(0.0, abs=1e-9)
     assert stats.archive_size == system.archived_count
 

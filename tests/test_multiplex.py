@@ -515,6 +515,15 @@ def test_service_register_stream_unregister():
                     payload = dict(good, **kind, **{field: bad})
                     with pytest.raises(ServiceError, match="bad query param"):
                         service.register_query(payload)
+        # int() truncated these: {"theta_count": 3.9, "win": 120.7,
+        # "slide": 40.2} registered as 3 / 120 / 40.
+        for fields in (
+            {"theta_count": 3.9}, {"win": 120.7}, {"slide": 40.2},
+            {"theta_count": 3.9, "win": 120.7, "slide": 40.2},
+            {"dimensions": 2.5}, {"dimensions": True},
+        ):
+            with pytest.raises(ServiceError, match="bad query param"):
+                service.register_query(dict(good, **fields))
         with pytest.raises(ServiceError):
             service.stream({"objects": "nope"})
 
@@ -557,6 +566,30 @@ def test_service_register_stream_unregister():
         assert stats["requests"]["stream"] == 2
         assert stats["requests"]["unregister_query"] == 1
         assert stats["archive_size"] == len(service.base) > 0
+    finally:
+        service.close()
+
+
+def test_refused_first_registration_pins_no_dimensionality():
+    """Regression pin: the first registration created the run's
+    scheduler before its query parsed, so a refused 3-D first
+    registration still fixed the run at 3-D and the next valid 2-D one
+    answered 400 "this multiplexed run is 3-dimensional"."""
+    from repro.serving.service import ServiceError
+
+    service = _empty_service()
+    try:
+        with pytest.raises(ServiceError, match="bad query param"):
+            service.register_query(
+                {
+                    "theta_range": math.inf, "theta_count": 3,
+                    "win": 120, "slide": 40, "dimensions": 3,
+                }
+            )
+        assert service.stats()["multiplex"] is None
+        answer = service.register_query({"query": DETECT, "dimensions": 2})
+        assert answer["query"]["id"] == 1
+        assert service.stats()["requests"]["register_query"] == 1
     finally:
         service.close()
 

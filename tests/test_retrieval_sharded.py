@@ -280,20 +280,19 @@ def test_from_base_transfers_persisted_signatures(monkeypatch):
 
 
 def test_analyzer_and_plain_engine_serve_sharded_base():
-    """The analyzer façade over a partitioned archive builds a sharded
-    engine by itself, and even a plain MatchEngine pointed directly at
-    the sharded base works: the merged feature-index and inverted
-    views give the planner and the screen their full read surface."""
-    from repro.archive.analyzer import PatternAnalyzer
-
+    """The Pattern Analyzer over a partitioned archive — a
+    ShardedMatchEngine — answers like one engine over the flat archive,
+    and even a plain MatchEngine pointed directly at the sharded base
+    works: the merged feature-index and inverted views give the planner
+    and the screen their full read surface."""
     base, last = _populated_base(seed=9, inverted_levels=(1,))
     sharded = _sharded(base, 2, "window")
-    analyzer = PatternAnalyzer(sharded)
-    assert isinstance(analyzer.engine, ShardedMatchEngine)
+    fanned = ShardedMatchEngine(sharded)
     reference = MatchEngine(base, use_inverted=False)
     query_sgs = last.summaries[0]
     for threshold in (0.3, 0.9):
-        results, _ = analyzer.match(query_sgs, threshold)
+        query = MatchQuery(sgs=query_sgs, threshold=threshold)
+        results, _ = fanned.match(query)
         assert _as_pairs(results) == _as_pairs(
             reference.match_sgs(query_sgs, threshold)[0]
         )

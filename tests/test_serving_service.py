@@ -245,13 +245,16 @@ def test_error_paths(served):
         ("feature_ranges", [1, 2]),
         ("feature_ranges", {"volume": [1]}),
         ("feature_ranges", {"volume": 5}),
+        ("coarse_level", 1.5),
+        ("window_range", [0.5, 3]),
     ],
 )
 def test_malformed_query_field_is_a_400(served, flat_base, field, value):
     """Regression pin: ``"top_k": 1.5`` escaped as a slicing
     ``TypeError`` and ``"feature_ranges": [1, 2]`` as an
-    ``AttributeError`` — both 500s. A query field of the wrong shape is a
-    typed 400 on both query endpoints."""
+    ``AttributeError`` — both 500s — and ``int()`` truncated a
+    fractional ``coarse_level`` or ``window_range`` bound. A query field
+    of the wrong shape is a typed 400 on both query endpoints."""
     client, _ = served
     query = {"sgs": sgs_to_dict(_query_sgs(flat_base)), "threshold": 0.5}
     query[field] = value

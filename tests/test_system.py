@@ -105,37 +105,6 @@ def test_system_position_sensitive_metric():
         assert result.pattern.mbr.intersects(query.mbr())
 
 
-def test_system_with_replicated_match_engine():
-    """``match_replicas`` threads from the declarative query through
-    the framework: archival fans out to every process-worker replica
-    and match answers equal the plain single-copy system's."""
-    from repro.retrieval.shards import ShardedMatchEngine
-
-    query = ContinuousClusteringQuery(
-        0.3, 5, 2, CountBasedWindowSpec(500, 100),
-        match_shards=2, match_replicas=2,
-    )
-    plain = StreamPatternMiningSystem(0.3, 5, 2, CountBasedWindowSpec(500, 100))
-    plain.run(_stream(seed=7, n=1500))
-    with StreamPatternMiningSystem.from_query(query) as system:
-        assert isinstance(system.engine, ShardedMatchEngine)
-        assert system.engine.mode == "process"
-        assert system.engine.executor.replica_count == 2
-        system.run(_stream(seed=7, n=1500))
-        assert system.archived_count == plain.archived_count
-        probe = next(
-            p.sgs for p in sorted(
-                plain.pattern_base.all_patterns(),
-                key=lambda p: p.pattern_id,
-            )
-        )
-        results, _ = system.match(probe, threshold=0.3, top_k=5)
-        expected, _ = plain.match(probe, threshold=0.3, top_k=5)
-        assert [
-            (r.pattern.pattern_id, r.distance) for r in results
-        ] == [(r.pattern.pattern_id, r.distance) for r in expected]
-
-
 def test_query_spec_constructors():
     query = ContinuousClusteringQuery.count_based(0.3, 5, 2, 500, 100)
     assert query.window.windows_per_object == 5
@@ -159,25 +128,24 @@ def test_query_spec_constructors():
             ):
                 with pytest.raises(ValueError, match="finite"):
                     build(*args)
-    # Replication knobs: positive, and incompatible with the
-    # single-copy serial mode.
-    with pytest.raises(ValueError):
-        ContinuousClusteringQuery(
-            0.3, 5, 2, CountBasedWindowSpec(500, 100), match_replicas=0
-        )
-    with pytest.raises(ValueError):
-        ContinuousClusteringQuery(
-            0.3, 5, 2, CountBasedWindowSpec(500, 100),
-            match_mode="serial", match_replicas=2,
-        )
-    with pytest.raises(ValueError, match="unknown serving mode"):
-        ContinuousClusteringQuery(
-            0.3, 5, 2, CountBasedWindowSpec(500, 100), match_mode="thread"
-        )
-    replicated = ContinuousClusteringQuery(
-        0.3, 5, 2, CountBasedWindowSpec(500, 100), match_replicas=2
+    # θc and the dimensionality are counts: a fractional, bool or string
+    # value is refused, never truncated by int(); an integral float is
+    # taken as its int.
+    for field, value in (
+        ("theta_count", 3.9), ("theta_count", True), ("theta_count", "5"),
+        ("dimensions", 2.5), ("dimensions", False), ("dimensions", "2"),
+    ):
+        counts = dict({"theta_count": 5, "dimensions": 2}, **{field: value})
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ContinuousClusteringQuery(
+                0.3, counts["theta_count"], counts["dimensions"],
+                CountBasedWindowSpec(500, 100),
+            )
+    whole = ContinuousClusteringQuery(
+        0.3, 5.0, 2.0, CountBasedWindowSpec(500, 100)
     )
-    assert replicated.match_replicas == 2
+    assert (whole.theta_count, whole.dimensions) == (5, 2)
+    assert type(whole.theta_count) is int and type(whole.dimensions) is int
 
 
 def test_matching_query_spec_validation():
