@@ -38,12 +38,6 @@ class ArchivedPattern:
     The record is the unit of identity: ``sgs`` is immutable once
     archived (replacing a summary is ``remove`` + ``restore``, which
     makes a new record), so caches key on the record itself.
-
-    ``ladder_hint`` records how many multi-resolution ladder levels a
-    matching engine has materialized above the stored representation —
-    a cache-warmth hint carried by the v2 archive format so a reloaded
-    archive can rebuild its coarse-entry caches eagerly. It never
-    affects matching results.
     """
 
     __slots__ = (
@@ -53,23 +47,15 @@ class ArchivedPattern:
         "mbr",
         "window_index",
         "full_size",
-        "ladder_hint",
     )
 
-    def __init__(
-        self,
-        pattern_id: int,
-        sgs: SGS,
-        full_size: int,
-        ladder_hint: int = 0,
-    ):
+    def __init__(self, pattern_id: int, sgs: SGS, full_size: int):
         self.pattern_id = pattern_id
         self.sgs = sgs
         self.features = ClusterFeatures.from_sgs(sgs)
         self.mbr = sgs.mbr()
         self.window_index = sgs.window_index
         self.full_size = int(full_size)
-        self.ladder_hint = int(ladder_hint)
 
     def summary_bytes(self) -> int:
         return sgs_bytes(self.sgs)
@@ -221,11 +207,6 @@ class PatternBase:
             raise
         self._next_id = max(self._next_id, stored.pattern_id + 1)
         return stored
-
-    def add_archived(self, pattern: ArchivedPattern) -> ArchivedPattern:
-        """Alias of :meth:`restore` (API-discoverable counterpart of
-        :meth:`add` for patterns that already carry an id)."""
-        return self.restore(pattern)
 
     def remove(self, pattern_id: int) -> bool:
         pattern = self._store.get(pattern_id)

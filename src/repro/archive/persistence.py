@@ -11,7 +11,7 @@ Format (version 3; version-1 and version-2 files still load)::
 
     magic  b"SGSA"   | uint32 version | uint32 pattern count
     per pattern (v2+): uint32 pattern_id | uint32 full_size |
-                       uint8 ladder_hint | uint32 blob length | SGS blob
+                       uint8 reserved | uint32 blob length | SGS blob
     per pattern (v1):  uint32 pattern_id | uint32 full_size |
                        uint32 blob length | SGS blob
     inverted section (v3): uint8 present
@@ -20,10 +20,10 @@ Format (version 3; version-1 and version-2 files still load)::
       then per pattern (ascending id), per level (ascending):
                     uint32 cell count | cells × dims × int32 coords
 
-``ladder_hint`` is the pattern's multi-resolution cache-warmth byte
-(how many coarser ladder levels a matching engine had materialized; see
-:class:`repro.archive.pattern_base.ArchivedPattern`): purely advisory,
-so a v1 file simply restores with cold hints.
+The reserved byte once carried a matching engine's cache-warmth hint.
+The archive holds no engine state any more, so it is written 0 and
+ignored on load; the record layout, and with it every reader, is
+unchanged.
 
 The inverted section persists the archive's inverted cell-signature
 index (:mod:`repro.retrieval.inverted`): each pattern's canonical-
@@ -51,7 +51,6 @@ from repro.retrieval.inverted import InvertedCellIndex
 
 _MAGIC = b"SGSA"
 _VERSION = 3
-_MAX_LADDER_HINT = 255
 
 PathLike = Union[str, Path]
 
@@ -96,9 +95,8 @@ def dump_pattern_base(base, target: Union[PathLike, BinaryIO]) -> int:
     written += len(header)
     for pattern in patterns:
         blob = sgs_to_bytes(pattern.sgs)
-        hint = min(max(pattern.ladder_hint, 0), _MAX_LADDER_HINT)
         record = struct.pack(
-            "<IIBI", pattern.pattern_id, pattern.full_size, hint, len(blob)
+            "<IIBI", pattern.pattern_id, pattern.full_size, 0, len(blob)
         )
         target.write(record)
         target.write(blob)
@@ -135,11 +133,10 @@ def load_pattern_base(
 ) -> PatternBase:
     """Read an archive written by :func:`dump_pattern_base`.
 
-    Pattern ids (and, for v2+ files, the per-pattern ladder-hint bytes)
-    are preserved; the feature and locational indices are rebuilt on
-    load through the Pattern Base's public :meth:`restore` seam, and a
-    v3 inverted section restores the inverted cell-signature index
-    without recomputing any signature.
+    Pattern ids are preserved; the feature and locational indices are
+    rebuilt on load through the Pattern Base's public :meth:`restore`
+    seam, and a v3 inverted section restores the inverted cell-signature
+    index without recomputing any signature.
 
     ``store`` names the backend the loaded base should live on (a spec
     string like ``"sqlite:PATH"`` or an open
@@ -175,18 +172,13 @@ def load_pattern_base(
                 pattern_id, full_size, blob_length = struct.unpack(
                     record_format, record
                 )
-                ladder_hint = 0
             else:
-                (
-                    pattern_id, full_size, ladder_hint, blob_length,
-                ) = struct.unpack(record_format, record)
+                pattern_id, full_size, _, blob_length = struct.unpack(
+                    record_format, record
+                )
             blob = _read_exact(source, blob_length, "SGS blob")
             sgs = sgs_from_bytes(blob)
-            base.restore(
-                ArchivedPattern(
-                    pattern_id, sgs, full_size, ladder_hint=ladder_hint
-                )
-            )
+            base.restore(ArchivedPattern(pattern_id, sgs, full_size))
             pattern_ids.append(pattern_id)
         if version >= _VERSION:
             _load_inverted_section(base, sorted(pattern_ids), source)

@@ -14,13 +14,16 @@ pluggable:
 * :class:`SqliteStore` — a disk-backed SQLite database in WAL mode
   (``synchronous=NORMAL``, the Paper-Scanner recipe): patterns are
   serialized SGS blobs plus their index keys (features, MBR,
-  ``full_size``, ``ladder_hint``) as columns, with materialized
-  feature-grid bin rows and inverted posting lists as tables. Each
-  archival commits **one transaction before the caller is acked**, so a
-  crash never loses an acknowledged pattern, and WAL keeps readers
-  concurrent with archival writes. Reopening the store rebuilds the
-  in-memory indexes from the metadata columns alone — no SGS blob is
-  parsed until matching actually needs its cells.
+  ``full_size``) as columns, with materialized feature-grid bin rows
+  and inverted posting lists as tables. Each archival commits **one
+  transaction before the caller is acked**, so a crash never loses an
+  acknowledged pattern, and WAL keeps readers concurrent with archival
+  writes. Reopening the store rebuilds the in-memory indexes from the
+  metadata columns alone — no SGS blob is parsed until matching
+  actually needs its cells.
+
+The archive holds patterns, never engine state: matching only reads
+it, so a match never takes the write lock and never waits on a writer.
 
 Lazy hydration: a SQLite-backed base holds one light
 :class:`StoredPattern` stub per pattern (id, features, MBR, sizes —
@@ -71,9 +74,9 @@ STORE_BACKENDS = ("memory", "sqlite")
 #: summaries kept in memory; everything else streams from disk).
 DEFAULT_CACHE_PATTERNS = 128
 
-#: How long a statement waits on another connection's write lock before
-#: failing with ``database is locked``. A coarse match writes ladder
-#: hints from inside a read query, so even readers can meet the lock.
+#: How long a write (archival, removal, a bulk load, the one-time schema
+#: upgrade at open) waits on another connection's write lock before
+#: failing with ``database is locked``. Reads never take that lock.
 BUSY_TIMEOUT_MS = 5000
 
 Coord = Tuple[int, ...]
@@ -238,10 +241,6 @@ class PatternStore:
 
     # -- lifecycle / telemetry -----------------------------------------
 
-    def note_ladder_hint(self, pattern_id: int, hint: int) -> None:
-        """Persist an updated cache-warmth byte (advisory; memory
-        stores keep it on the pattern object itself)."""
-
     def describe(self) -> Dict[str, object]:
         raise NotImplementedError
 
@@ -314,11 +313,10 @@ class StoredPattern(ArchivedPattern):
 
     Shares :class:`ArchivedPattern`'s surface — the engines, indices,
     and persistence never see the difference — but holds no summary:
-    ``sgs`` hydrates from the owning store's LRU on access, and
-    ``ladder_hint`` writes through so cache warmth survives reopen.
+    ``sgs`` hydrates from the owning store's LRU on access.
     """
 
-    __slots__ = ("_store", "_hint", "_nbytes")
+    __slots__ = ("_store", "_nbytes")
 
     def __init__(
         self,
@@ -326,7 +324,6 @@ class StoredPattern(ArchivedPattern):
         pattern_id: int,
         window_index: int,
         full_size: int,
-        ladder_hint: int,
         features: ClusterFeatures,
         mbr: MBR,
         nbytes: int,
@@ -340,24 +337,11 @@ class StoredPattern(ArchivedPattern):
         self.window_index = int(window_index)
         self.full_size = int(full_size)
         self._store = store
-        self._hint = int(ladder_hint)
         self._nbytes = int(nbytes)
 
     @property
     def sgs(self) -> SGS:
         return self._store._sgs_of(self.pattern_id)
-
-    @property
-    def ladder_hint(self) -> int:
-        return self._hint
-
-    @ladder_hint.setter
-    def ladder_hint(self, value: int) -> None:
-        value = int(value)
-        if value == self._hint:
-            return
-        self._hint = value
-        self._store.note_ladder_hint(self.pattern_id, value)
 
     def summary_bytes(self) -> int:
         return self._nbytes
@@ -373,7 +357,6 @@ CREATE TABLE IF NOT EXISTS patterns (
     seq              INTEGER NOT NULL,
     window_index     INTEGER NOT NULL,
     full_size        INTEGER NOT NULL,
-    ladder_hint      INTEGER NOT NULL,
     volume           REAL NOT NULL,
     core_count       REAL NOT NULL,
     avg_density      REAL NOT NULL,
@@ -411,7 +394,7 @@ class SqliteStore(PatternStore):
     commit survives a process crash (an OS/power failure can lose the
     newest WAL frames but never corrupts the database — the standard
     WAL trade), and a fixed ``busy_timeout`` so a second process holding
-    the write lock delays a statement instead of failing it. One
+    the write lock delays a write instead of failing it. One
     connection serves all threads behind a lock; the serving layer's
     own request lock already serializes mutation.
     """
@@ -434,6 +417,10 @@ class SqliteStore(PatternStore):
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
         self._conn.executescript(_SCHEMA)
+        columns = self._conn.execute("PRAGMA table_info(patterns)")
+        if "ladder_hint" in {row[1] for row in columns}:
+            # Written before matching stopped persisting cache warmth.
+            self._conn.execute("ALTER TABLE patterns DROP COLUMN ladder_hint")
         self._stubs: Dict[int, StoredPattern] = {}
         self._cache: "OrderedDict[int, SGS]" = OrderedDict()
         #: Registered-but-uncommitted rows: ``id -> (row, blob, sgs)``.
@@ -447,13 +434,13 @@ class SqliteStore(PatternStore):
 
     def _load_stubs(self) -> None:
         rows = self._conn.execute(
-            "SELECT pattern_id, seq, window_index, full_size, ladder_hint,"
+            "SELECT pattern_id, seq, window_index, full_size,"
             " volume, core_count, avg_density, avg_connectivity,"
             " mbr_lows, mbr_highs, summary_bytes"
             " FROM patterns ORDER BY seq"
         ).fetchall()
         for (
-            pattern_id, seq, window_index, full_size, ladder_hint,
+            pattern_id, seq, window_index, full_size,
             volume, core_count, avg_density, avg_connectivity,
             mbr_lows, mbr_highs, nbytes,
         ) in rows:
@@ -465,7 +452,7 @@ class SqliteStore(PatternStore):
             )
             mbr = MBR(json.loads(mbr_lows), json.loads(mbr_highs))
             self._stubs[pattern_id] = StoredPattern(
-                self, pattern_id, window_index, full_size, ladder_hint,
+                self, pattern_id, window_index, full_size,
                 features, mbr, nbytes,
             )
             self._seq = max(self._seq, seq + 1)
@@ -486,7 +473,6 @@ class SqliteStore(PatternStore):
                 pattern.pattern_id,
                 pattern.window_index,
                 pattern.full_size,
-                pattern.ladder_hint,
                 pattern.features,
                 pattern.mbr,
                 nbytes,
@@ -496,7 +482,6 @@ class SqliteStore(PatternStore):
                 self._seq,
                 stub.window_index,
                 stub.full_size,
-                int(pattern.ladder_hint),
                 stub.features.volume,
                 stub.features.core_count,
                 stub.features.avg_density,
@@ -523,10 +508,9 @@ class SqliteStore(PatternStore):
             try:
                 self._conn.execute(
                     "INSERT INTO patterns (pattern_id, seq, window_index,"
-                    " full_size, ladder_hint, volume, core_count,"
-                    " avg_density, avg_connectivity, mbr_lows, mbr_highs,"
-                    " summary_bytes, blob)"
-                    " VALUES (?,?,?,?,?,?,?,?,?,?,?,?,?)",
+                    " full_size, volume, core_count, avg_density,"
+                    " avg_connectivity, mbr_lows, mbr_highs, summary_bytes,"
+                    " blob) VALUES (?,?,?,?,?,?,?,?,?,?,?,?)",
                     row + (blob,),
                 )
                 if bins is not None:
@@ -583,13 +567,6 @@ class SqliteStore(PatternStore):
             del self._stubs[pattern_id]
             self._cache.pop(pattern_id, None)
             return True
-
-    def note_ladder_hint(self, pattern_id: int, hint: int) -> None:
-        with self._lock:
-            self._conn.execute(
-                "UPDATE patterns SET ladder_hint = ? WHERE pattern_id = ?",
-                (int(hint), pattern_id),
-            )
 
     # -- read path -----------------------------------------------------
 

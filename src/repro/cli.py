@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import signal
 import sys
 from typing import Iterator, List, Optional, Sequence
 
@@ -451,20 +452,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(str(error), file=sys.stderr)
         return 1
     server, host, port = make_server(service, args.host, args.port)
-    # One parseable line, flushed before serving: tests and scripts
-    # read the bound port from it (important with --port 0).
-    print(
-        f"serving {len(service.base)} patterns "
-        f"(shards={service.base.shard_count}, mode={service.mode}, "
-        f"replicas={service.engine.executor.replica_count}) "
-        f"on http://{host}:{port}",
-        flush=True,
-    )
+    # SIGTERM (a supervisor's stop, a plain `kill`) ends the server the
+    # way Ctrl-C does, so the shard workers are closed and joined.
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        # One parseable line, flushed before serving: tests and scripts
+        # read the bound port from it (important with --port 0).
+        print(
+            f"serving {len(service.base)} patterns "
+            f"(shards={service.base.shard_count}, mode={service.mode}, "
+            f"replicas={service.engine.executor.replica_count}) "
+            f"on http://{host}:{port}",
+            flush=True,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGTERM, previous)
         server.server_close()
         service.close()
     return 0

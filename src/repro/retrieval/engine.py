@@ -149,12 +149,13 @@ class MatchEngine:
     ``max_alignment_expansions`` budgets the anytime alignment search at
     the stored level, ``coarse_expansions`` at coarse rungs (coarse
     SGS are small, so a reduced budget suffices). Per-pattern coarse
-    rungs are built lazily and cached against the archive record the
-    base handed out (never the stored-resolution summary, which stays
-    behind the store's LRU); each build is recorded in the pattern's
-    ``ladder_hint`` so a persisted archive (format v2) can re-warm the
-    cache after reload via :meth:`warm_ladders`. A stored summary is
-    immutable once archived; replacing it is remove + ``restore``.
+    rungs are built lazily and cached in memory against the archive
+    record the base handed out (never the stored-resolution summary,
+    which stays behind the store's LRU). Matching only reads the
+    archive: the cache is engine state, never written back to a record
+    or a store, so a match never waits on another connection's write
+    lock. A stored summary is immutable once archived; replacing it is
+    remove + ``restore``.
     """
 
     def __init__(
@@ -237,23 +238,7 @@ class MatchEngine:
                 else self.pattern_at_level(pattern, 0, canonical)
             )
             rungs.append(coarsen_sgs(below, self.ladder_factor))
-        if pattern.ladder_hint < len(rungs):
-            pattern.ladder_hint = len(rungs)
         return rungs[level - 1]
-
-    def warm_ladders(self) -> int:
-        """Rebuild each pattern's cached ladder up to its persisted
-        ``ladder_hint`` (in the engine default spec's phase); returns
-        the number of levels materialized."""
-        canonical = not self.spec.position_sensitive
-        built = 0
-        for pattern in self.base.all_patterns():
-            if pattern.ladder_hint > 0:
-                self.pattern_at_level(
-                    pattern, pattern.ladder_hint, canonical=canonical
-                )
-                built += pattern.ladder_hint
-        return built
 
     def invalidate(self, pattern_id: Optional[int] = None) -> None:
         """Drop cached ladders (for one pattern, or all of them)."""
@@ -262,10 +247,6 @@ class MatchEngine:
         else:
             for canonical in (False, True):
                 self._ladders.pop((pattern_id, canonical), None)
-
-    def cached_ladder_levels(self) -> int:
-        """Total coarser levels currently materialized (telemetry)."""
-        return sum(len(rungs) for _, rungs in self._ladders.values())
 
     def _maybe_prune_ladders(self) -> None:
         """Drop ladders of patterns evicted from the base.

@@ -358,9 +358,6 @@ class ShardedPatternBase:
             inverted_config=inverted_config,
         )
 
-    def add_archived(self, pattern: ArchivedPattern) -> ArchivedPattern:
-        return self.restore(pattern)
-
     def remove(self, pattern_id: int) -> bool:
         index = self._owner.pop(pattern_id, None)
         if index is None:
@@ -615,14 +612,6 @@ class ShardedMatchEngine:
     # Cache management (forwarded)
     # ------------------------------------------------------------------
 
-    def warm_ladders(self) -> int:
-        return sum(engine.warm_ladders() for engine in self.engines)
-
     def invalidate(self, pattern_id: Optional[int] = None) -> None:
         for engine in self.engines:
             engine.invalidate(pattern_id)
-
-    def cached_ladder_levels(self) -> int:
-        return sum(
-            engine.cached_ladder_levels() for engine in self.engines
-        )

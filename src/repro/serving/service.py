@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.archive.pattern_base import PatternBase
 from repro.archive.persistence import load_pattern_base
-from repro.config import ContinuousClusteringQuery
+from repro.config import ContinuousClusteringQuery, as_integer
 from repro.core.serialize import sgs_from_dict
 from repro.matching.metric import DistanceMetricSpec
 from repro.multiplex.scheduler import SlideScheduler
@@ -193,7 +193,9 @@ class MatchService:
             raise ServiceError('ingest needs {"sgs": ..., "full_size": ...}')
         try:
             sgs = sgs_from_dict(payload["sgs"])
-            full_size = int(payload.get("full_size", sgs.population))
+            full_size = as_integer(
+                "full_size", payload.get("full_size", sgs.population)
+            )
         except (KeyError, TypeError, ValueError) as error:
             raise ServiceError(f"bad ingest payload: {error}") from None
         with self._lock:

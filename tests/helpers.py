@@ -344,9 +344,6 @@ class ReferenceLadderEngine(MatchEngine):
         ladder = cached[1]
         while len(ladder) <= level:
             ladder.append(coarsen_sgs(ladder[-1], self.ladder_factor))
-        built = len(ladder) - 1
-        if pattern.ladder_hint < built:
-            pattern.ladder_hint = built
         return ladder[level]
 
 

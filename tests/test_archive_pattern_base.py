@@ -107,10 +107,9 @@ def test_restore_preserves_id_and_advances_allocator():
     base = PatternBase()
     summaries = _summaries()
     sgs, size = summaries[0]
-    pattern = ArchivedPattern(7, sgs, size, ladder_hint=2)
+    pattern = ArchivedPattern(7, sgs, size)
     assert base.restore(pattern) is pattern
     assert base.get(7) is pattern
-    assert base.get(7).ladder_hint == 2
     # Both indices answer for the restored pattern.
     assert pattern in base.overlapping(pattern.mbr)
     features = pattern.features.as_tuple()
@@ -129,12 +128,3 @@ def test_restore_rejects_duplicate_id():
     base.restore(ArchivedPattern(3, sgs, size))
     with pytest.raises(ValueError):
         base.restore(ArchivedPattern(3, sgs, size))
-
-
-def test_add_archived_is_restore():
-    from repro.archive.pattern_base import ArchivedPattern
-
-    base = PatternBase()
-    (sgs, size), *_ = _summaries()
-    pattern = base.add_archived(ArchivedPattern(5, sgs, size))
-    assert base.get(5) is pattern

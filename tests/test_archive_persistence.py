@@ -88,21 +88,28 @@ def test_truncated_rejected():
         load_pattern_base(io.BytesIO(blob[: len(blob) // 2]))
 
 
-def test_v2_roundtrip_preserves_ladder_hints():
+def test_reserved_record_byte_is_written_zero_and_ignored():
+    """Each v2+ record's reserved byte (once a cache-warmth hint) is
+    written 0; a file whose bytes an older writer set loads into the
+    very same archive."""
+    import struct
+
     base, _ = _populated(seed=6)
-    patterns = sorted(base.all_patterns(), key=lambda p: p.pattern_id)
-    for i, pattern in enumerate(patterns):
-        pattern.ladder_hint = i % 4
-    loaded = load_pattern_base(io.BytesIO(roundtrip_bytes(base)))
-    for pattern in patterns:
-        assert loaded.get(pattern.pattern_id).ladder_hint == (
-            pattern.ladder_hint
-        )
+    blob = bytearray(roundtrip_bytes(base))
+    offset = 12
+    for _ in range(len(base)):
+        _, _, reserved, length = struct.unpack_from("<IIBI", blob, offset)
+        assert reserved == 0
+        blob[offset + 8] = 1 + offset % 200
+        offset += 13 + length
+    assert blob[offset:] == b"\x00"  # no inverted section
+    loaded = load_pattern_base(io.BytesIO(bytes(blob)))
+    assert roundtrip_bytes(loaded) == roundtrip_bytes(base)
 
 
 def test_v1_archive_still_loads():
-    """A version-1 file (no per-pattern ladder-hint byte) restores with
-    cold hints and identical patterns."""
+    """A version-1 file (no per-pattern reserved byte) restores
+    identical patterns."""
     import struct
 
     from repro.core.serialize import sgs_to_bytes
@@ -122,7 +129,6 @@ def test_v1_archive_still_loads():
     assert len(loaded) == len(base)
     for pattern in patterns:
         restored = loaded.get(pattern.pattern_id)
-        assert restored.ladder_hint == 0
         assert restored.full_size == pattern.full_size
         assert set(restored.sgs.cells) == set(pattern.sgs.cells)
 
@@ -135,21 +141,25 @@ def test_unknown_version_rejected():
         load_pattern_base(io.BytesIO(blob))
 
 
-def test_engine_caches_survive_reload():
-    """The ladder hints written by a matching engine re-warm a fresh
-    engine over the reloaded archive."""
+def test_coarse_match_leaves_the_dump_unchanged():
+    """Matching only reads the archive: coarse matches in both phases
+    build ladder rungs in the engine, and the dump is byte-identical."""
     from repro.retrieval import MatchQuery
 
     base, last = _populated(seed=8)
+    before = roundtrip_bytes(base)
     engine = MatchEngine(base, min_coarse_cells=1)
-    engine.match(
-        MatchQuery(sgs=last.summaries[0], threshold=0.5, coarse_level=1)
-    )
-    hints = sum(p.ladder_hint for p in base.all_patterns())
-    assert hints > 0
-    loaded = load_pattern_base(io.BytesIO(roundtrip_bytes(base)))
-    fresh = MatchEngine(loaded)
-    assert fresh.warm_ladders() == hints
+    for metric in (
+        DistanceMetricSpec(), DistanceMetricSpec(position_sensitive=True)
+    ):
+        engine.match(
+            MatchQuery(
+                sgs=last.summaries[0], threshold=0.5, metric=metric,
+                coarse_level=2,
+            )
+        )
+    assert {canonical for _, canonical in engine._ladders} == {True, False}
+    assert roundtrip_bytes(base) == before
 
 
 # ----------------------------------------------------------------------
@@ -208,7 +218,7 @@ def test_v2_archive_still_loads_and_rebuilds_inverted():
                 "<IIBI",
                 pattern.pattern_id,
                 pattern.full_size,
-                pattern.ladder_hint,
+                pattern.pattern_id % 4,  # an older writer's hint byte
                 len(blob),
             )
         )

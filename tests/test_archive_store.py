@@ -207,54 +207,133 @@ def test_sqlite_stub_identity_in_indices(tmp_path):
     base.close()
 
 
-def test_ladder_hint_writes_through(tmp_path):
-    spec = f"sqlite:{tmp_path / 'hints.db'}"
-    base, _ = _populated(seed=7, store=spec)
-    pattern_id = min(p.pattern_id for p in base.all_patterns())
-    base.get(pattern_id).ladder_hint = 3
+def _answers(engine, query):
+    results, _ = engine.match(query)
+    return [
+        (r.pattern.pattern_id, r.distance, tuple(r.alignment))
+        for r in results
+    ]
+
+
+def test_archive_in_the_older_schema_opens_answers_and_ingests(tmp_path):
+    """A file whose patterns table still has the ``ladder_hint`` column
+    (the cache-warmth hint matching once wrote) opens with the column
+    dropped, answers as the archive it was copied from, and keeps an
+    ingest across a reopen."""
+    import sqlite3
+
+    from repro.archive import store as store_module
+    from repro.matching.metric import DistanceMetricSpec
+    from repro.retrieval import MatchEngine, MatchQuery
+
+    source = tmp_path / "source.db"
+    base, last = _populated(seed=7, store=f"sqlite:{source}", inverted=(1,))
+    queries = [
+        MatchQuery(
+            sgs=last.summaries[0], threshold=0.9, metric=metric,
+            coarse_level=level,
+        )
+        for metric in (
+            DistanceMetricSpec(), DistanceMetricSpec(position_sensitive=True)
+        )
+        for level in (0, 1)
+    ]
+    engine = MatchEngine(base, min_coarse_cells=1)
+    expected = [_answers(engine, query) for query in queries]
+    assert all(expected)
+    count = len(base)
     base.close()
+
+    older = tmp_path / "older.db"
+    column = "    full_size        INTEGER NOT NULL,\n"
+    assert column in store_module._SCHEMA
+    conn = sqlite3.connect(str(older))
+    conn.executescript(
+        store_module._SCHEMA.replace(
+            column, column + "    ladder_hint      INTEGER NOT NULL,\n"
+        )
+    )
+    conn.execute("ATTACH DATABASE ? AS source", (str(source),))
+    for table in ("meta", "feature_bins", "postings"):
+        conn.execute(f"INSERT INTO {table} SELECT * FROM source.{table}")
+    conn.execute(
+        "INSERT INTO patterns SELECT pattern_id, seq, window_index,"
+        " full_size, 3, volume, core_count, avg_density, avg_connectivity,"
+        " mbr_lows, mbr_highs, summary_bytes, blob FROM source.patterns"
+    )
+    conn.commit()
+    conn.close()
+
+    spec = f"sqlite:{older}"
     with PatternBase(store=spec) as reopened:
-        assert reopened.get(pattern_id).ladder_hint == 3
+        columns = reopened.store._conn.execute("PRAGMA table_info(patterns)")
+        assert "ladder_hint" not in {row[1] for row in columns}
+        engine = MatchEngine(reopened, min_coarse_cells=1)
+        assert [_answers(engine, query) for query in queries] == expected
+        fresh = reopened.add(last.summaries[0], 9)
+    with PatternBase(store=spec) as reopened:
+        assert len(reopened) == count + 1
+        assert reopened.get(fresh.pattern_id).full_size == 9
+        assert set(reopened.get(fresh.pattern_id).sgs.cells) == set(
+            last.summaries[0].cells
+        )
 
 
 def test_statements_wait_out_another_connections_write_lock(tmp_path):
-    """A second process holding the write lock delays a statement, it
-    does not fail it — not an archival commit, and not the ladder-hint
-    ``UPDATE`` a coarse match issues from inside a read query."""
+    """A second process holding the write lock delays an archival
+    commit, it does not fail it. A match never meets that lock: a
+    position-sensitive coarse match over a cold archive answers at
+    once, and answers what it answers with the file unlocked."""
     import sqlite3
     import threading
     from time import perf_counter
 
+    from repro.matching.metric import DistanceMetricSpec
     from repro.retrieval import MatchEngine, MatchQuery
 
     path = tmp_path / "busy.db"
     base, last = _populated(seed=10, store=f"sqlite:{path}")
     timeout = base.store._conn.execute("PRAGMA busy_timeout").fetchone()[0]
     assert timeout == BUSY_TIMEOUT_MS
-    engine = MatchEngine(base, min_coarse_cells=1)
-    query = MatchQuery(sgs=last.summaries[0], threshold=0.9, coarse_level=1)
     other = sqlite3.connect(
         str(path), isolation_level=None, check_same_thread=False
     )
     try:
-        for statement in (
-            lambda: base.add(last.summaries[0], 9),
-            lambda: engine.match(query),
-        ):
-            other.execute("BEGIN IMMEDIATE")
-            release = threading.Timer(0.2, other.execute, ("COMMIT",))
-            release.start()
-            try:
-                asked = perf_counter()
-                statement()
-                waited = perf_counter() - asked
-            finally:
-                release.join(timeout=5)
-            assert not release.is_alive()
-            assert waited > 0.1, "the statement never met the lock"
+        other.execute("BEGIN IMMEDIATE")
+        release = threading.Timer(0.2, other.execute, ("COMMIT",))
+        release.start()
+        try:
+            asked = perf_counter()
+            base.add(last.summaries[0], 9)
+            waited = perf_counter() - asked
+        finally:
+            release.join(timeout=5)
+        assert not release.is_alive()
+        assert waited > 0.1, "the archival commit never met the lock"
+        base.close()
+
+        # Cold, with a two-summary LRU: the match hydrates from disk.
+        base = PatternBase(store=f"sqlite:{path}?cache=2")
+        query = MatchQuery(
+            sgs=last.summaries[0],
+            threshold=0.9,
+            metric=DistanceMetricSpec(position_sensitive=True),
+            coarse_level=1,
+        )
+        other.execute("BEGIN IMMEDIATE")
+        try:
+            asked = perf_counter()
+            locked = _answers(MatchEngine(base, min_coarse_cells=1), query)
+            answered = perf_counter() - asked
+        finally:
+            other.execute("ROLLBACK")
+        assert answered < 1.0, "the match waited on the write lock"
+        assert locked
+        assert locked == _answers(
+            MatchEngine(base, min_coarse_cells=1), query
+        )
     finally:
         other.close()
-    assert any(p.ladder_hint for p in base.all_patterns())
     base.close()
 
 

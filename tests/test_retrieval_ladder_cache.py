@@ -265,15 +265,7 @@ def test_second_panel_pass_coarsens_no_pattern_and_hydrates_only_refined(
     assert len(calls) == len(panel)
     refined = sum(stats["refined"] for _, stats in second)
     assert base.store.stats["hydrations"] - before <= refined
-
-    # Every build was recorded where a reopened archive will find it.
-    for (pattern_id, _), (record, rungs) in engine._ladders.items():
-        assert record.ladder_hint == len(rungs) == 1
     base.close()
-    reopened = PatternBase(store=f"sqlite:{tmp_path / 'panel.db'}")
-    hinted = {p.pattern_id for p in reopened.all_patterns() if p.ladder_hint}
-    reopened.close()
-    assert hinted == {pattern_id for pattern_id, _ in engine._ladders}
 
 
 def test_cache_holds_rungs_of_records_never_a_stored_summary(tmp_path):
@@ -291,9 +283,6 @@ def test_cache_holds_rungs_of_records_never_a_stored_summary(tmp_path):
         base.get(0).sgs
     )
     assert engine._ladders
-    assert engine.cached_ladder_levels() == sum(
-        len(rungs) for _, rungs in engine._ladders.values()
-    )
     for (pattern_id, _), (record, rungs) in engine._ladders.items():
         assert record is base.get(pattern_id)
         assert [rung.level for rung in rungs] == list(

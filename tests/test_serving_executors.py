@@ -395,3 +395,54 @@ def test_build_executor_validation(flat_base):
     assert build_executor(None, engines[:1]).mode == "serial"
     with pytest.raises(ValueError, match="unknown serving mode"):
         build_executor("thread", engines)
+
+
+def test_sigterm_stops_serve_and_joins_its_workers(flat_base, tmp_path):
+    """``repro serve --mode process`` treats SIGTERM as Ctrl-C: it
+    closes the service and exits 0, and no process of its session — a
+    shard worker, the multiprocessing resource tracker — outlives it."""
+    import subprocess
+    import sys
+
+    from repro.archive.persistence import dump_pattern_base
+
+    archive = tmp_path / "served.sgsa"
+    dump_pattern_base(flat_base, str(archive))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--archive", str(archive),
+            "--shards", "2", "--mode", "process", "--port", "0",
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src"),
+        },
+        start_new_session=True,
+    )
+    pgid = proc.pid  # a new session's leader leads its process group
+    try:
+        banner = proc.stdout.readline()
+        assert " on http://" in banner, f"no serve banner: {banner!r}"
+        os.kill(proc.pid, signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        deadline = time.monotonic() + 10
+        while True:
+            try:
+                os.killpg(pgid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, (
+                "a process of the server's group outlived it"
+            )
+            time.sleep(0.1)
+    finally:
+        try:
+            os.killpg(pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait(timeout=10)
+        proc.stdout.close()

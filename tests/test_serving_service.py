@@ -662,6 +662,13 @@ def test_service_rejects_malformed_payloads_directly(archive_path):
             service.ingest({})
         with pytest.raises(ServiceError):
             service.match({"sgs": {"broken": True}, "threshold": 0.5})
+        sgs = sgs_to_dict(service.base.get(0).sgs)
+        size = len(service.base)
+        # A fractional, boolean or string size is refused, not coerced.
+        for full_size in (12.9, True, "7"):
+            with pytest.raises(ServiceError, match="bad ingest payload"):
+                service.ingest({"sgs": sgs, "full_size": full_size})
+        assert len(service.base) == size
 
 
 def test_cli_serve_end_to_end(archive_path, flat_base):

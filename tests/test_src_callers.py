@@ -2,18 +2,21 @@
 
 A top-level function or class, or a method of a top-level class, under
 ``src/repro`` must be named somewhere in ``src/``, ``benchmarks/`` or
-``examples/`` outside its own body: by a call, an attribute read, a
-subclass, a string a dispatcher builds. What the test suite alone
-reaches is not part of the program — an oracle for other code lives in
-``tests/helpers.py`` instead. Imports, ``__all__`` lists, docstrings
-and comment lines name a definition without using it, so they do not
-count. Dunder methods are called by the interpreter and are exempt.
+``examples/`` outside the body of every definition of that name: by a
+call, an attribute read, a subclass, a string a dispatcher builds. A
+forwarder that shares its target's name (``Sharded.warm`` calling
+``engine.warm``) therefore earns neither of them a caller. What the
+test suite alone reaches is not part of the program — an oracle for
+other code lives in ``tests/helpers.py`` instead. Imports, ``__all__``
+lists, docstrings and comment lines name a definition without using
+it, so they do not count. Dunder methods are called by the interpreter
+and are exempt.
 """
 
 import ast
 import functools
 import re
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -93,9 +96,17 @@ def uncalled_definitions() -> tuple:
             tree = ast.parse(source)
             words[path] = _words(source, _unused_lines(tree))
             trees[path] = tree
-    named = Counter(
-        word for per_line in words.values() for line in per_line for word in line
-    )
+    # Where each name is used, and the lines each name's definitions span.
+    uses, spans = defaultdict(set), defaultdict(set)
+    for path, per_line in words.items():
+        for row, line in enumerate(per_line):
+            for word in line:
+                uses[word].add((path, row))
+        for _, node in _definitions(trees[path]):
+            first = (node.decorator_list or [node])[0].lineno - 1
+            spans[node.name].update(
+                (path, row) for row in range(first, node.end_lineno)
+            )
     found = []
     for path, tree in trees.items():
         if SRC not in path.parents:
@@ -104,11 +115,7 @@ def uncalled_definitions() -> tuple:
             name = node.name
             if name.startswith("__") and name.endswith("__"):
                 continue
-            first = (node.decorator_list or [node])[0].lineno - 1
-            own = sum(
-                line.count(name) for line in words[path][first:node.end_lineno]
-            )
-            if named[name] == own:
+            if uses[name] <= spans[name]:
                 found.append(f"{path.relative_to(SRC).as_posix()}:{qualified}")
     return tuple(found)
 
