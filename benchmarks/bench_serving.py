@@ -6,7 +6,7 @@ runs one ``match_many`` batch through both deployment modes of the
 :mod:`repro.serving` seam:
 
 * **serial** — shard engines in the calling thread (the baseline);
-* **process** — one worker per shard, hydrated once from format-v3
+* **process** — one worker per shard, hydrated once from SQLite
   shard dumps (true parallelism; hydration is a one-time cost the
   always-on service amortizes over its lifetime).
 
@@ -165,7 +165,7 @@ def test_serving_failover_ablation(benchmark):
     the batch really lands on the dying worker) and time that batch.
 
     * ``replicas=1`` recovers by respawn-and-wait: the batch stalls on
-      worker spawn + format-v3 rehydration + journal replay.
+      worker spawn + shard-dump rehydration + journal replay.
     * ``replicas=2`` fails over to the live sibling while the dead
       worker respawns in the background — the hot path never waits on
       hydration, which is the whole point of replication.

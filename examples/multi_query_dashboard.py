@@ -10,8 +10,9 @@ example shows the production-style wiring for that:
   parsed by ``repro.query``;
 * co-executed by ``SharedCSGS`` — one range query per arriving object
   regardless of how many density levels are monitored;
-* the strictest level's clusters archived to disk, then re-loaded and
-  queried in a separate "analysis session" (Pattern Base persistence).
+* the strictest level's clusters dumped to a SQLite file, then
+  re-loaded and queried in a separate "analysis session" (Pattern Base
+  persistence).
 
 Run:  python examples/multi_query_dashboard.py
 """
@@ -74,7 +75,7 @@ print(
 # Persist the strict-level history, then match against it in a separate
 # analysis session.
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "strict_history.sgsa"
+    path = Path(tmp) / "strict_history.db"
     written = dump_pattern_base(strict_base, path)
     print(f"\npersisted {len(strict_base)} strict congestion patterns "
           f"({written} bytes) to {path.name}")

@@ -6,13 +6,12 @@ an R-tree over each cluster's MBR (the locational feature index) and a
 count, average density, average connectivity). Matching queries use one
 or the other to locate candidates, depending on position sensitivity.
 
-The pattern records themselves live behind the
-:class:`~repro.archive.store.PatternStore` seam: in-process by default,
-or on disk in a SQLite-WAL store (``store="sqlite:PATH"``) where every
-:meth:`PatternBase.restore` commits one transaction before returning —
-crash-safe continuous archival, with the query-time indices rebuilt
-from stored metadata on reopen and summaries hydrated lazily through
-the store's LRU.
+The pattern records themselves live in a SQLite database
+(:mod:`repro.archive.store`): in memory by default, or on disk in WAL
+mode (``store="sqlite:PATH"``) where every :meth:`PatternBase.restore`
+commits one transaction before returning — crash-safe continuous
+archival, with the query-time indices rebuilt from stored metadata on
+reopen and summaries hydrated lazily through the store's cache.
 """
 
 from __future__ import annotations
@@ -33,32 +32,69 @@ DEFAULT_BIN_WIDTHS = (16.0, 8.0, 2.0, 1.0)
 
 
 class ArchivedPattern:
-    """One archived cluster: its SGS plus derived index keys.
+    """One archived cluster: its index keys, its summary in a store.
 
-    The record is the unit of identity: ``sgs`` is immutable once
-    archived (replacing a summary is ``remove`` + ``restore``, which
-    makes a new record), so caches key on the record itself.
+    ``ArchivedPattern(pattern_id, sgs, full_size)`` is a pattern on its
+    way into a base and carries its summary; the base's store files it
+    and hands back the record every index and engine holds, whose
+    ``sgs`` the store serves on access. The record is the unit of
+    identity: a summary is immutable once archived (replacing one is
+    ``remove`` + ``restore``, which makes a new record), so caches key
+    on the record itself.
     """
 
     __slots__ = (
         "pattern_id",
-        "sgs",
         "features",
         "mbr",
         "window_index",
         "full_size",
+        "_sgs",
+        "_store",
+        "_nbytes",
     )
 
     def __init__(self, pattern_id: int, sgs: SGS, full_size: int):
-        self.pattern_id = pattern_id
-        self.sgs = sgs
+        self.pattern_id = int(pattern_id)
         self.features = ClusterFeatures.from_sgs(sgs)
         self.mbr = sgs.mbr()
         self.window_index = sgs.window_index
         self.full_size = int(full_size)
+        self._sgs = sgs
+        self._store = None
+        self._nbytes = sgs_bytes(sgs)
+
+    @classmethod
+    def filed(
+        cls,
+        store,
+        pattern_id: int,
+        window_index: int,
+        full_size: int,
+        features: ClusterFeatures,
+        mbr: MBR,
+        nbytes: int,
+    ) -> "ArchivedPattern":
+        """The record of a pattern ``store`` holds (no summary loaded)."""
+        record = cls.__new__(cls)
+        record.pattern_id = int(pattern_id)
+        record.features = features
+        record.mbr = mbr
+        record.window_index = int(window_index)
+        record.full_size = int(full_size)
+        record._sgs = None
+        record._store = store
+        record._nbytes = int(nbytes)
+        return record
+
+    @property
+    def sgs(self) -> SGS:
+        if self._store is None:
+            return self._sgs
+        return self._store.summary(self.pattern_id)
 
     def summary_bytes(self) -> int:
-        return sgs_bytes(self.sgs)
+        return self._nbytes
 
     def __repr__(self) -> str:
         return (
@@ -71,10 +107,11 @@ class PatternBase:
     """Dual-indexed store of archived patterns.
 
     ``store`` selects where pattern records live: ``None`` (or
-    ``"memory"``) keeps the original in-process dict, a spec string
-    like ``"sqlite:history.db"`` opens a disk-backed store (reloading
-    any patterns it already holds), and an already-open
-    :class:`~repro.archive.store.PatternStore` is adopted as-is.
+    ``"memory"``) is a fresh in-memory database, a spec string like
+    ``"sqlite:history.db"`` opens a file (reloading any patterns it
+    already holds; :class:`ValueError` when it is not a readable
+    archive), and an already-open
+    :class:`~repro.archive.store.SqliteStore` is adopted as-is.
     """
 
     def __init__(
@@ -84,15 +121,15 @@ class PatternBase:
         inverted_factor: int = 3,
         store: Union[None, str, "object"] = None,
     ):
-        from repro.archive.store import PatternStore, open_store
+        from repro.archive.store import SqliteStore, open_store
 
         if store is None or isinstance(store, str):
             self._store = open_store(store)
-        elif isinstance(store, PatternStore):
+        elif isinstance(store, SqliteStore):
             self._store = store
         else:
             raise TypeError(
-                "store must be None, a spec string, or a PatternStore"
+                "store must be None, a spec string, or a SqliteStore"
             )
         self._next_id = 0
         self._locational = RTree()
@@ -105,9 +142,9 @@ class PatternBase:
         #: Weakly-held removal listeners (matching engines drop their
         #: cached ladders through this when maintenance evicts).
         self._removal_listeners: List[weakref.ref] = []
-        # Reopen path: a pre-populated store (a reopened SQLite file)
-        # rebuilds the query-time indices from stored metadata alone —
-        # no SGS blob is parsed here.
+        # Reopen path: a pre-populated store (a reopened file, a
+        # loaded dump) rebuilds the query-time indices from stored
+        # metadata alone — no SGS blob is parsed here.
         for pattern in self._store.all():
             self._locational.insert(pattern.mbr, pattern)
             self._features.insert(pattern.features.as_tuple(), pattern)
@@ -139,9 +176,9 @@ class PatternBase:
         return self.restore(pattern)
 
     def restore(self, pattern: ArchivedPattern) -> ArchivedPattern:
-        """Register an already-materialized pattern under its own id.
+        """Register a pattern under its own id; returns its record.
 
-        The public seam persistence (and any cross-base migration tool)
+        The public seam partitioning (and any cross-base migration tool)
         goes through instead of poking the internal dicts and indices:
         the pattern keeps its ``pattern_id``, both feature indices are
         updated, and the id allocator advances past it so later
@@ -150,8 +187,8 @@ class PatternBase:
         The registration is exception-safe end to end: if any index
         rejects the pattern (e.g. NaN features) every structure touched
         so far is unwound, so a failed restore leaves the base exactly
-        as it was. On a durable store the commit — the point a crash
-        can no longer lose the pattern — happens last, only after every
+        as it was. The store's commit — on disk, the point a crash can
+        no longer lose the pattern — happens last, only after every
         index accepted it.
         """
         from repro.archive.store import feature_bins_for
@@ -269,8 +306,8 @@ class PatternBase:
         return index
 
     def attach_inverted(self, index) -> None:
-        """Adopt a prebuilt inverted index (the persistence-load seam:
-        format v3 restores stored signatures without re-coarsening).
+        """Adopt a prebuilt inverted index (the partitioning seam: a
+        shard takes its patterns' signatures without re-coarsening).
         The index must already cover exactly the archived patterns."""
         missing = [
             pattern_id
@@ -333,7 +370,7 @@ class PatternBase:
         return self._store.summary_bytes()
 
     def close(self) -> None:
-        """Release the backing store (a no-op for the memory store)."""
+        """Release the backing store's connection."""
         self._store.close()
 
     def __enter__(self) -> "PatternBase":

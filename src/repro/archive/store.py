@@ -1,42 +1,45 @@
-"""Pattern-record storage backends: the ``PatternStore`` seam.
+"""Where a Pattern Base's records live: one SQLite database.
 
 The Pattern Base is the paper's long-term "Stream History"; this module
 decides *where its pattern records live*. :class:`PatternBase` keeps its
 query-time structures — the R-tree, the feature grid, the inverted
-cell-signature index — in memory either way; the store behind them is
-pluggable:
+cell-signature index — in memory; the records behind them sit in one
+SQLite schema, :class:`SqliteStore`. Patterns are serialized SGS blobs
+plus their index keys (features, MBR, ``full_size``) as columns, with
+materialized feature-grid bin rows and inverted posting lists as
+tables, and each archival commits **one transaction** that carries all
+of them. Reopening a database rebuilds the in-memory indexes from the
+metadata columns alone — no SGS blob is parsed until matching actually
+needs its cells.
 
-* :class:`MemoryStore` (default) — the original in-process dict. Every
-  archived pattern is a fully materialized
-  :class:`~repro.archive.pattern_base.ArchivedPattern`; durability is
-  whatever :func:`~repro.archive.persistence.dump_pattern_base` the
-  caller remembers to run. Zero behavior change from the pre-seam code.
-* :class:`SqliteStore` — a disk-backed SQLite database in WAL mode
-  (``synchronous=NORMAL``, the Paper-Scanner recipe): patterns are
-  serialized SGS blobs plus their index keys (features, MBR,
-  ``full_size``) as columns, with materialized feature-grid bin rows
-  and inverted posting lists as tables. Each archival commits **one
-  transaction before the caller is acked**, so a crash never loses an
-  acknowledged pattern, and WAL keeps readers concurrent with archival
-  writes. Reopening the store rebuilds the in-memory indexes from the
-  metadata columns alone — no SGS blob is parsed until matching
-  actually needs its cells.
+The database is in memory or on disk:
 
-The archive holds patterns, never engine state: matching only reads
-it, so a match never takes the write lock and never waits on a writer.
+* ``memory`` (the default) — an in-memory database, gone with the
+  process. Its summary cache never evicts: the summaries sit in RAM
+  either way.
+* ``sqlite:PATH`` — a file in WAL mode (``synchronous=NORMAL``, the
+  Paper-Scanner recipe). Each archival commits **before the caller is
+  acked**, so a crash never loses an acknowledged pattern, and WAL
+  keeps readers concurrent with archival writes. Summaries hydrate
+  through a bounded LRU, which is what lets an archive grow past RAM.
 
-Lazy hydration: a SQLite-backed base holds one light
-:class:`StoredPattern` stub per pattern (id, features, MBR, sizes —
-~100 bytes) whose ``sgs`` attribute loads the blob on first touch
-through a bounded LRU of materialized summaries. ``PatternBase.get`` /
-``all_patterns`` therefore stream from disk past the cache, which is
-what lets an archive grow past RAM.
+Lazy hydration: a base holds one light
+:class:`~repro.archive.pattern_base.ArchivedPattern` record per pattern
+(id, features, MBR, sizes — ~100 bytes) whose ``sgs`` loads the blob on
+first touch through the store's cache.
+
+A dump (:func:`~repro.archive.persistence.dump_pattern_base`) is a
+backup of the database into a file: ``sqlite:FILE`` serves it directly,
+and :func:`~repro.archive.persistence.load_pattern_base` copies it into
+memory. The archive holds patterns, never engine state: matching only
+reads it, so a match never takes the write lock and never waits on a
+writer.
 
 Store specs (threaded through config, the framework, and the CLI as
 ``--store``)::
 
-    memory                  the default in-process dict
-    sqlite:PATH             disk-backed store at PATH
+    memory                  in-memory database (the default)
+    sqlite:PATH             on-disk database at PATH
     sqlite:PATH?cache=N     ... with an N-pattern hydration LRU
 """
 
@@ -44,9 +47,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import sqlite3
 import threading
 from collections import OrderedDict
+from contextlib import closing, contextmanager
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -54,29 +59,20 @@ from repro.archive.pattern_base import ArchivedPattern
 from repro.core.features import ClusterFeatures
 from repro.core.serialize import sgs_from_bytes, sgs_to_bytes
 from repro.core.sgs import SGS
-from repro.eval.memory import sgs_bytes
 from repro.geometry.mbr import MBR
 
-__all__ = [
-    "MemoryStore",
-    "PatternStore",
-    "SqliteStore",
-    "StoredPattern",
-    "STORE_BACKENDS",
-    "open_store",
-    "parse_store_spec",
-]
+__all__ = ["SqliteStore", "open_store", "parse_store_spec"]
 
-#: The supported store backends (spec prefixes).
-STORE_BACKENDS = ("memory", "sqlite")
+#: SQLite's name for a private in-memory database: the ``memory`` store.
+MEMORY = ":memory:"
 
-#: Default size of the SQLite store's hydration LRU (materialized SGS
+#: Default size of the on-disk store's hydration LRU (materialized SGS
 #: summaries kept in memory; everything else streams from disk).
 DEFAULT_CACHE_PATTERNS = 128
 
-#: How long a write (archival, removal, a bulk load, the one-time schema
-#: upgrade at open) waits on another connection's write lock before
-#: failing with ``database is locked``. Reads never take that lock.
+#: How long a write (archival, removal, the one-time schema upgrade at
+#: open) waits on another connection's write lock before failing with
+#: ``database is locked``. Reads never take that lock.
 BUSY_TIMEOUT_MS = 5000
 
 Coord = Tuple[int, ...]
@@ -93,6 +89,8 @@ def parse_store_spec(spec: str) -> Tuple[str, Optional[str], Dict[str, int]]:
 
     Raises :class:`ValueError` for unknown backends, missing paths, or
     malformed options — the same validation `config` runs up front.
+    ``sqlite::memory:`` is refused: the in-memory database is spelled
+    ``memory``.
     """
     if not isinstance(spec, str) or not spec:
         raise ValueError("store spec must be a non-empty string")
@@ -107,6 +105,10 @@ def parse_store_spec(spec: str) -> Tuple[str, Optional[str], Dict[str, int]]:
     path, _, query = rest.partition("?")
     if not path:
         raise ValueError("sqlite store spec needs a path: 'sqlite:PATH'")
+    if path == MEMORY:
+        raise ValueError(
+            f"{spec!r} names no file; the in-memory store is 'memory'"
+        )
     options: Dict[str, int] = {}
     if query:
         for part in query.split("&"):
@@ -127,224 +129,15 @@ def parse_store_spec(spec: str) -> Tuple[str, Optional[str], Dict[str, int]]:
     return ("sqlite", path, options)
 
 
-def open_store(spec: Optional[str]) -> "PatternStore":
+def open_store(spec: Optional[str]) -> "SqliteStore":
     """Open the store a spec names (``None``/"memory" → a fresh
-    :class:`MemoryStore`; ``sqlite:PATH`` opens or creates the file)."""
-    if spec is None:
-        return MemoryStore()
-    backend, path, options = parse_store_spec(spec)
+    in-memory database; ``sqlite:PATH`` opens or creates the file)."""
+    backend, path, options = parse_store_spec(spec or "memory")
     if backend == "memory":
-        return MemoryStore()
+        return SqliteStore(MEMORY)
     return SqliteStore(
         path, cache_patterns=options.get("cache", DEFAULT_CACHE_PATTERNS)
     )
-
-
-class PatternStore:
-    """Where a Pattern Base's pattern records live.
-
-    The write path is two-phase so :meth:`~repro.archive.pattern_base.
-    PatternBase.restore` stays exception-safe end to end:
-    :meth:`register` materializes the canonical stored object (and
-    stages its serialized form) without making anything visible;
-    :meth:`commit` publishes it — for a durable backend, in a single
-    transaction that also carries the pattern's feature-grid bin row
-    and inverted posting rows. :meth:`forget` abandons a registration
-    when an in-memory index rejected the pattern in between.
-    """
-
-    backend: str = "?"
-    #: Whether commits survive the process (drives write-through and
-    #: CLI/service reporting).
-    durable: bool = False
-
-    # -- write path ----------------------------------------------------
-
-    def register(self, pattern: ArchivedPattern) -> ArchivedPattern:
-        raise NotImplementedError
-
-    def commit(
-        self,
-        stored: ArchivedPattern,
-        bins: Optional[Coord] = None,
-        signatures: Optional[Signatures] = None,
-        inverted_config: Optional[InvertedConfig] = None,
-    ) -> None:
-        raise NotImplementedError
-
-    def forget(self, pattern_id: int) -> None:
-        raise NotImplementedError
-
-    def put(
-        self,
-        pattern: ArchivedPattern,
-        bins: Optional[Coord] = None,
-        signatures: Optional[Signatures] = None,
-        inverted_config: Optional[InvertedConfig] = None,
-    ) -> ArchivedPattern:
-        """One-call register+commit (the sharded write-through path)."""
-        stored = self.register(pattern)
-        try:
-            self.commit(
-                stored,
-                bins=bins,
-                signatures=signatures,
-                inverted_config=inverted_config,
-            )
-        except BaseException:
-            self.forget(stored.pattern_id)
-            raise
-        return stored
-
-    def delete(self, pattern_id: int) -> bool:
-        raise NotImplementedError
-
-    # -- read path -----------------------------------------------------
-
-    def get(self, pattern_id: int) -> Optional[ArchivedPattern]:
-        raise NotImplementedError
-
-    def all(self) -> Iterator[ArchivedPattern]:
-        raise NotImplementedError
-
-    def summary_bytes(self) -> int:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def __contains__(self, pattern_id: int) -> bool:
-        return self.get(pattern_id) is not None
-
-    # -- inverted-index persistence ------------------------------------
-
-    def load_inverted(self):
-        """The persisted inverted cell-signature index, rebuilt from
-        the postings table without any coarsening arithmetic (``None``
-        when the store carries no postings)."""
-        return None
-
-    def replace_postings(self, index) -> None:
-        """Rewrite the postings table to mirror ``index`` (the
-        enable/attach seam; ``None`` clears it)."""
-
-    # -- bulk loads ----------------------------------------------------
-
-    def begin_bulk(self) -> None:
-        """Start an all-or-nothing load (e.g. restoring a format-v3
-        dump): commits inside are staged, not published."""
-
-    def end_bulk(self, success: bool = True) -> None:
-        """Finish a bulk load: publish everything, or roll the store
-        back to its pre-bulk state so a torn input leaves no partial
-        archive behind."""
-
-    # -- lifecycle / telemetry -----------------------------------------
-
-    def describe(self) -> Dict[str, object]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-    def __enter__(self) -> "PatternStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-class MemoryStore(PatternStore):
-    """The original in-process dict of materialized patterns."""
-
-    backend = "memory"
-    durable = False
-
-    def __init__(self):
-        self._patterns: Dict[int, ArchivedPattern] = {}
-
-    def register(self, pattern: ArchivedPattern) -> ArchivedPattern:
-        if pattern.pattern_id in self._patterns:
-            raise ValueError(
-                f"pattern id {pattern.pattern_id} already archived"
-            )
-        return pattern
-
-    def commit(
-        self,
-        stored: ArchivedPattern,
-        bins: Optional[Coord] = None,
-        signatures: Optional[Signatures] = None,
-        inverted_config: Optional[InvertedConfig] = None,
-    ) -> None:
-        self._patterns[stored.pattern_id] = stored
-
-    def forget(self, pattern_id: int) -> None:
-        self._patterns.pop(pattern_id, None)
-
-    def delete(self, pattern_id: int) -> bool:
-        return self._patterns.pop(pattern_id, None) is not None
-
-    def get(self, pattern_id: int) -> Optional[ArchivedPattern]:
-        return self._patterns.get(pattern_id)
-
-    def all(self) -> Iterator[ArchivedPattern]:
-        return iter(self._patterns.values())
-
-    def summary_bytes(self) -> int:
-        return sum(p.summary_bytes() for p in self._patterns.values())
-
-    def __len__(self) -> int:
-        return len(self._patterns)
-
-    def __contains__(self, pattern_id: int) -> bool:
-        return pattern_id in self._patterns
-
-    def describe(self) -> Dict[str, object]:
-        return {
-            "backend": self.backend,
-            "durable": self.durable,
-            "patterns": len(self._patterns),
-        }
-
-
-class StoredPattern(ArchivedPattern):
-    """A disk-resident pattern: index keys in memory, SGS on demand.
-
-    Shares :class:`ArchivedPattern`'s surface — the engines, indices,
-    and persistence never see the difference — but holds no summary:
-    ``sgs`` hydrates from the owning store's LRU on access.
-    """
-
-    __slots__ = ("_store", "_nbytes")
-
-    def __init__(
-        self,
-        store: "SqliteStore",
-        pattern_id: int,
-        window_index: int,
-        full_size: int,
-        features: ClusterFeatures,
-        mbr: MBR,
-        nbytes: int,
-    ):
-        # Deliberately not calling ArchivedPattern.__init__: it derives
-        # features/MBR from a materialized SGS this stub exists to
-        # avoid loading.
-        self.pattern_id = int(pattern_id)
-        self.features = features
-        self.mbr = mbr
-        self.window_index = int(window_index)
-        self.full_size = int(full_size)
-        self._store = store
-        self._nbytes = int(nbytes)
-
-    @property
-    def sgs(self) -> SGS:
-        return self._store._sgs_of(self.pattern_id)
-
-    def summary_bytes(self) -> int:
-        return self._nbytes
 
 
 _SCHEMA = """
@@ -386,8 +179,8 @@ CREATE INDEX IF NOT EXISTS postings_pattern ON postings(pattern_id);
 """
 
 
-class SqliteStore(PatternStore):
-    """Disk-backed pattern storage: SQLite, WAL, incremental commits.
+class SqliteStore:
+    """Pattern records in one SQLite database, incremental commits.
 
     Pragmas follow the Paper-Scanner template: ``journal_mode=WAL`` so
     readers never block on archival writes, ``synchronous=NORMAL`` so a
@@ -397,42 +190,83 @@ class SqliteStore(PatternStore):
     the write lock delays a write instead of failing it. One
     connection serves all threads behind a lock; the serving layer's
     own request lock already serializes mutation.
-    """
 
-    backend = "sqlite"
-    durable = True
+    ``path`` :data:`MEMORY` is the in-memory database, whose cache
+    keeps every summary; ``source`` first fills it with a copy of an
+    archive file. A file that is not a readable archive — not SQLite,
+    or truncated — raises :class:`ValueError` naming it, with the
+    connection closed.
+
+    The write path is two-phase so :meth:`~repro.archive.pattern_base.
+    PatternBase.restore` stays exception-safe end to end:
+    :meth:`register` makes the pattern's record (and stages its
+    serialized row) without making anything visible; :meth:`commit`
+    publishes it in a single transaction that also carries the
+    pattern's feature-grid bin row and inverted posting rows.
+    :meth:`forget` abandons a registration when an in-memory index
+    rejected the pattern in between.
+    """
 
     def __init__(
         self,
         path: Union[str, Path],
         cache_patterns: int = DEFAULT_CACHE_PATTERNS,
+        source: Optional[Union[str, Path]] = None,
     ):
         self.path = str(path)
-        self.cache_patterns = max(1, int(cache_patterns))
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(
-            self.path, isolation_level=None, check_same_thread=False
+        self.backend = "memory" if self.path == MEMORY else "sqlite"
+        #: Whether commits survive the process (drives write-through and
+        #: CLI/service reporting).
+        self.durable = self.backend == "sqlite"
+        #: The hydration LRU's size; ``None`` (in memory) never evicts.
+        self.cache_patterns = (
+            max(1, int(cache_patterns)) if self.durable else None
         )
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute("PRAGMA synchronous=NORMAL")
-        self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
-        self._conn.executescript(_SCHEMA)
-        columns = self._conn.execute("PRAGMA table_info(patterns)")
-        if "ladder_hint" in {row[1] for row in columns}:
-            # Written before matching stopped persisting cache warmth.
-            self._conn.execute("ALTER TABLE patterns DROP COLUMN ladder_hint")
-        self._stubs: Dict[int, StoredPattern] = {}
+        self._lock = threading.RLock()
+        self._records: Dict[int, ArchivedPattern] = {}
         self._cache: "OrderedDict[int, SGS]" = OrderedDict()
         #: Registered-but-uncommitted rows: ``id -> (row, blob, sgs)``.
         self._pending: Dict[int, Tuple[tuple, bytes, SGS]] = {}
-        self._bulk_depth = 0
         self._seq = 0
         self.stats = {"hydrations": 0, "cache_hits": 0, "evictions": 0}
-        self._load_stubs()
+        self._conn = sqlite3.connect(
+            self.path, isolation_level=None, check_same_thread=False
+        )
+        try:
+            if source is not None:
+                self._copy_from(source)
+            if self.durable and os.path.exists(self.path):
+                _page_size(self._conn, self.path)  # before any write
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
+            self._conn.execute(f"PRAGMA busy_timeout={BUSY_TIMEOUT_MS}")
+            self._conn.executescript(_SCHEMA)
+            columns = self._conn.execute("PRAGMA table_info(patterns)")
+            if "ladder_hint" in {row[1] for row in columns}:
+                # Written before matching stopped persisting cache warmth.
+                self._conn.execute(
+                    "ALTER TABLE patterns DROP COLUMN ladder_hint"
+                )
+            self._load_records()
+        except sqlite3.Error as error:
+            self._conn.close()
+            raise ValueError(
+                f"{source or self.path}: not a readable pattern archive "
+                f"({error})"
+            ) from None
 
     # -- open ----------------------------------------------------------
 
-    def _load_stubs(self) -> None:
+    def _copy_from(self, source: Union[str, Path]) -> None:
+        """Back the archive file ``source`` up into this still-empty
+        database; the file is opened read-only."""
+        uri = Path(source).absolute().as_uri() + "?mode=ro"
+        with closing(sqlite3.connect(uri, uri=True)) as origin:
+            page_size = _page_size(origin, source)
+            self._conn.execute(f"PRAGMA page_size={page_size}")
+            origin.backup(self._conn)
+
+    def _load_records(self) -> None:
         rows = self._conn.execute(
             "SELECT pattern_id, seq, window_index, full_size,"
             " volume, core_count, avg_density, avg_connectivity,"
@@ -451,7 +285,7 @@ class SqliteStore(PatternStore):
                 avg_connectivity=avg_connectivity,
             )
             mbr = MBR(json.loads(mbr_lows), json.loads(mbr_highs))
-            self._stubs[pattern_id] = StoredPattern(
+            self._records[pattern_id] = ArchivedPattern.filed(
                 self, pattern_id, window_index, full_size,
                 features, mbr, nbytes,
             )
@@ -459,39 +293,48 @@ class SqliteStore(PatternStore):
 
     # -- write path ----------------------------------------------------
 
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE`` … ``COMMIT``, rolled back on error."""
+        self._conn.execute("BEGIN IMMEDIATE")
+        try:
+            yield
+        except BaseException:
+            self._conn.execute("ROLLBACK")
+            raise
+        self._conn.execute("COMMIT")
+
     def register(self, pattern: ArchivedPattern) -> ArchivedPattern:
         with self._lock:
-            if pattern.pattern_id in self._stubs:
+            if pattern.pattern_id in self._records:
                 raise ValueError(
                     f"pattern id {pattern.pattern_id} already archived"
                 )
             sgs = pattern.sgs
-            blob = sgs_to_bytes(sgs)
-            nbytes = sgs_bytes(sgs)
-            stub = StoredPattern(
+            record = ArchivedPattern.filed(
                 self,
                 pattern.pattern_id,
                 pattern.window_index,
                 pattern.full_size,
                 pattern.features,
                 pattern.mbr,
-                nbytes,
+                pattern.summary_bytes(),
             )
             row = (
-                stub.pattern_id,
+                record.pattern_id,
                 self._seq,
-                stub.window_index,
-                stub.full_size,
-                stub.features.volume,
-                stub.features.core_count,
-                stub.features.avg_density,
-                stub.features.avg_connectivity,
-                json.dumps(list(stub.mbr.lows)),
-                json.dumps(list(stub.mbr.highs)),
-                nbytes,
+                record.window_index,
+                record.full_size,
+                record.features.volume,
+                record.features.core_count,
+                record.features.avg_density,
+                record.features.avg_connectivity,
+                json.dumps(list(record.mbr.lows)),
+                json.dumps(list(record.mbr.highs)),
+                record.summary_bytes(),
             )
-            self._pending[stub.pattern_id] = (row, blob, sgs)
-            return stub
+            self._pending[record.pattern_id] = (row, sgs_to_bytes(sgs), sgs)
+            return record
 
     def commit(
         self,
@@ -502,10 +345,7 @@ class SqliteStore(PatternStore):
     ) -> None:
         with self._lock:
             row, blob, sgs = self._pending[stored.pattern_id]
-            own_txn = self._bulk_depth == 0
-            if own_txn:
-                self._conn.execute("BEGIN IMMEDIATE")
-            try:
+            with self._transaction():
                 self._conn.execute(
                     "INSERT INTO patterns (pattern_id, seq, window_index,"
                     " full_size, volume, core_count, avg_density,"
@@ -523,69 +363,70 @@ class SqliteStore(PatternStore):
                     if inverted_config is not None:
                         self._write_inverted_meta(*inverted_config)
                     self._insert_postings(stored.pattern_id, signatures)
-                if own_txn:
-                    self._conn.execute("COMMIT")
-            except BaseException:
-                if own_txn:
-                    self._conn.execute("ROLLBACK")
-                raise
             del self._pending[stored.pattern_id]
             self._seq += 1
-            self._stubs[stored.pattern_id] = stored  # type: ignore[assignment]
+            self._records[stored.pattern_id] = stored
             self._cache_put(stored.pattern_id, sgs)
 
     def forget(self, pattern_id: int) -> None:
         with self._lock:
             self._pending.pop(pattern_id, None)
 
+    def put(
+        self,
+        pattern: ArchivedPattern,
+        bins: Optional[Coord] = None,
+        signatures: Optional[Signatures] = None,
+        inverted_config: Optional[InvertedConfig] = None,
+    ) -> ArchivedPattern:
+        """One-call register+commit (the sharded write-through path)."""
+        stored = self.register(pattern)
+        try:
+            self.commit(
+                stored,
+                bins=bins,
+                signatures=signatures,
+                inverted_config=inverted_config,
+            )
+        except BaseException:
+            self.forget(stored.pattern_id)
+            raise
+        return stored
+
     def delete(self, pattern_id: int) -> bool:
         with self._lock:
-            if pattern_id not in self._stubs:
+            if pattern_id not in self._records:
                 return False
-            own_txn = self._bulk_depth == 0
-            if own_txn:
-                self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute(
-                    "DELETE FROM postings WHERE pattern_id = ?",
-                    (pattern_id,),
-                )
-                self._conn.execute(
-                    "DELETE FROM feature_bins WHERE pattern_id = ?",
-                    (pattern_id,),
-                )
-                self._conn.execute(
-                    "DELETE FROM patterns WHERE pattern_id = ?",
-                    (pattern_id,),
-                )
-                if own_txn:
-                    self._conn.execute("COMMIT")
-            except BaseException:
-                if own_txn:
-                    self._conn.execute("ROLLBACK")
-                raise
-            del self._stubs[pattern_id]
+            with self._transaction():
+                for table in ("postings", "feature_bins", "patterns"):
+                    self._conn.execute(
+                        f"DELETE FROM {table} WHERE pattern_id = ?",
+                        (pattern_id,),
+                    )
+            del self._records[pattern_id]
             self._cache.pop(pattern_id, None)
             return True
 
     # -- read path -----------------------------------------------------
 
     def get(self, pattern_id: int) -> Optional[ArchivedPattern]:
-        return self._stubs.get(pattern_id)
+        return self._records.get(pattern_id)
 
     def all(self) -> Iterator[ArchivedPattern]:
-        return iter(list(self._stubs.values()))
+        return iter(list(self._records.values()))
 
     def summary_bytes(self) -> int:
-        return sum(stub.summary_bytes() for stub in self._stubs.values())
+        return sum(r.summary_bytes() for r in self._records.values())
 
     def __len__(self) -> int:
-        return len(self._stubs)
+        return len(self._records)
 
     def __contains__(self, pattern_id: int) -> bool:
-        return pattern_id in self._stubs
+        return pattern_id in self._records
 
-    def _sgs_of(self, pattern_id: int) -> SGS:
+    def summary(self, pattern_id: int) -> SGS:
+        """A stored pattern's SGS: from the cache, or parsed from its
+        blob (a hydration) and cached."""
         with self._lock:
             cached = self._cache.get(pattern_id)
             if cached is not None:
@@ -608,6 +449,8 @@ class SqliteStore(PatternStore):
 
     def _cache_put(self, pattern_id: int, sgs: SGS) -> None:
         self._cache[pattern_id] = sgs
+        if self.cache_patterns is None:
+            return
         self._cache.move_to_end(pattern_id)
         while len(self._cache) > self.cache_patterns:
             self._cache.popitem(last=False)
@@ -663,6 +506,9 @@ class SqliteStore(PatternStore):
             )
 
     def load_inverted(self):
+        """The persisted inverted cell-signature index, rebuilt from
+        the postings table without any coarsening arithmetic (``None``
+        when the store carries no postings)."""
         from repro.retrieval.inverted import InvertedCellIndex
 
         with self._lock:
@@ -679,7 +525,7 @@ class SqliteStore(PatternStore):
                 per_level.setdefault(level, []).append(
                     tuple(json.loads(cell))
                 )
-            for pattern_id in sorted(self._stubs):
+            for pattern_id in sorted(self._records):
                 per_level = cells_by_pattern.get(pattern_id)
                 if per_level is None:
                     # Postings don't cover the archive (e.g. patterns
@@ -694,72 +540,35 @@ class SqliteStore(PatternStore):
             return index
 
     def replace_postings(self, index) -> None:
-        with self._lock:
-            own_txn = self._bulk_depth == 0
-            if own_txn:
-                self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                self._conn.execute("DELETE FROM postings")
-                if index is None:
-                    self._conn.execute(
-                        "DELETE FROM meta WHERE key IN ('inverted_levels',"
-                        " 'inverted_factor', 'inverted_dims')"
-                    )
-                else:
-                    dims = 0
-                    for pattern_id in sorted(index.pattern_ids()):
-                        signature = index.signature(
-                            pattern_id, index.levels[0]
-                        )
-                        dims = len(signature.histograms) or dims
-                        self._insert_postings(
-                            pattern_id,
-                            {
-                                level: index.signature(
-                                    pattern_id, level
-                                ).cells
-                                for level in index.levels
-                            },
-                        )
-                    self._write_inverted_meta(
-                        index.levels, index.factor, dims
-                    )
-                if own_txn:
-                    self._conn.execute("COMMIT")
-            except BaseException:
-                if own_txn:
-                    self._conn.execute("ROLLBACK")
-                raise
-
-    # -- bulk loads ----------------------------------------------------
-
-    def begin_bulk(self) -> None:
-        with self._lock:
-            if self._bulk_depth == 0:
-                self._conn.execute("BEGIN IMMEDIATE")
-            self._bulk_depth += 1
-
-    def end_bulk(self, success: bool = True) -> None:
-        with self._lock:
-            if self._bulk_depth <= 0:
+        """Rewrite the postings table to mirror ``index`` (the
+        enable/attach seam; ``None`` clears it)."""
+        with self._lock, self._transaction():
+            self._conn.execute("DELETE FROM postings")
+            if index is None:
+                self._conn.execute(
+                    "DELETE FROM meta WHERE key IN ('inverted_levels',"
+                    " 'inverted_factor', 'inverted_dims')"
+                )
                 return
-            self._bulk_depth -= 1
-            if self._bulk_depth > 0:
-                return
-            if success:
-                self._conn.execute("COMMIT")
-                return
-            self._conn.execute("ROLLBACK")
-            # Rolled-back rows may already be mirrored in memory:
-            # rebuild the stub table from what the database actually
-            # holds, so a torn load leaves no partial archive.
-            self._stubs.clear()
-            self._cache.clear()
-            self._pending.clear()
-            self._seq = 0
-            self._load_stubs()
+            dims = 0
+            for pattern_id in sorted(index.pattern_ids()):
+                signature = index.signature(pattern_id, index.levels[0])
+                dims = len(signature.histograms) or dims
+                self._insert_postings(
+                    pattern_id,
+                    {
+                        level: index.signature(pattern_id, level).cells
+                        for level in index.levels
+                    },
+                )
+            self._write_inverted_meta(index.levels, index.factor, dims)
 
-    # -- lifecycle / telemetry -----------------------------------------
+    # -- dumps, lifecycle, telemetry -----------------------------------
+
+    def backup(self, path: Union[str, Path]) -> None:
+        """Copy the whole database into the SQLite file at ``path``."""
+        with self._lock, closing(sqlite3.connect(str(path))) as target:
+            self._conn.backup(target)
 
     def describe(self) -> Dict[str, object]:
         with self._lock:
@@ -768,7 +577,7 @@ class SqliteStore(PatternStore):
                 "backend": self.backend,
                 "durable": self.durable,
                 "path": self.path,
-                "patterns": len(self._stubs),
+                "patterns": len(self._records),
                 "cache_patterns": self.cache_patterns,
                 "cached": len(self._cache),
                 "hydrations": self.stats["hydrations"],
@@ -782,6 +591,23 @@ class SqliteStore(PatternStore):
     def close(self) -> None:
         with self._lock:
             self._conn.close()
+
+    def __enter__(self) -> "SqliteStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+def _page_size(conn: sqlite3.Connection, path: Union[str, Path]) -> int:
+    """The page size of the database file at ``path``, open on
+    ``conn``. SQLite writes only whole pages, so a file that holds a
+    partial one was truncated: :class:`sqlite3.DatabaseError`. (A cut
+    at a page boundary SQLite itself refuses on the first read.)"""
+    (page_size,) = conn.execute("PRAGMA page_size").fetchone()
+    if os.path.getsize(path) % page_size:
+        raise sqlite3.DatabaseError("file is truncated")
+    return int(page_size)
 
 
 def feature_bins_for(

@@ -5,12 +5,12 @@ Subcommands:
 * ``generate`` — write a synthetic stream (gmti / stt / blobs) to CSV;
 * ``run`` — execute a Continuous Clustering Query (textual template or
   flags) over a CSV stream, print per-window cluster digests, and
-  optionally persist the resulting Pattern Base; with ``--queries FILE``
+  optionally archive into a SQLite file (``--store``); with ``--queries FILE``
   (one DETECT template per line) several queries multiplex over one
   stream pass, sharing a multi-resolution substrate;
 * ``multiplex`` — run a queries file multiplexed and report the sharing
   structure: θr rung placement, cohorts, one-pass substrate counters;
-* ``match`` — load a persisted Pattern Base and run a Cluster Matching
+* ``match`` — open a persisted Pattern Base and run a Cluster Matching
   Query for a pattern id or an SGS JSON file on one in-process
   :class:`~repro.retrieval.engine.MatchEngine`;
 * ``serve`` — keep a persisted Pattern Base resident behind a JSON-over-
@@ -25,22 +25,20 @@ Examples::
 
     python -m repro.cli generate --kind gmti --count 20000 --out stream.csv
     python -m repro.cli run --input stream.csv --theta-range 2.5 \
-        --theta-count 8 --win 2000 --slide 500 --archive history.sgsa
+        --theta-count 8 --win 2000 --slide 500 --store sqlite:history.db
     python -m repro.cli run --input stream.csv --queries queries.txt
     python -m repro.cli multiplex --input stream.csv --queries queries.txt
-    python -m repro.cli match --archive history.sgsa --pattern 12 \
+    python -m repro.cli match --store sqlite:history.db --pattern 12 \
         --threshold 0.25 --top 5
-    python -m repro.cli serve --archive history.sgsa --shards 4 \
+    python -m repro.cli serve --store sqlite:history.db --shards 4 \
         --mode process --port 8765
-    python -m repro.cli run --input stream.csv --theta-range 2.5 \
-        --theta-count 8 --win 2000 --slide 500 --store sqlite:history.db
-    python -m repro.cli serve --store sqlite:history.db --port 8765
-    python -m repro.cli show --archive history.sgsa --pattern 12
+    python -m repro.cli show --store sqlite:history.db --pattern 12
 
-``--store sqlite:PATH`` swaps the monolithic dump for the disk-backed
-pattern store of :mod:`repro.archive.store`: ``run`` commits each
-pattern as it archives (crash-safe), and ``match`` / ``serve`` open
-the store directly so cold start skips the full dump load.
+``--store sqlite:PATH`` is the archive: the pattern store of
+:mod:`repro.archive.store`, one SQLite file. ``run`` commits each
+pattern as it archives (crash-safe), and ``match`` / ``show`` /
+``serve`` open the file directly, so cold start reads metadata rows
+only. A file that is not a readable archive exits 1 with one line.
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ import signal
 import sys
 from typing import Iterator, List, Optional, Sequence
 
-from repro.archive.persistence import dump_pattern_base, load_pattern_base
+from repro.archive.pattern_base import PatternBase
 from repro.core.serialize import sgs_from_json, sgs_to_json
 from repro.data.gmti import GMTIStream
 from repro.data.stt import STTStream
@@ -196,12 +194,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"archived {system.archived_count} patterns")
         if args.store:
             print(f"pattern base durable in {args.store}")
-        if args.archive:
-            written = dump_pattern_base(system.pattern_base, args.archive)
-            print(
-                f"persisted pattern base to {args.archive} "
-                f"({written} bytes)"
-            )
     finally:
         system.close()
     return 0
@@ -219,7 +211,7 @@ def _run_multiplexed(
         ),
         store=args.store,
     )
-    archive = bool(args.archive or args.store)
+    archive = bool(args.store)
     try:
         for query in queries:
             handle = system.register(query, sink=_print_sink, archive=archive)
@@ -238,12 +230,6 @@ def _run_multiplexed(
         print(f"archived {system.archived_count} patterns")
         if args.store:
             print(f"pattern base durable in {args.store}")
-        if args.archive:
-            written = dump_pattern_base(system.pattern_base, args.archive)
-            print(
-                f"persisted pattern base to {args.archive} "
-                f"({written} bytes)"
-            )
     finally:
         system.close()
     return 0
@@ -340,29 +326,20 @@ def _parse_inverted_levels(text: Optional[str]) -> tuple:
     return levels
 
 
-def _open_base(args: argparse.Namespace):
-    """The archive named by ``--archive`` / ``--store`` (either alone
-    works; a dump file plus an *empty* store imports the dump into the
-    store — the one-time migration path)."""
-    from repro.archive.pattern_base import PatternBase
-
-    if args.archive is None and args.store is None:
-        raise SystemExit("need --archive and/or --store")
-    if args.archive is None:
+def _open_base(args: argparse.Namespace) -> Optional[PatternBase]:
+    """The archive ``--store`` names, or ``None`` after printing why it
+    cannot be opened."""
+    try:
         return PatternBase(store=args.store)
-    if args.store is None:
-        return load_pattern_base(args.archive)
-    probe = PatternBase(store=args.store)
-    if len(probe):
-        raise SystemExit(
-            f"store {args.store} already holds {len(probe)} patterns; "
-            "drop --archive to serve it directly"
-        )
-    return load_pattern_base(args.archive, store=probe.store)
+    except ValueError as error:
+        print(error, file=sys.stderr)
+        return None
 
 
 def _cmd_match(args: argparse.Namespace) -> int:
     base = _open_base(args)
+    if base is None:
+        return 1
     if args.pattern is not None:
         pattern = base.get(args.pattern)
         if pattern is None:
@@ -390,7 +367,7 @@ def _cmd_match(args: argparse.Namespace) -> int:
         loaded_index is None
         or not all(loaded_index.covers(lv) for lv in inverted_levels)
     ):
-        # Legacy (v1/v2) archive, or one persisted with different
+        # An archive without the index, or persisted with different
         # rungs: rebuild the inverted index at the requested rungs.
         base.enable_inverted(inverted_levels)
     engine = MatchEngine(base, _metric_from_args(args))
@@ -436,7 +413,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         service = MatchService.from_archive(
-            args.archive,
+            args.store,
             shards=args.shards,
             shard_key=args.shard_key,
             spec=_metric_from_args(args),
@@ -446,7 +423,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 _parse_inverted_levels(args.inverted_levels) or None
             ),
             replicas=args.replicas,
-            store=args.store,
         )
     except ServiceError as error:
         print(str(error), file=sys.stderr)
@@ -476,7 +452,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_show(args: argparse.Namespace) -> int:
-    base = load_pattern_base(args.archive)
+    base = _open_base(args)
+    if base is None:
+        return 1
     pattern = base.get(args.pattern)
     if pattern is None:
         print(f"no pattern {args.pattern} in archive", file=sys.stderr)
@@ -537,7 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--level", type=int, default=0, help="archive resolution")
     run.add_argument("--max-windows", type=int, default=None)
-    run.add_argument("--archive", default=None, help="persist pattern base")
     run.add_argument(
         "--store", default=None, metavar="sqlite:PATH",
         help="archive crash-safely to a disk-backed pattern store as "
@@ -547,8 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--inverted-levels", default=None, metavar="L1,L2",
         help="maintain the inverted cell-signature index at these "
-        "coarse rungs during archival (persisted with --archive as "
-        "format v3, so later matching starts warm)",
+        "coarse rungs during archival (persisted with --store, so "
+        "later matching starts warm)",
     )
     run.set_defaults(func=_cmd_run)
 
@@ -573,12 +550,10 @@ def build_parser() -> argparse.ArgumentParser:
     multiplex.set_defaults(func=_cmd_multiplex)
 
     match = sub.add_parser("match", help="run a cluster matching query")
-    match.add_argument("--archive", default=None)
     match.add_argument(
-        "--store", default=None, metavar="sqlite:PATH",
-        help="open a disk-backed pattern store directly (cold start "
-        "skips the full dump load); with --archive and an empty "
-        "store, imports the dump into the store first",
+        "--store", required=True, metavar="sqlite:PATH",
+        help="the archive: a pattern store written by run --store or "
+        "a dump (cold start reads metadata rows only)",
     )
     match.add_argument("--pattern", type=int, default=None)
     match.add_argument("--query-json", default=None)
@@ -597,8 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     match.add_argument(
         "--inverted-levels", default=None, metavar="L1,L2",
         help="serve the coarse screen from the inverted cell-signature "
-        "index at these rungs (rebuilt if the archive file predates "
-        "format v3 or was persisted with different rungs)",
+        "index at these rungs (rebuilt if the archive was persisted "
+        "without them)",
     )
     match.set_defaults(func=_cmd_match)
 
@@ -606,12 +581,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="serve a persisted archive over JSON/HTTP (always-on)",
     )
-    serve.add_argument("--archive", default=None)
     serve.add_argument(
-        "--store", default=None, metavar="sqlite:PATH",
-        help="serve straight from a disk-backed pattern store (cold "
-        "start reads metadata rows instead of loading a dump); with "
-        "--archive and an empty store, imports the dump first",
+        "--store", required=True, metavar="sqlite:PATH",
+        help="the archive to serve: a pattern store written by run "
+        "--store or a dump (cold start reads metadata rows only)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
@@ -654,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     show = sub.add_parser("show", help="display an archived pattern")
-    show.add_argument("--archive", required=True)
+    show.add_argument("--store", required=True, metavar="sqlite:PATH")
     show.add_argument("--pattern", type=int, required=True)
     show.add_argument("--json", action="store_true")
     show.set_defaults(func=_cmd_show)

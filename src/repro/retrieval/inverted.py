@@ -17,8 +17,8 @@ canonical ladder rung (iterated floor division equals division by the
 product), computed without building any intermediate SGS. Signatures
 are maintained incrementally as patterns enter and leave the base —
 streaming re-warm during archival, not at first query — and persisted
-with the archive (format v3), so a reloaded history serves its first
-coarse query with zero ladder walks.
+with the archive (its postings table), so a reloaded history serves its
+first coarse query with zero ladder walks.
 
 The screen itself is **certified conservative**. For two cell sets of
 sizes ``a`` and ``b`` overlapping in ``m`` positions under some
@@ -234,10 +234,8 @@ class InvertedCellIndex:
             raise ValueError("inverted index needs at least one level")
         if cleaned[0] < 1:
             raise ValueError("inverted levels must be >= 1")
-        # Levels and factor persist as single bytes (format v3), and a
-        # rung much past ~5 collapses every pattern to one cell anyway:
-        # reject out-of-range values here, before any mining work runs,
-        # rather than at persist time.
+        # A rung much past ~5 collapses every pattern to one cell:
+        # reject out-of-range values here, before any mining work runs.
         if cleaned[-1] > 255:
             raise ValueError("inverted levels must be <= 255")
         if not 2 <= factor <= 255:
@@ -278,8 +276,8 @@ class InvertedCellIndex:
         dimensions: int,
     ) -> None:
         """Register precomputed signature cells (the persistence seam:
-        a format-v3 load feeds stored cell sets straight in, skipping
-        the coarsening arithmetic entirely)."""
+        a reopened archive feeds its stored postings straight in,
+        skipping the coarsening arithmetic entirely)."""
         if pattern_id in self._signatures:
             raise ValueError(f"pattern {pattern_id} already indexed")
         missing = set(self.levels) - set(cells_by_level)

@@ -21,7 +21,7 @@ runs** lives behind the deployment seam in :mod:`repro.serving`:
   its feature grid while a sibling scans), one owned
   :class:`~repro.serving.executors.ShardExecutor` deciding where the
   per-shard work runs (``serial`` in-process, ``process`` on
-  multiprocessing workers hydrated from format-v3 shard dumps), and
+  multiprocessing workers hydrated from SQLite shard dumps), and
   the deterministic
   merge of :mod:`repro.serving.merge`: concatenate, sort by
   ``(distance, pattern_id)`` (the same stable tie-break the single
@@ -89,7 +89,7 @@ def validate_partition_key(key: str) -> str:
 class _ShardedInvertedView:
     """Read-only merged view of the shards' inverted indices.
 
-    Persistence serializes through it, and a plain
+    A plain
     :class:`~repro.retrieval.engine.MatchEngine` built directly over a
     sharded base (instead of the usual :class:`ShardedMatchEngine`)
     screens through it: the full query-time read surface —
@@ -199,21 +199,20 @@ class ShardedPatternBase:
     ) -> "ShardedPatternBase":
         """Partition an existing archive (e.g. a freshly loaded one).
 
-        Pattern ids are preserved. The inverted-index configuration is
-        inherited from the source base unless given explicitly; when
+        Pattern ids are preserved, and each shard copies its patterns
+        into its own in-memory store. The inverted-index configuration
+        is inherited from the source base unless given explicitly; when
         the source already carries signatures at the wanted rungs
-        (a format-v3 load), they are *transferred* to the shard indices
-        rather than recomputed — partitioning never repeats the
-        coarsening arithmetic persistence exists to skip. The source
-        base should be discarded afterwards — the stored pattern
-        records are shared, not copied.
+        (a reopened or loaded archive), they are *transferred* to the
+        shard indices rather than recomputed — partitioning never
+        repeats the coarsening arithmetic the stored postings exist to
+        skip. The source base should be discarded afterwards.
 
         When the source base sits on a durable store (``sqlite:PATH``),
         that store stays the system of record: shard layout is a
         serving-time choice, so the sharded base adopts it as the
         origin store — new ingests commit there before being
-        acknowledged, and removals delete there — while reads keep
-        hydrating through the shared stubs.
+        acknowledged, and removals delete there.
         """
         source_index = base.inverted_index()
         if inverted_levels is None and source_index is not None:
@@ -314,19 +313,19 @@ class ShardedPatternBase:
                 f"pattern id {pattern.pattern_id} already archived"
             )
         index = self.shard_for(pattern)
-        self._shards[index].restore(pattern)
+        stored = self._shards[index].restore(pattern)
         if (
             self._origin_store is not None
             and pattern.pattern_id not in self._origin_store
         ):
             try:
-                self._write_through(index, pattern)
+                self._write_through(index, stored)
             except BaseException:
                 self._shards[index].remove(pattern.pattern_id)
                 raise
         self._owner[pattern.pattern_id] = index
         self._next_id = max(self._next_id, pattern.pattern_id + 1)
-        return pattern
+        return stored
 
     def _write_through(
         self, shard_index: int, pattern: ArchivedPattern
@@ -607,11 +606,3 @@ class ShardedMatchEngine:
                 )
             )
         return out
-
-    # ------------------------------------------------------------------
-    # Cache management (forwarded)
-    # ------------------------------------------------------------------
-
-    def invalidate(self, pattern_id: Optional[int] = None) -> None:
-        for engine in self.engines:
-            engine.invalidate(pattern_id)

@@ -11,7 +11,7 @@ long-lived deployment fronts it:
 * :mod:`repro.serving.executors` — the :class:`ShardExecutor` seam
   with two interchangeable implementations: ``serial`` (in-process
   loop) and ``process`` (multiprocessing workers that hydrate their
-  shard once from a persisted format-v3 dump and restart on crash;
+  shard once from a SQLite dump and restart on crash;
   ``replicas=N`` runs N workers per shard with round-robin reads and
   mid-task failover to a live sibling);
 * :mod:`repro.serving.wire` — the picklable/JSON-able wire forms of

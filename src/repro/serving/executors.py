@@ -12,10 +12,11 @@ are interchangeable with identical answers:
   the deterministic-profiling and single-shard baseline.
 * :class:`ProcessExecutor` — ``replicas`` OS processes per shard
   (one by default). Each worker **hydrates its shard once from a
-  persisted format-v3 dump** (written at construction through
+  SQLite dump** (written at construction through
   :func:`repro.archive.persistence.dump_pattern_base`, inverted
-  cell-signature section included, so workers start with warm posting
-  lists), then answers tasks over a request/response queue pair.
+  posting lists included, so workers start warm) copied into its own
+  in-memory store — a worker never writes to disk — then answers
+  tasks over a request/response queue pair.
   Reads route round-robin across a shard's live replicas; a replica
   that dies with a read in flight triggers **failover** — the task is
   resubmitted to a live sibling immediately while the dead worker
@@ -159,7 +160,7 @@ class SerialExecutor(ShardExecutor):
 
 
 def _worker_main(dump_path, config, request_queue, response_queue):
-    """One shard worker: hydrate from the format-v3 dump, then serve.
+    """One shard worker: copy the shard dump into memory, then serve.
 
     Runs in a child process. Tasks arrive as
     ``(task_id, command, payload)`` tuples; ``None`` shuts the worker
@@ -264,7 +265,7 @@ _DEAD = object()
 class ProcessExecutor(ShardExecutor):
     """``replicas`` multiprocessing workers per shard, with failover.
 
-    Construction persists each shard to a format-v3 dump in an owned
+    Construction persists each shard to a SQLite dump in an owned
     temporary directory and spawns ``replicas`` workers per shard;
     each worker hydrates from its shard's dump exactly once and then
     answers match / match_many / ingest tasks over its own queue pair.
@@ -318,7 +319,7 @@ class ProcessExecutor(ShardExecutor):
         self._tempdir = tempfile.TemporaryDirectory(prefix="repro-shards-")
         self._dump_paths = []
         for index, shard in enumerate(shards):
-            path = os.path.join(self._tempdir.name, f"shard-{index}.sgsa")
+            path = os.path.join(self._tempdir.name, f"shard-{index}.db")
             dump_pattern_base(shard, path)
             self._dump_paths.append(path)
         self._groups: List[List[Optional[_Replica]]] = [

@@ -38,7 +38,6 @@ import threading
 from typing import Dict, List, Optional, Sequence
 
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import load_pattern_base
 from repro.config import ContinuousClusteringQuery, as_integer
 from repro.core.serialize import sgs_from_dict
 from repro.matching.metric import DistanceMetricSpec
@@ -104,7 +103,7 @@ class MatchService:
     @classmethod
     def from_archive(
         cls,
-        path: Optional[str] = None,
+        store: Optional[str] = None,
         shards: int = 1,
         shard_key: str = "window",
         spec: Optional[DistanceMetricSpec] = None,
@@ -113,44 +112,28 @@ class MatchService:
         max_alignment_expansions: int = 32,
         inverted_levels: Optional[Sequence[int]] = None,
         replicas: int = 1,
-        store: Optional[str] = None,
     ) -> "MatchService":
-        """Hydrate a service from a persisted archive.
+        """Hydrate a service from the archive a store spec names.
 
-        ``path`` names a format-v3 dump file; ``store`` names a
-        :mod:`repro.archive.store` backend (``sqlite:PATH``). Either
-        alone works: a populated store opens directly — cold start
-        reads metadata rows, skipping the full dump load — and a dump
-        file loads into whatever store is asked for (the one-time
-        import path). Giving both with a *populated* store is an
-        error: the service cannot guess which archive should win.
+        ``store`` is a :mod:`repro.archive.store` spec (``sqlite:PATH``
+        for a file — a run's store or a dump — or ``memory``). Cold
+        start reads metadata rows, never the summaries; a file that is
+        not a readable archive is a :class:`ServiceError`.
 
         The archive is partitioned into ``shards`` by ``shard_key``
         (1 shard is a valid deployment — the seam still applies, e.g.
         ``mode="process"`` serves from one worker). ``replicas``
         spawns that many process workers per shard for failover
-        (implying ``mode="process"`` when no mode is given). A
-        format-v3 dump's inverted signatures transfer to the shards
+        (implying ``mode="process"`` when no mode is given). The
+        archive's stored inverted signatures transfer to the shards
         without recomputation.
         """
-        if path is None and store is None:
-            raise ServiceError(
-                "from_archive needs an archive file or a store"
-            )
-        if path is None:
+        if store is None:
+            raise ServiceError("from_archive needs a store")
+        try:
             base = PatternBase(store=store)
-        else:
-            if store is not None:
-                probe = PatternBase(store=store)
-                if len(probe):
-                    probe.close()
-                    raise ServiceError(
-                        "store already holds patterns; serve it without "
-                        "an archive file (or import into a fresh store)"
-                    )
-                base = load_pattern_base(path, store=probe.store)
-            else:
-                base = load_pattern_base(path)
+        except ValueError as error:
+            raise ServiceError(str(error)) from None
         if inverted_levels:
             loaded = base.inverted_index()
             if loaded is None or not all(

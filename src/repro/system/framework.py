@@ -133,8 +133,7 @@ class StreamPatternMiningSystem:
         return len(self.pattern_base)
 
     def close(self) -> None:
-        """Release the archive's backing store; idempotent, and a no-op
-        for the in-memory store."""
+        """Release the archive's backing store; idempotent."""
         self.pattern_base.close()
 
     def __enter__(self) -> "StreamPatternMiningSystem":

@@ -26,7 +26,6 @@ prints digests to eyeball in review.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,8 @@ from typing import Dict, List
 
 from repro.archive.archiver import PatternArchiver
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import load_pattern_base
+from repro.archive.persistence import dump_pattern_base
+from repro.archive.store import parse_store_spec
 from repro.core.csgs import CSGS
 from repro.data.stt import STTStream
 from repro.matching.metric import DistanceMetricSpec
@@ -46,7 +46,7 @@ from repro.retrieval import (
 )
 from repro.streams.source import ListSource
 from repro.streams.windows import CountBasedWindowSpec, Windower
-from tests.helpers import on_backend, roundtrip_bytes
+from tests.helpers import on_backend, reloaded
 
 DIMENSIONS = 4
 
@@ -166,21 +166,27 @@ def build_match_archive(
     case: GoldenCase = _SMALL, store=None
 ) -> PatternBase:
     """The Pattern Base of the canonical workload run, round-tripped
-    through :mod:`repro.archive.persistence` so the fixture pins the
-    persisted-archive serving path, not just the in-memory one.
+    through a dump (:mod:`repro.archive.persistence`) so the fixture
+    pins the persisted-archive serving path, not just the live one.
 
-    ``store`` selects the backend the reloaded base lives on (a spec
-    like ``"sqlite:PATH"``): the fixtures must stay byte-identical
-    across backends — storage is never semantics."""
+    ``store`` selects how the dump is served: ``None`` loads it into
+    memory, a spec like ``"sqlite:PATH"`` dumps to PATH and serves the
+    file — the fixtures must stay byte-identical either way; storage
+    is never semantics."""
     base = PatternBase()
     archiver = PatternArchiver(base)
     csgs = CSGS(case.theta_range, case.theta_count, DIMENSIONS)
     spec = CountBasedWindowSpec(win=case.win, slide=case.slide)
     for batch in Windower(spec).batches(ListSource(workload_points(case))):
         archiver.archive_output(csgs.process_batch(batch))
-    return load_pattern_base(
-        io.BytesIO(roundtrip_bytes(base)), store=store
-    )
+    return _persisted(base, store)
+
+
+def _persisted(base: PatternBase, store) -> PatternBase:
+    if store is None:
+        return reloaded(base)
+    dump_pattern_base(base, parse_store_spec(store)[1])
+    return PatternBase(store=store)
 
 
 def run_match_trace(
@@ -257,7 +263,7 @@ def run_match_trace(
 # ----------------------------------------------------------------------
 
 #: Fixture pinning partition-parallel ``match_many`` serving — both
-#: partition keys over a *persisted format-v3* archive (inverted
+#: partition keys over a *persisted* archive (inverted
 #: cell-signature index at rung 1 maintained during archival) — byte
 #: for byte. The per-query matches must equal the single-engine
 #: answers of ``archive_matches_stt.json`` exactly: sharding and the
@@ -271,21 +277,20 @@ SHARDED_MATCH_PATH = Path(__file__).with_name(
 SHARDED_COUNTS = (2, 3)
 
 
-def build_sharded_v3_archive(
+def build_sharded_archive(
     case: GoldenCase = _SMALL, store=None
 ) -> PatternBase:
     """The canonical workload archived *with* the inverted index, then
-    round-tripped through format v3 — the flat base every pinned shard
-    layout partitions. ``store`` selects the reloaded base's backend."""
+    round-tripped through a dump — the flat base every pinned shard
+    layout partitions. ``store`` selects how the dump is served, as in
+    :func:`build_match_archive`."""
     base = PatternBase(inverted_levels=(1,))
     archiver = PatternArchiver(base)
     csgs = CSGS(case.theta_range, case.theta_count, DIMENSIONS)
     spec = CountBasedWindowSpec(win=case.win, slide=case.slide)
     for batch in Windower(spec).batches(ListSource(workload_points(case))):
         archiver.archive_output(csgs.process_batch(batch))
-    return load_pattern_base(
-        io.BytesIO(roundtrip_bytes(base)), store=store
-    )
+    return _persisted(base, store)
 
 
 def _sharded_query_panel(base) -> List[dict]:
@@ -320,7 +325,7 @@ def run_sharded_match_trace(
 ) -> List[dict]:
     """Canonical results of batched sharded serving, per partition key
     and pinned shard count."""
-    flat = build_sharded_v3_archive(case, store=store)
+    flat = build_sharded_archive(case, store=store)
     panel = _sharded_query_panel(flat)
     trace: List[dict] = []
     for key in ("window", "feature"):

@@ -12,18 +12,19 @@ from __future__ import annotations
 
 import contextlib
 import heapq
-import io
 import itertools
 import math
+import os
 import random
 import struct
+import tempfile
 from operator import add, sub
 from typing import Dict, List, Sequence, Tuple
 
 from hypothesis import strategies as st
 
 from repro.archive.archiver import ArchivePolicy
-from repro.archive.persistence import dump_pattern_base
+from repro.archive.persistence import dump_pattern_base, load_pattern_base
 from repro.clustering.cluster import Cluster
 from repro.clustering.extra_n import ExtraN
 from repro.core.cells import CellStatus, SkeletalGridCell
@@ -31,7 +32,7 @@ from repro.core.csgs import CSGS, WindowOutput
 from repro.core.features import ClusterFeatures
 from repro.core.lifespan import NeighborhoodTracker, ObjectState
 from repro.core.multires import coarsen_sgs
-from repro.core.serialize import sgs_to_dict
+from repro.core.serialize import sgs_to_bytes, sgs_to_dict
 from repro.core.sgs import SGS
 from repro.geometry.coordstore import CoordStore
 from repro.geometry.mbr import MBR
@@ -1129,10 +1130,50 @@ def covers_point(sgs: SGS, point: Sequence[float]) -> bool:
 
 
 def roundtrip_bytes(base) -> bytes:
-    """Serialize an archive to bytes (convenience for tests/tools)."""
-    buffer = io.BytesIO()
-    dump_pattern_base(base, buffer)
-    return buffer.getvalue()
+    """The canonical bytes of an archive — the layout of the binary
+    dump format SQLite files replaced — for equality checks: two bases
+    hold the same archive exactly when their bytes are equal.
+
+    ``"SGSA" | u32 3 | u32 count``, then per pattern in id order
+    ``u32 id | u32 full_size | u8 0 | u32 blob length | SGS blob``,
+    then ``u8 0`` without an inverted index, or ``u8 1 | u8 level count
+    | levels | u8 factor | u8 dimensions`` and, per pattern and level,
+    ``u32 cell count`` plus the sorted cells as int32 coordinates.
+    ``base`` needs only the read surface: a sharded base works too.
+    """
+    patterns = sorted(base.all_patterns(), key=lambda p: p.pattern_id)
+    out = [b"SGSA", struct.pack("<II", 3, len(patterns))]
+    for pattern in patterns:
+        blob = sgs_to_bytes(pattern.sgs)
+        out.append(
+            struct.pack(
+                "<IIBI", pattern.pattern_id, pattern.full_size, 0, len(blob)
+            )
+        )
+        out.append(blob)
+    index = base.inverted_index()
+    if index is None:
+        out.append(b"\x00")
+        return b"".join(out)
+    dims = patterns[0].sgs.dimensions if patterns else 0
+    out.append(struct.pack("<BB", 1, len(index.levels)))
+    out.append(struct.pack(f"<{len(index.levels)}B", *index.levels))
+    out.append(struct.pack("<BB", index.factor, dims))
+    for pattern in patterns:
+        for level in index.levels:
+            cells = sorted(index.signature(pattern.pattern_id, level).cells)
+            out.append(struct.pack("<I", len(cells)))
+            for cell in cells:
+                out.append(struct.pack(f"<{dims}i", *cell))
+    return b"".join(out)
+
+
+def reloaded(base):
+    """``base`` dumped to a SQLite file and loaded back into memory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "archive.db")
+        dump_pattern_base(base, path)
+        return load_pattern_base(path)
 
 
 class MinPopulationPolicy(ArchivePolicy):

@@ -107,10 +107,10 @@ def test_restore_preserves_id_and_advances_allocator():
     base = PatternBase()
     summaries = _summaries()
     sgs, size = summaries[0]
-    pattern = ArchivedPattern(7, sgs, size)
-    assert base.restore(pattern) is pattern
+    pattern = base.restore(ArchivedPattern(7, sgs, size))
+    assert pattern.pattern_id == 7 and pattern.sgs is sgs
     assert base.get(7) is pattern
-    # Both indices answer for the restored pattern.
+    # Both indices answer for the restored pattern's record.
     assert pattern in base.overlapping(pattern.mbr)
     features = pattern.features.as_tuple()
     assert pattern in base.in_feature_ranges(features, features)

@@ -1,16 +1,28 @@
-"""Unit tests for the ``PatternStore`` seam (memory + SQLite backends).
+"""Unit tests for the pattern store: one SQLite schema, two specs.
 
-Storage is never semantics: both backends must answer identically, dump
-identical bytes, and survive the same failure drills. The crash/torn-
-input corpus lives in ``tests/test_archive_truncation.py``.
+Storage is never semantics: the in-memory database (``memory``) and a
+file (``sqlite:PATH``) must answer identically, hold identical bytes,
+and survive the same failure drills. The crash drills — a dump torn
+mid-write, an overwritten dump, a SIGKILL during archival — and the
+refusal of unreadable files are the persistence tests.
 """
 
-import io
 import math
+import os
+import sqlite3
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from tests.helpers import clustered_points, roundtrip_bytes, stream_batches
+from tests.helpers import (
+    clustered_points,
+    reloaded,
+    roundtrip_bytes,
+    stream_batches,
+)
 from tests.golden.workload import (
     MATCH_PATH,
     SHARDED_MATCH_PATH,
@@ -19,15 +31,15 @@ from tests.golden.workload import (
     run_sharded_match_trace,
 )
 from repro.archive.pattern_base import ArchivedPattern, PatternBase
-from repro.archive.persistence import load_pattern_base
+from repro.archive.persistence import dump_pattern_base, load_pattern_base
 from repro.archive.store import (
     BUSY_TIMEOUT_MS,
     DEFAULT_CACHE_PATTERNS,
-    MemoryStore,
     SqliteStore,
     open_store,
     parse_store_spec,
 )
+from repro.cli import main
 from repro.core.csgs import CSGS
 from repro.core.features import ClusterFeatures
 from repro.retrieval import ShardedPatternBase
@@ -73,6 +85,7 @@ def test_parse_store_spec_forms():
         "sqlite:h.db?cache=zero",
         "sqlite:h.db?cache=0",
         "sqlite:h.db?warm=1",
+        "sqlite::memory:",
     ],
 )
 def test_bad_store_specs_rejected(spec):
@@ -81,9 +94,13 @@ def test_bad_store_specs_rejected(spec):
 
 
 def test_open_store_backends(tmp_path):
-    assert isinstance(open_store(None), MemoryStore)
-    assert isinstance(open_store("memory"), MemoryStore)
+    for spec in (None, "memory"):
+        with open_store(spec) as store:
+            assert isinstance(store, SqliteStore)
+            assert store.backend == "memory" and not store.durable
+            assert store.cache_patterns is None
     with open_store(f"sqlite:{tmp_path / 'h.db'}?cache=5") as store:
+        assert store.backend == "sqlite" and store.durable
         assert isinstance(store, SqliteStore)
         assert store.cache_patterns == 5
     with open_store(f"sqlite:{tmp_path / 'h2.db'}") as store:
@@ -110,17 +127,18 @@ def test_dump_bytes_identical_across_backends(tmp_path):
 
 
 def test_dump_load_roundtrips_between_backends(tmp_path):
+    """A dump of an in-memory base is a file ``sqlite:`` serves, and a
+    file-backed base dumps and loads back into memory."""
     memory, _ = _populated(seed=3, inverted=(1, 2))
     blob = roundtrip_bytes(memory)
-    onto_disk = load_pattern_base(
-        io.BytesIO(blob), store=f"sqlite:{tmp_path / 'import.db'}"
-    )
+    dump = tmp_path / "import.db"
+    dump_pattern_base(memory, dump)
+    onto_disk = PatternBase(store=f"sqlite:{dump}")
     assert len(onto_disk) == len(memory)
     assert onto_disk.summary_bytes() == memory.summary_bytes()
     assert roundtrip_bytes(onto_disk) == blob
+    assert roundtrip_bytes(reloaded(onto_disk)) == blob
     onto_disk.close()
-    back_in_memory = load_pattern_base(io.BytesIO(blob))
-    assert roundtrip_bytes(back_in_memory) == blob
 
 
 def test_golden_match_fixture_byte_identical_on_sqlite(tmp_path):
@@ -365,9 +383,46 @@ def test_store_describe_telemetry(tmp_path):
 
     memory, _ = _populated(seed=9)
     info = memory.store_info()
-    assert info == {
-        "backend": "memory", "durable": False, "patterns": len(memory),
-    }
+    assert info["backend"] == "memory"
+    assert info["durable"] is False
+    assert info["patterns"] == info["cached"] == len(memory)
+    assert info["cache_patterns"] is None
+
+
+def test_only_a_file_is_durable(tmp_path):
+    """The in-memory database survives nothing: it never reports
+    durability, and a sharded base never adopts it as the origin an
+    acknowledged ingest commits to."""
+    memory, _ = _populated(seed=17)
+    assert memory.store_info()["durable"] is False
+    sharded = ShardedPatternBase.from_base(memory, 2, "window")
+    assert sharded.store is None
+    assert sharded.store_info()["durable"] is False
+    disk, _ = _populated(seed=17, store=f"sqlite:{tmp_path / 'd.db'}")
+    assert disk.store_info()["durable"] is True
+    assert ShardedPatternBase.from_base(disk, 2, "window").store is disk.store
+    disk.close()
+
+
+def test_matching_on_the_default_store_never_evicts():
+    """The in-memory store keeps every summary it holds: matching over
+    more patterns than the on-disk LRU holds hydrates and evicts
+    nothing."""
+    from repro.retrieval import MatchEngine
+
+    base, last = _populated(seed=18)
+    summaries = [p.sgs for p in base.all_patterns()]
+    next_id = len(base)
+    while len(base) <= DEFAULT_CACHE_PATTERNS + 20:
+        base.restore(
+            ArchivedPattern(next_id, summaries[next_id % len(summaries)], 9)
+        )
+        next_id += 1
+    _, stats = MatchEngine(base).match_sgs(last.summaries[0], 1.0)
+    assert stats.refined > DEFAULT_CACHE_PATTERNS
+    info = base.store_info()
+    assert info["evictions"] == 0 and info["hydrations"] == 0
+    assert info["cached"] == len(base)
 
 
 # ----------------------------------------------------------------------
@@ -493,13 +548,186 @@ def test_service_needs_archive_or_store():
         MatchService.from_archive()
 
 
-def test_service_rejects_archive_into_populated_store(tmp_path):
-    spec = f"sqlite:{tmp_path / 'full.db'}"
-    base, _ = _populated(seed=15, store=spec)
-    dump = tmp_path / "dump.sgsa"
-    from repro.archive.persistence import dump_pattern_base
+# ----------------------------------------------------------------------
+# Crash drills: dumps are atomic, acknowledged patterns survive a kill
+# ----------------------------------------------------------------------
 
-    dump_pattern_base(base, dump)
-    base.close()
-    with pytest.raises(ServiceError):
-        MatchService.from_archive(path=str(dump), store=spec)
+
+def test_interrupted_dump_leaves_previous_archive_intact(
+    tmp_path, monkeypatch
+):
+    base, _ = _populated(seed=1)
+    path = tmp_path / "history.db"
+    dump_pattern_base(base, path)
+    good = path.read_bytes()
+
+    real = SqliteStore.backup
+
+    def torn(self, target):
+        real(self, target)
+        with open(target, "r+b") as handle:
+            handle.truncate(os.path.getsize(target) // 2)
+        raise RuntimeError("disk died mid-dump")
+
+    monkeypatch.setattr(SqliteStore, "backup", torn)
+    with pytest.raises(RuntimeError):
+        dump_pattern_base(_populated(seed=2)[0], path)
+    monkeypatch.undo()
+
+    # The crash tore nothing: the old archive is byte-identical and
+    # still loads, and no temp file litters the directory.
+    assert path.read_bytes() == good
+    assert len(load_pattern_base(path)) == len(base)
+    assert [p.name for p in tmp_path.iterdir()] == ["history.db"]
+
+
+def test_dump_overwrite_is_atomic_replacement(tmp_path):
+    path = tmp_path / "history.db"
+    dump_pattern_base(_populated(seed=3)[0], path)
+    second, _ = _populated(seed=4)
+    written = dump_pattern_base(second, path)
+    assert written == path.stat().st_size
+    assert roundtrip_bytes(load_pattern_base(path)) == roundtrip_bytes(second)
+    assert [p.name for p in tmp_path.iterdir()] == ["history.db"]
+
+
+_INGEST_CHILD = """\
+import os
+import sys
+
+from tests.helpers import clustered_points, stream_batches
+from repro.archive.pattern_base import PatternBase
+from repro.core.csgs import CSGS
+
+db_path, acked_path = sys.argv[1], sys.argv[2]
+points = clustered_points(
+    [(2.0, 2.0), (6.0, 5.0)], per_cluster=250, noise=100, seed=21
+)
+base = PatternBase(store="sqlite:" + db_path, inverted_levels=(1,))
+csgs = CSGS(0.35, 5, 2)
+log = open(acked_path, "a")
+while True:
+    for batch in stream_batches(points, 300, 100):
+        output = csgs.process_batch(batch)
+        for cluster, sgs in zip(output.clusters, output.summaries):
+            pattern = base.add(sgs, cluster.size)
+            # The ack: only written after add() returned, i.e. after
+            # the store reported the pattern durably committed.
+            log.write("%d\\n" % pattern.pattern_id)
+            log.flush()
+            os.fsync(log.fileno())
+"""
+
+
+def test_sigkill_during_archival_keeps_acknowledged_patterns(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    script = tmp_path / "ingest_child.py"
+    script.write_text(_INGEST_CHILD)
+    db_path = tmp_path / "killed.db"
+    acked_path = tmp_path / "acked.txt"
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part
+        for part in (
+            str(root), str(root / "src"), env.get("PYTHONPATH", "")
+        )
+        if part
+    )
+    proc = subprocess.Popen(
+        [sys.executable, str(script), str(db_path), str(acked_path)],
+        cwd=str(root),
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            if proc.poll() is not None:
+                raise AssertionError(
+                    "ingest child exited early:\n"
+                    + proc.stderr.read().decode()
+                )
+            if (
+                acked_path.exists()
+                and acked_path.read_text().count("\n") >= 6
+            ):
+                break
+            time.sleep(0.05)
+        else:
+            raise AssertionError("ingest child never acknowledged")
+    finally:
+        proc.kill()
+        proc.wait()
+
+    acked = [
+        int(line)
+        for line in acked_path.read_text().splitlines()
+        if line.strip().isdigit()
+    ]
+    assert len(acked) >= 6
+    with PatternBase(store=f"sqlite:{db_path}") as reopened:
+        missing = [pid for pid in acked if pid not in reopened]
+        assert not missing, f"acknowledged patterns lost: {missing}"
+
+
+# ----------------------------------------------------------------------
+# Unreadable archive files are refused cleanly
+# ----------------------------------------------------------------------
+
+
+def _closed(conn) -> bool:
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+def test_unreadable_archive_file_is_refused_cleanly(
+    tmp_path, monkeypatch, capsys
+):
+    """Garbage, a real archive cut short, and a dump of the retired
+    binary format: opening any of them is a ``ValueError`` naming the
+    file with the connection closed, a ``ServiceError`` from the
+    service, and one line plus exit 1 from the CLI — never a raw
+    ``sqlite3`` error."""
+    base, _ = _populated(seed=16, inverted=(1,))
+    archive = tmp_path / "archive.db"
+    dump_pattern_base(base, archive)
+    blob = archive.read_bytes()
+    page = 4096
+    assert len(blob) > 4 * page and len(blob) % page == 0
+    bad = {
+        "garbage.db": b"\x00\xffnot a pattern archive" * 400,
+        "legacy.sgsa": roundtrip_bytes(base),
+    }
+    for cut in (60, page, page + 100, len(blob) // 2 + 7, len(blob) - page,
+                len(blob) - 1):
+        bad[f"cut-{cut}.db"] = blob[:cut]
+
+    opened = []
+    connect = sqlite3.connect
+
+    def recording_connect(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(sqlite3, "connect", recording_connect)
+    for name, content in bad.items():
+        path = tmp_path / name
+        path.write_bytes(content)
+        spec = f"sqlite:{path}"
+        opened.clear()
+        with pytest.raises(ValueError, match=name):
+            PatternBase(store=spec)
+        assert opened and all(_closed(conn) for conn in opened)
+        with pytest.raises(ServiceError, match=name):
+            MatchService.from_archive(store=spec)
+        with pytest.raises(ValueError, match=name):
+            load_pattern_base(path)
+        assert main(["match", "--store", spec, "--pattern", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and name in err, err
+        assert path.read_bytes() == content

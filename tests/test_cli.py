@@ -7,7 +7,7 @@ from repro.cli import main
 
 def test_generate_and_run_and_match(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
 
     assert main(
         [
@@ -38,20 +38,20 @@ def test_generate_and_run_and_match(tmp_path, capsys):
             "500",
             "--slide",
             "250",
-            "--archive",
-            str(archive),
+            "--store",
+            f"sqlite:{archive}",
         ]
     ) == 0
     out = capsys.readouterr().out
     assert "window 0" in out
-    assert "persisted pattern base" in out
+    assert "pattern base durable in" in out
     assert archive.exists()
 
     assert main(
         [
             "match",
-            "--archive",
-            str(archive),
+            "--store",
+            f"sqlite:{archive}",
             "--pattern",
             "0",
             "--threshold",
@@ -66,21 +66,21 @@ def test_generate_and_run_and_match(tmp_path, capsys):
 
 def test_show_ascii_and_json(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1200", "--out", str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     capsys.readouterr()
-    assert main(["show", "--archive", str(archive), "--pattern", "0"]) == 0
+    assert main(["show", "--store", f"sqlite:{archive}", "--pattern", "0"]) == 0
     art = capsys.readouterr().out
     assert "cells" in art and "┌" in art
     assert (
-        main(["show", "--archive", str(archive), "--pattern", "0", "--json"])
+        main(["show", "--store", f"sqlite:{archive}", "--pattern", "0", "--json"])
         == 0
     )
     json_out = capsys.readouterr().out
@@ -89,18 +89,18 @@ def test_show_ascii_and_json(tmp_path, capsys):
 
 def test_match_missing_pattern_errors(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1200", "--out", str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     capsys.readouterr()
     assert (
-        main(["match", "--archive", str(archive), "--pattern", "99999"]) == 1
+        main(["match", "--store", f"sqlite:{archive}", "--pattern", "99999"]) == 1
     )
     assert "no pattern" in capsys.readouterr().err
 
@@ -134,20 +134,20 @@ def test_run_empty_input(tmp_path, capsys):
 
 def test_match_plan_stats_and_engine_options(tmp_path, capsys):
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1500", "--seed", "2", "--out",
           str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "500", "--slide", "250",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     capsys.readouterr()
     assert main(
         [
-            "match", "--archive", str(archive), "--pattern", "0",
+            "match", "--store", f"sqlite:{archive}", "--pattern", "0",
             "--threshold", "0.3", "--top", "3",
             "--coarse-level", "1", "--windows", "0:2",
         ]
@@ -164,19 +164,19 @@ def test_match_plan_stats_and_engine_options(tmp_path, capsys):
 
 def test_match_rejects_bad_window_span(tmp_path):
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1200", "--out", str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     with pytest.raises(SystemExit):
         main(
             [
-                "match", "--archive", str(archive), "--pattern", "0",
+                "match", "--store", f"sqlite:{archive}", "--pattern", "0",
                 "--windows", "nonsense",
             ]
         )
@@ -186,26 +186,26 @@ def test_match_reports_invalid_query_cleanly(tmp_path, capsys):
     """Semantically invalid engine options (inverted span, negative
     coarse level) exit with an error message, not a traceback."""
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1200", "--out", str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     capsys.readouterr()
     assert main(
         [
-            "match", "--archive", str(archive), "--pattern", "0",
+            "match", "--store", f"sqlite:{archive}", "--pattern", "0",
             "--windows", "9:3",
         ]
     ) == 1
     assert "invalid matching query" in capsys.readouterr().err
     assert main(
         [
-            "match", "--archive", str(archive), "--pattern", "0",
+            "match", "--store", f"sqlite:{archive}", "--pattern", "0",
             "--coarse-level", "-1",
         ]
     ) == 1
@@ -213,29 +213,30 @@ def test_match_reports_invalid_query_cleanly(tmp_path, capsys):
 
 
 def test_run_persists_inverted_index_that_match_reuses(tmp_path, capsys):
-    """`run --inverted-levels` persists a v3 archive whose index
+    """`run --inverted-levels` persists an archive whose index
     `match` screens with instead of rebuilding it."""
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1500", "--seed", "4", "--out",
           str(stream_csv)])
     assert main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "500", "--slide", "250",
-            "--archive", str(archive), "--inverted-levels", "1",
+            "--store", f"sqlite:{archive}", "--inverted-levels", "1",
         ]
     ) == 0
     capsys.readouterr()
 
-    from repro.archive.persistence import load_pattern_base
+    from repro.archive.pattern_base import PatternBase
 
-    index = load_pattern_base(str(archive)).inverted_index()
-    assert index is not None and index.levels == (1,)
+    with PatternBase(store=f"sqlite:{archive}") as base:
+        index = base.inverted_index()
+        assert index is not None and index.levels == (1,)
 
     assert main(
         [
-            "match", "--archive", str(archive), "--pattern", "0",
+            "match", "--store", f"sqlite:{archive}", "--pattern", "0",
             "--threshold", "0.6", "--top", "5", "--coarse-level", "1",
             "--inverted-levels", "1",
         ]
@@ -336,20 +337,20 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
     archive-wide rebuild and says so, instead of silently doing work
     the query can never use."""
     stream_csv = tmp_path / "stream.csv"
-    archive = tmp_path / "history.sgsa"
+    archive = tmp_path / "history.db"
     main(["generate", "--count", "1200", "--seed", "6", "--out",
           str(stream_csv)])
     main(
         [
             "run", "--input", str(stream_csv), "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
         ]
     )
     capsys.readouterr()
     assert main(
         [
-            "match", "--archive", str(archive), "--pattern", "0",
+            "match", "--store", f"sqlite:{archive}", "--pattern", "0",
             "--threshold", "0.4", "--inverted-levels", "1",
         ]
     ) == 0
@@ -367,8 +368,9 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
             "--refine", "scalar",
         ],
         ["multiplex", "--input", "s.csv", "--queries", "q.txt", "--ab"],
-        ["serve", "--archive", "h.sgsa", "--mode", "thread"],
-        ["match", "--archive", "h.sgsa", "--pattern", "0", "--shards", "2"],
+        ["serve", "--store", "sqlite:h.db", "--mode", "thread"],
+        ["match", "--store", "sqlite:h.db", "--pattern", "0", "--shards", "2"],
+        ["match", "--archive", "h.sgsa", "--pattern", "0"],
         [
             "run", "--input", "s.csv", "--theta-range", "0.3",
             "--theta-count", "5", "--win", "400", "--slide", "200",
@@ -382,15 +384,15 @@ def test_inverted_levels_noop_without_coarse_level(tmp_path, capsys):
     ),
     ids=(
         "run--refine", "multiplex--ab", "serve--mode-thread",
-        "match--shards",
+        "match--shards", "match--archive",
         "run--index-backend-auto", "run--index-backend-rtree",
     ),
 )
 def test_retired_path_switches_are_usage_errors(argv, capsys):
     """The kernel arm, forced-dedicated multiplexing, the thread mode,
-    the adaptive and R-tree neighbour backends and sharding outside
-    `repro serve` are no longer user-set: argparse rejects them before
-    any file is opened."""
+    the adaptive and R-tree neighbour backends, sharding outside
+    `repro serve` and the binary ``--archive`` dump are no longer
+    user-set: argparse rejects them before any file is opened."""
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2

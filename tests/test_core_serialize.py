@@ -408,3 +408,31 @@ def test_encoder_and_parser_refuse_what_the_cell_head_cannot_hold(
         with pytest.raises(ValueError, match="int32 location"):
             base.add(stray, 40)
         assert len(base) == 0
+
+
+def test_single_blob_is_consumed_exactly_at_every_cut_point():
+    """The drill on one stored blob: the decoder the rows replaced let a
+    cut inside a cell head escape as ``struct.error`` and returned a
+    summary for a blob with bytes to spare."""
+    points = clustered_points(
+        [(2.0, 2.0), (6.0, 5.0)], per_cluster=250, noise=100, seed=9
+    )
+    csgs = CSGS(0.35, 5, 2)
+    sgs = max(
+        (
+            summary
+            for batch in stream_batches(points, 300, 100)
+            for summary in csgs.process_batch(batch).summaries
+        ),
+        key=len,
+    )
+    blob = sgs_to_bytes(sgs)
+    assert sgs_from_bytes(blob).rows == sgs.rows
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            sgs_from_bytes(blob[:cut])
+    with pytest.raises(ValueError, match="trailing bytes"):
+        sgs_from_bytes(blob + b"junk")
+    with pytest.raises(struct.error):
+        reference_sgs_from_bytes(blob[: 4 + 25 + 3])  # inside the first head
+    assert reference_sgs_from_bytes(blob + b"junk").rows == sgs.rows

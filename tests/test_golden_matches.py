@@ -78,7 +78,7 @@ def sharded_golden_text():
 
 
 def test_sharded_engine_reproduces_golden_output(sharded_golden_text):
-    """Partition-parallel ``match_many`` over the persisted v3 archive
+    """Partition-parallel ``match_many`` over the persisted archive
     must stay byte-stable — shard planning, the per-shard inverted
     screens, the thread-pooled fan-out, and the deterministic merge all
     sit under this pin."""

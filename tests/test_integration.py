@@ -6,11 +6,9 @@ different dimensionalities and window semantics, plus cross-checks
 between the cell-level matcher and the oracle on full representations.
 """
 
-import io
-
 import pytest
 
-from tests.helpers import roundtrip_bytes
+from tests.helpers import reloaded
 from repro import (
     CSGS,
     ContinuousClusteringQuery,
@@ -27,7 +25,6 @@ from repro import (
     sgs_from_bytes,
     sgs_to_bytes,
 )
-from repro.archive.persistence import load_pattern_base
 from repro.clustering.dbscan import dbscan
 from repro.eval.oracle import oracle_similarity
 from repro.matching.cell_match import cell_level_distance
@@ -42,11 +39,9 @@ def test_full_pipeline_2d_blobs():
     outputs = system.run(DriftingBlobStream(seed=13).objects(4000))
     assert system.archived_count > 0
     # Persist, reload, and match in a "new session".
-    blob = roundtrip_bytes(system.pattern_base)
-    reloaded = load_pattern_base(io.BytesIO(blob))
     from repro.retrieval.engine import MatchEngine
 
-    engine = MatchEngine(reloaded)
+    engine = MatchEngine(reloaded(system.pattern_base))
     target = max(
         (sgs for output in outputs for sgs in output.summaries), key=len
     )

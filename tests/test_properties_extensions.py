@@ -1,14 +1,11 @@
 """Property-based tests for the extension subsystems: serialization,
 persistence, tracking, regeneration, and the shared executor."""
 
-import io
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.helpers import covers_point, roundtrip_bytes, stream_batches
+from tests.helpers import covers_point, reloaded, stream_batches
 from repro.archive.pattern_base import PatternBase
-from repro.archive.persistence import load_pattern_base
 from repro.clustering.cluster import partition_signature
 from repro.clustering.shared import SharedCSGS
 from repro.core.cells import CellStatus, SkeletalGridCell
@@ -106,7 +103,7 @@ def test_pattern_base_persistence_roundtrip(summaries):
     base = PatternBase()
     for sgs in summaries:
         base.add(sgs, sgs.population)
-    loaded = load_pattern_base(io.BytesIO(roundtrip_bytes(base)))
+    loaded = reloaded(base)
     assert len(loaded) == len(base)
     for pattern in base.all_patterns():
         restored = loaded.get(pattern.pattern_id)

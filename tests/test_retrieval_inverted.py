@@ -224,8 +224,8 @@ def test_index_validation():
         InvertedCellIndex((0,))
     with pytest.raises(ValueError):
         InvertedCellIndex((1,), factor=1)
-    # Levels and factor persist as single bytes (format v3): reject
-    # out-of-range values up front, not at dump time.
+    # Out-of-range rungs and factors are refused up front, before any
+    # mining work runs.
     with pytest.raises(ValueError):
         InvertedCellIndex((300,))
     with pytest.raises(ValueError):
@@ -370,10 +370,9 @@ def test_screen_defensive_paths():
         level: index.signature(victim.pattern_id, level).cells
         for level in index.levels
     }
+    dimensions = victim.sgs.dimensions
     base.remove(victim.pattern_id)
-    index.restore_signatures(
-        victim.pattern_id, signatures, victim.sgs.dimensions
-    )
+    index.restore_signatures(victim.pattern_id, signatures, dimensions)
     fresh = InvertedScreen(index, 1, last.summaries[0], tau=1.0, guard=0)
     survivors = fresh.survivors(base)
     assert victim.pattern_id not in {p.pattern_id for p in survivors}

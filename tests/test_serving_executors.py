@@ -1,7 +1,7 @@
 """The deployment seam's laws: mode is placement, never semantics.
 
 Three suites over the Figure-7 ``stt_small`` archive (the same
-persisted format-v3 workload the golden fixtures pin):
+persisted workload the golden fixtures pin):
 
 * **Executor parity** — ``process`` ≡ ``serial`` ≡ the exhaustive
   scan, byte for byte (same pattern ids, same float
@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from tests.golden.workload import build_sharded_v3_archive
+from tests.golden.workload import build_sharded_archive
 from tests.test_retrieval_engine import _as_pairs, exhaustive_scan
 from repro.matching.metric import DistanceMetricSpec
 from repro.retrieval import (
@@ -41,7 +41,7 @@ from repro.serving import (
 
 @pytest.fixture(scope="module")
 def flat_base():
-    return build_sharded_v3_archive()
+    return build_sharded_archive()
 
 
 def _query_panel(base):
@@ -406,12 +406,12 @@ def test_sigterm_stops_serve_and_joins_its_workers(flat_base, tmp_path):
 
     from repro.archive.persistence import dump_pattern_base
 
-    archive = tmp_path / "served.sgsa"
-    dump_pattern_base(flat_base, str(archive))
+    archive = tmp_path / "served.db"
+    dump_pattern_base(flat_base, archive)
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--archive", str(archive),
+            "--store", f"sqlite:{archive}",
             "--shards", "2", "--mode", "process", "--port", "0",
         ],
         stdout=subprocess.PIPE,

@@ -23,8 +23,9 @@ from unittest.mock import ANY
 
 import pytest
 
-from tests.golden.workload import build_sharded_v3_archive
-from repro.archive.persistence import dump_pattern_base
+from tests.golden.workload import build_sharded_archive
+from repro.archive.persistence import dump_pattern_base, load_pattern_base
+from repro.archive.store import parse_store_spec
 from repro.core.serialize import sgs_from_bytes, sgs_to_bytes, sgs_to_dict
 from repro.retrieval import (
     MatchQuery,
@@ -38,14 +39,16 @@ from repro.serving.service import MatchService, ServiceError
 
 @pytest.fixture(scope="module")
 def flat_base():
-    return build_sharded_v3_archive()
+    return build_sharded_archive()
 
 
-@pytest.fixture(scope="module")
-def archive_path(flat_base, tmp_path_factory):
-    path = tmp_path_factory.mktemp("serving") / "figure7.sgsa"
-    dump_pattern_base(flat_base, str(path))
-    return str(path)
+@pytest.fixture()
+def archive_store(flat_base, tmp_path):
+    """A fresh dump of the archive, as the store spec that serves it
+    (serving a file writes ingests through to it)."""
+    path = tmp_path / "figure7.db"
+    dump_pattern_base(flat_base, path)
+    return f"sqlite:{path}"
 
 
 def _query_sgs(base):
@@ -77,10 +80,10 @@ class _Client:
 
 
 @pytest.fixture()
-def served(archive_path, request):
+def served(archive_store, request):
     """A live threaded server over the persisted archive."""
     mode = getattr(request, "param", "serial")
-    service = MatchService.from_archive(archive_path, shards=2, mode=mode)
+    service = MatchService.from_archive(archive_store, shards=2, mode=mode)
     server, host, port = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -112,11 +115,11 @@ def test_healthz_and_stats(served):
     assert stats["failovers"] == 0
 
 
-def test_stats_expose_replica_liveness(archive_path):
+def test_stats_expose_replica_liveness(archive_store):
     """A replicated deployment reports per-shard replica liveness and
     failover counters through the same /stats surface."""
     with MatchService.from_archive(
-        archive_path, shards=2, mode="process", replicas=2
+        archive_store, shards=2, mode="process", replicas=2
     ) as service:
         stats = service.stats()
         assert stats["mode"] == "process"
@@ -265,11 +268,11 @@ def test_malformed_query_field_is_a_400(served, flat_base, field, value):
 
 
 @pytest.fixture()
-def small_body_server(archive_path, monkeypatch):
+def small_body_server(archive_store, monkeypatch):
     """A live server whose body cap is small enough to trip from a
     test, for the keep-alive regressions."""
     monkeypatch.setattr(MatchRequestHandler, "max_body_bytes", 16 * 1024)
-    service = MatchService.from_archive(archive_path, shards=2)
+    service = MatchService.from_archive(archive_store, shards=2)
     server, host, port = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -443,11 +446,15 @@ def _post(conn, path, payload):
 
 
 @contextlib.contextmanager
-def _keep_alive_service(archive_path, tmp_path, backend):
+def _keep_alive_service(archive_store, backend):
     """``(service, conn)``: a threaded server on the given store backend
-    and one keep-alive connection to it."""
-    store = f"sqlite:{tmp_path / 'archive.db'}" if backend == "sqlite" else None
-    service = MatchService.from_archive(archive_path, shards=2, store=store)
+    (the dump served as a file, or loaded into memory) and one
+    keep-alive connection to it."""
+    if backend == "sqlite":
+        service = MatchService.from_archive(archive_store, shards=2)
+    else:
+        memory = load_pattern_base(parse_store_spec(archive_store)[1])
+        service = MatchService(ShardedPatternBase.from_base(memory, 2))
     server, host, port = make_server(service, "127.0.0.1", 0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -477,7 +484,7 @@ def _assert_refused_everywhere(conn, service, bad, reason):
     assert len(service.base) == before
 
 
-def test_every_reply_is_one_send(archive_path, tmp_path, flat_base, monkeypatch):
+def test_every_reply_is_one_send(archive_store, flat_base, monkeypatch):
     """Regression pin: the head and the body of a reply used to be two
     sends through an unbuffered ``wfile``; Nagle's algorithm held the
     body until the client's delayed ACK of the head, ~40 ms per round
@@ -506,7 +513,7 @@ def test_every_reply_is_one_send(archive_path, tmp_path, flat_base, monkeypatch)
             sink.write = counted
 
     monkeypatch.setattr(httpd, "MatchRequestHandler", SendCountingHandler)
-    with _keep_alive_service(archive_path, tmp_path, "memory") as (service, conn):
+    with _keep_alive_service(archive_store, "memory") as (service, conn):
 
         def reply(method, path, body=None):
             before = len(sends)
@@ -590,16 +597,14 @@ def test_interim_100_continue_is_not_held_in_the_buffer(small_body_server, flat_
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_unstorable_connection_offset_is_a_400(
-    archive_path, tmp_path, backend
-):
+def test_unstorable_connection_offset_is_a_400(archive_store, backend):
     """Regression pin: a connection more than 127 cells from its cell
     parsed fine, then ``sgs_to_bytes`` raised inside ``engine.ingest``
     (500 on the SQLite store; the memory store accepted it and failed
     at dump time). The blob's signed-byte offset range is checked where
     wire summaries are parsed: a typed 400 on every endpoint that takes
     one, the archive untouched, the keep-alive socket still usable."""
-    with _keep_alive_service(archive_path, tmp_path, backend) as (service, conn):
+    with _keep_alive_service(archive_store, backend) as (service, conn):
         good = sgs_to_dict(_query_sgs(service.base))
         bad = json.loads(json.dumps(good))
         cell = bad["cells"][0]
@@ -616,14 +621,14 @@ def test_unstorable_connection_offset_is_a_400(
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
-def test_out_of_range_cell_is_a_400(archive_path, tmp_path, backend):
+def test_out_of_range_cell_is_a_400(archive_store, backend):
     """Regression pin: a location component of ``2**31``, a population
     of ``2**32`` or a location of ``12.5`` parsed fine, then the cell
     head's ``struct.error`` (or a ``TypeError``) escaped ``engine.ingest``
     as a 500 — on the SQLite store only for the first two: the memory
     store took the pattern and failed at the next dump. What the head
     cannot hold is refused where wire summaries are parsed."""
-    with _keep_alive_service(archive_path, tmp_path, backend) as (service, conn):
+    with _keep_alive_service(archive_store, backend) as (service, conn):
         good = sgs_to_dict(_query_sgs(service.base))
         before = len(service.base)
         for field, value in (
@@ -650,8 +655,8 @@ def test_out_of_range_cell_is_a_400(archive_path, tmp_path, backend):
         assert sgs_to_dict(sgs_from_bytes(sgs_to_bytes(stored))) == sgs_to_dict(stored)
 
 
-def test_service_rejects_malformed_payloads_directly(archive_path):
-    with MatchService.from_archive(archive_path) as service:
+def test_service_rejects_malformed_payloads_directly(archive_store):
+    with MatchService.from_archive(archive_store) as service:
         with pytest.raises(ServiceError):
             service.match({"threshold": 0.5})
         with pytest.raises(ServiceError):
@@ -671,13 +676,13 @@ def test_service_rejects_malformed_payloads_directly(archive_path):
         assert len(service.base) == size
 
 
-def test_cli_serve_end_to_end(archive_path, flat_base):
+def test_cli_serve_end_to_end(archive_store, flat_base):
     """The real ``repro serve`` process: persisted archive in, bound
     port printed, ingest + match over HTTP, golden answer out."""
     proc = subprocess.Popen(
         [
             sys.executable, "-m", "repro.cli", "serve",
-            "--archive", archive_path,
+            "--store", archive_store,
             "--shards", "2", "--mode", "serial", "--port", "0",
         ],
         stdout=subprocess.PIPE,
